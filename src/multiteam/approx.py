@@ -1,5 +1,6 @@
-"""Approximation operators: <p> (some large-enough part), [p] (every
-large-enough part), and the approximate implication a ->{p} b.
+"""The bounded-part enumerator behind the approximation operators <p> (some
+large-enough part), [p] (every large-enough part) and the approximate
+implication a ->{p} b, which the evaluator in `semantics` searches with it.
 
 All three quantify over submultiteams whose size meets a bound: at least
 p*|t| for a fractional threshold, at least k rows for an absolute one.  The
@@ -16,22 +17,10 @@ from numbers import Rational
 from typing import Iterator
 
 from .errors import InputError
-from .formula import (ExistsFrac, ForallFrac, Formula, ImplFrac, Threshold)
-from .model import Multiteam, Multistructure
-from .semantics import SemanticsConfig, Witness, _Eval, _trace, evaluate
+from .formula import Threshold
+from .model import Multiteam
 
-__all__ = ["eval_exists_frac", "eval_forall_frac", "eval_impl_frac",
-           "enum_bounded_submultisets"]
-
-
-def _as_threshold(p, cfg: SemanticsConfig) -> Threshold:
-    if isinstance(p, Threshold):
-        return p
-    if cfg.approx_kind == "absolute":
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise InputError(f"absolute mode needs an integer bound, got {p!r}")
-        return Threshold(p, absolute=True)
-    return Threshold(Fraction(p))
+__all__ = ["enum_bounded_submultisets"]
 
 
 def _bound_as_threshold(threshold) -> Threshold:
@@ -59,50 +48,3 @@ def enum_bounded_submultisets(t: Multiteam, threshold) -> Iterator[Multiteam]:
     for vec in vectors:
         yield Multiteam._from_table(
             t.variables, {k: c for k, c in zip(keys, vec) if c})
-
-
-def eval_exists_frac(A: Multistructure, t: Multiteam, p, f: Formula,
-                     cfg: SemanticsConfig | None = None, *, use_cache: bool = True) -> bool:
-    """Does some submultiteam of size at least p*|t| satisfy f?"""
-    cfg = cfg or SemanticsConfig()
-    return evaluate(A, t, ExistsFrac(_as_threshold(p, cfg), f), cfg, use_cache=use_cache)
-
-
-def eval_forall_frac(A: Multistructure, t: Multiteam, p, f: Formula,
-                     cfg: SemanticsConfig | None = None, *, use_cache: bool = True) -> bool:
-    """Does every submultiteam of size at least p*|t| satisfy f?"""
-    cfg = cfg or SemanticsConfig()
-    return evaluate(A, t, ForallFrac(_as_threshold(p, cfg), f), cfg, use_cache=use_cache)
-
-
-def eval_impl_frac(A: Multistructure, t: Multiteam, p, f: Formula, g: Formula,
-                   cfg: SemanticsConfig | None = None, *, use_cache: bool = True) -> bool:
-    """On every submultiteam of size at least p*|t|, does f imply g?"""
-    cfg = cfg or SemanticsConfig()
-    return evaluate(A, t, ImplFrac(_as_threshold(p, cfg), f, g), cfg, use_cache=use_cache)
-
-
-def _dispatch_frac(ev: _Eval, f: Formula, team: Multiteam) -> bool:
-    parts = enum_bounded_submultisets(team, f.p)
-    if isinstance(f, ExistsFrac):
-        return any(ev.run(f.body, y) for y in parts)
-    if isinstance(f, ForallFrac):
-        return all(ev.run(f.body, y) for y in parts)
-    if isinstance(f, ImplFrac):
-        return all(ev.run(f.right, y) for y in parts if ev.run(f.left, y))
-    raise InputError(f"cannot evaluate a {type(f).__name__} node")
-
-
-def _trace_frac(ev: _Eval, f: Formula, team: Multiteam) -> Witness:
-    """Witness node for an already-true approximation operator."""
-    if isinstance(f, ExistsFrac):
-        for y in enum_bounded_submultisets(team, f.p):
-            if ev.run(f.body, y):
-                return Witness(f, team, True,
-                               f"submultiteam of size {y.size} out of {team.size}",
-                               (_trace(ev, f.body, y),))
-    if isinstance(f, ForallFrac):
-        return Witness(f, team, True,
-                       "every submultiteam meeting the size bound satisfies the body", ())
-    return Witness(f, team, True,
-                   "the implication holds on every submultiteam meeting the size bound", ())

@@ -21,7 +21,7 @@ from .errors import InputError
 from .model import Multiteam
 
 __all__ = ["eval_dep", "eval_inc", "eval_excl", "eval_ci",
-           "eval_pinc", "eval_pci", "eval_pci_as_dep"]
+           "eval_pinc", "eval_pci"]
 
 
 def _same_length(name: str, xs: Sequence[str], ys: Sequence[str]):
@@ -118,9 +118,3 @@ def eval_pci(t: Multiteam, xs: Sequence[str], ys: Sequence[str], zs: Sequence[st
                 if nb * nc != cyz.get((b, c), 0) * total:
                     return False
     return True
-
-
-def eval_pci_as_dep(t: Multiteam, xs: Sequence[str], ys: Sequence[str]) -> bool:
-    """Functional dependence expressed through probabilistic independence:
-    the ys side made independent of itself given xs."""
-    return eval_pci(t, xs, ys, ys)

@@ -12,7 +12,8 @@ class ParseError(InputError):
 
     def __init__(self, message, line=None, col=None):
         if line is not None:
-            message = f"{message} (line {line}, column {col})"
+            where = f"line {line}" if col is None else f"line {line}, column {col}"
+            message = f"{message} ({where})"
         super().__init__(message)
         self.line = line
         self.col = col

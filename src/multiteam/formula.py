@@ -23,7 +23,7 @@ __all__ = [
     "Threshold", "Formula", "Eq", "Neq", "Rel", "NegRel", "And", "Or",
     "Exists", "Forall", "Dep", "Inc", "Excl", "CI", "PInc", "PCI",
     "ExistsFrac", "ForallFrac", "ImplFrac", "TRUE",
-    "free_vars", "is_first_order", "subformulas",
+    "free_vars", "subformulas",
 ]
 
 
@@ -48,12 +48,6 @@ class Threshold:
             if not 0 <= value <= 1:
                 raise InputError(f"ratio threshold must lie in [0,1], got {value}")
             object.__setattr__(self, "value", value)
-
-    def admits(self, part_size: int, whole_size: int) -> bool:
-        """Does a part of this size meet the bound relative to the whole?"""
-        if self.absolute:
-            return part_size >= self.value
-        return part_size * self.value.denominator >= self.value.numerator * whole_size
 
     def min_size(self, whole_size: int) -> int:
         """Smallest part size meeting the bound (may exceed whole_size)."""
@@ -326,17 +320,6 @@ def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, ImplFrac):
         return free_vars(f.left) | free_vars(f.right)
     raise InputError(f"not a formula node: {f!r}")
-
-
-def is_first_order(f: Formula) -> bool:
-    """True when the formula uses only literals, connectives and quantifiers."""
-    if isinstance(f, (Eq, Neq, Rel, NegRel)):
-        return True
-    if isinstance(f, (And, Or)):
-        return is_first_order(f.left) and is_first_order(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return is_first_order(f.body)
-    return False
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:

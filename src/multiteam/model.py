@@ -146,10 +146,6 @@ class Assignment:
         pairs[_check_value_var(var)] = _check_value(value)
         return Assignment(pairs)
 
-    def restricted(self, variables: Iterable[str]) -> "Assignment":
-        keep = set(variables)
-        return Assignment({x: v for x, v in self._bindings.items() if x in keep})
-
     def as_dict(self) -> dict[str, str]:
         return dict(self._bindings)
 

@@ -28,7 +28,8 @@ Ratio thresholds must lie in [0,1].  The marginal forms `ind(xs ; ys)` and
 group, and `dep(xs)` for the constancy atom `dep(; xs)`.  The words E, A,
 dep, inc, excl, ind, pinc and pind are reserved and cannot name variables
 or relations.  Unary operators bind tightest, then `&`, then `|`, then the
-implication arrow; parentheses override.
+implication arrow; parentheses override.  Nesting deeper than MAX_DEPTH
+allows is a ParseError.
 """
 
 from __future__ import annotations
@@ -41,9 +42,16 @@ from .formula import (CI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
                       Formula, ForallFrac, ImplFrac, Inc, Neq, NegRel, Or,
                       PCI, PInc, Rel, Threshold)
 
-__all__ = ["parse", "KEYWORDS"]
+__all__ = ["parse", "KEYWORDS", "MAX_DEPTH"]
 
 KEYWORDS = frozenset({"E", "A", "dep", "inc", "excl", "ind", "pinc", "pind"})
+
+#: Highest formula tree accepted.  Its text may nest parentheses, quantifier
+#: scopes and arrows up to twice as deep, which covers what the printer writes
+#: for such a tree.  Evaluating takes at most four Python frames per tree level
+#: and parsing five per nested construct: room is left under the default
+#: recursion limit of 1000.
+MAX_DEPTH = 50
 
 _TWO_CHAR = ("!=", "->")
 _ONE_CHAR = set("()[]{}<>,;.=&|~#/")
@@ -106,6 +114,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -130,18 +139,25 @@ class _Parser:
         tok = self.peek()
         return tok.kind != "end" and tok.text == text
 
+    def descend(self) -> None:
+        """Enter one more nested rule; the caller leaves it with depth -= 1."""
+        self.depth += 1
+        if self.depth > 2 * MAX_DEPTH:
+            self.fail("formula nests too deeply")
+
     # --- grammar rules -------------------------------------------------
 
     def formula(self) -> Formula:
-        left = self.or_expr()
+        self.descend()
+        f = self.or_expr()
         if self.at("->"):
             self.next()
             self.expect("{")
             p = self.threshold()
             self.expect("}")
-            right = self.formula()
-            return ImplFrac(p, left, right)
-        return left
+            f = ImplFrac(p, f, self.formula())
+        self.depth -= 1
+        return f
 
     def or_expr(self) -> Formula:
         f = self.and_expr()
@@ -158,16 +174,15 @@ class _Parser:
         return f
 
     def unary(self) -> Formula:
-        if self.at("<"):
-            self.next()
-            p = self.threshold()
-            self.expect(">")
-            return ExistsFrac(p, self.unary())
-        if self.at("["):
-            self.next()
-            p = self.threshold()
-            self.expect("]")
-            return ForallFrac(p, self.unary())
+        for opening, closing, cls in (("<", ">", ExistsFrac), ("[", "]", ForallFrac)):
+            if self.at(opening):
+                self.next()
+                p = self.threshold()
+                self.expect(closing)
+                self.descend()
+                f = cls(p, self.unary())
+                self.depth -= 1
+                return f
         tok = self.peek()
         if tok.kind == "ident" and tok.text in ("E", "A"):
             self.next()
@@ -286,6 +301,15 @@ class _Parser:
         return tuple(names)
 
 
+def _height(f: Formula) -> int:
+    """Levels of the formula tree, counted without recursion."""
+    height, level = 0, [f]
+    while level:
+        height += 1
+        level = [c for node in level for c in vars(node).values() if isinstance(c, Formula)]
+    return height
+
+
 def parse(text: str) -> Formula:
     """Parse the text form of a formula into an AST."""
     parser = _Parser(text)
@@ -293,4 +317,6 @@ def parse(text: str) -> Formula:
     tail = parser.peek()
     if tail.kind != "end":
         parser.fail(f"unexpected trailing input {tail.text!r}", tail)
+    if _height(f) > MAX_DEPTH:
+        raise ParseError(f"formula nests too deeply: more than {MAX_DEPTH} levels")
     return f

@@ -10,8 +10,11 @@ picks a single domain element.  Literals and atoms only ever look at rows
 with multiplicity at least one.
 
 The evaluator is an exhaustive exact search with early exit, enumerating in a
-fixed deterministic order (rows sorted, values sorted, sizes ascending).  An
-optional cache keyed by (subformula, multiteam) is on by default and is
+fixed deterministic order (rows sorted, values sorted, sizes ascending).  One
+search serves both `evaluate` and `witness`: run for a witness, each node
+that holds reports the first choice that made it true instead of a bare True,
+so the trace is the search's own path, never a second search.  An optional
+cache keyed by (subformula, multiteam) is on by default and is
 semantics-transparent; pass use_cache=False for the plain recursion.
 """
 
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from . import atoms
+from .approx import enum_bounded_submultisets
 from .errors import InputError
 from .formula import (CI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
                       ForallFrac, Formula, ImplFrac, Inc, Neq, NegRel, Or,
@@ -115,22 +119,23 @@ def _extender(variables: tuple[str, ...], var: str):
 
 
 def enum_or_splits(t: Multiteam, cfg: SemanticsConfig | None = None
-                   ) -> Iterator[tuple[Multiteam, Multiteam]]:
-    """All (Y, Z) pairs a disjunction may split t into, left-major order."""
+                   ) -> Iterator[tuple[Multiteam, Iterator[Multiteam]]]:
+    """Each left part Y a disjunction may split t into, in row-vector order,
+    with a lazy iterator over the right parts Z that complete the split."""
     cfg = cfg or SemanticsConfig()
     entries = t.row_items()
     keys = [k for k, _ in entries]
     mults = [m for _, m in entries]
     strict = cfg.strictness == "strict"
+
+    def right_parts(kvec):  # Z takes the m - c copies Y leaves out; lax may take up to all m
+        for lvec in itertools.product(*[range(m - c, (m - c if strict else m) + 1)
+                                        for m, c in zip(mults, kvec)]):
+            yield Multiteam._from_table(t.variables, {k: c for k, c in zip(keys, lvec) if c})
+
     for kvec in itertools.product(*[range(m + 1) for m in mults]):
-        y = Multiteam._from_table(t.variables, {k: c for k, c in zip(keys, kvec) if c})
-        if strict:
-            zchoices = [(m - c,) for m, c in zip(mults, kvec)]
-        else:
-            zchoices = [tuple(range(m - c, m + 1)) for m, c in zip(mults, kvec)]
-        for lvec in itertools.product(*zchoices):
-            z = Multiteam._from_table(t.variables, {k: c for k, c in zip(keys, lvec) if c})
-            yield y, z
+        yield (Multiteam._from_table(t.variables, {k: c for k, c in zip(keys, kvec) if c}),
+               right_parts(kvec))
 
 
 def _supplement_vectors(m: int, dom_mults: list[int], strict: bool) -> list[tuple[int, ...]]:
@@ -185,30 +190,50 @@ def extend_universal(t: Multiteam, x: str, dom: Multiset) -> Multiteam:
     return Multiteam._from_table(new_vars, table)
 
 
+@dataclass(frozen=True)
+class Witness:
+    """One node of an evaluation trace: which subteam made which part true."""
+
+    formula: Formula
+    team: Multiteam
+    holds: bool
+    choice: str
+    parts: tuple["Witness", ...]
+
+
 class _Eval:
-    """One evaluation run: fixed structure and config, optional memo cache."""
+    """One evaluation run: fixed structure and config, optional memo cache.
+    A node that fails returns False; one that holds returns True, or in a run
+    for `witness` (explain set) the Witness of its first successful choice."""
 
-    __slots__ = ("structure", "cfg", "cache")
+    __slots__ = ("structure", "cfg", "cache", "explain")
 
-    def __init__(self, structure: Multistructure, cfg: SemanticsConfig, use_cache: bool):
+    def __init__(self, structure: Multistructure, cfg: SemanticsConfig, use_cache: bool,
+                 explain: bool = False):
         self.structure = structure
         self.cfg = cfg
         self.cache: Optional[dict] = {} if use_cache else None
+        self.explain = explain
 
-    def run(self, f: Formula, team: Multiteam) -> bool:
+    def run(self, f: Formula, team: Multiteam):
         if self.cache is None:
-            return self._dispatch(f, team)
-        key = (f, team)
-        hit = self.cache.get(key)
-        if hit is None:
-            hit = self._dispatch(f, team)
-            self.cache[key] = hit
-        return hit
+            got = self._dispatch(f, team)
+        else:
+            key = (f, team)
+            got = self.cache.get(key)
+            if got is None:
+                got = self.cache[key] = self._dispatch(f, team)
+        if got is True and self.explain:  # only leaves answer a bare True
+            return Witness(f, team, True, "", ())
+        return got
+
+    def _holds(self, f: Formula, team: Multiteam, choice: str, *parts):
+        return Witness(f, team, True, choice, parts) if self.explain else True
 
     def _rows_hold(self, team: Multiteam, pred: Callable[[tuple[str, ...]], bool]) -> bool:
         return all(pred(k) for k, _ in team.row_items())
 
-    def _dispatch(self, f: Formula, team: Multiteam) -> bool:
+    def _dispatch(self, f: Formula, team: Multiteam):
         if isinstance(f, Eq):
             px, py = team.position(f.x), team.position(f.y)
             return self._rows_hold(team, lambda k: k[px] == k[py])
@@ -224,17 +249,31 @@ class _Eval:
             return self._rows_hold(
                 team, lambda k: not self.structure.has(f.name, tuple(k[i] for i in pos)))
         if isinstance(f, And):
-            return self.run(f.left, team) and self.run(f.right, team)
+            left = self.run(f.left, team)
+            right = left and self.run(f.right, team)
+            return right and self._holds(f, team, "both conjuncts on the same multiteam",
+                                         left, right)
         if isinstance(f, Or):
-            return self._or(f, team)
+            for y, zs in enum_or_splits(team, self.cfg):
+                left = self.run(f.left, y)
+                if left:
+                    for z in zs:
+                        right = self.run(f.right, z)
+                        if right:
+                            return self._holds(f, team, "split", left, right)
+            return False
         if isinstance(f, Exists):
-            return any(self.run(f.body, sup) for sup in
-                       enum_supplements(team, f.var, self.structure.domain, self.cfg))
+            for sup in enum_supplements(team, f.var, self.structure.domain, self.cfg):
+                body = self.run(f.body, sup)
+                if body:
+                    return self._holds(f, team, f"supplement for {f.var}", body)
+            return False
         if isinstance(f, Forall):
             extended = extend_universal(team, f.var, self.structure.domain)
             if self.cfg.team_kind == "set":
                 extended = extended.support()
-            return self.run(f.body, extended)
+            body = self.run(f.body, extended)
+            return body and self._holds(f, team, f"universal extension of {f.var}", body)
         if isinstance(f, Dep):
             return atoms.eval_dep(team, f.xs, f.ys)
         if isinstance(f, Inc):
@@ -247,30 +286,23 @@ class _Eval:
             return atoms.eval_pinc(team, f.xs, f.ys)
         if isinstance(f, PCI):
             return atoms.eval_pci(team, f.xs, f.ys, f.zs)
-        if isinstance(f, (ExistsFrac, ForallFrac, ImplFrac)):
-            from . import approx
-            return approx._dispatch_frac(self, f, team)
+        if isinstance(f, ExistsFrac):
+            for y in enum_bounded_submultisets(team, f.p):
+                body = self.run(f.body, y)
+                if body:
+                    return self._holds(
+                        f, team, f"submultiteam of size {y.size} out of {team.size}", body)
+            return False
+        if isinstance(f, ForallFrac):
+            held = all(self.run(f.body, y) for y in enum_bounded_submultisets(team, f.p))
+            return held and self._holds(
+                f, team, "every submultiteam meeting the size bound satisfies the body")
+        if isinstance(f, ImplFrac):
+            held = all(self.run(f.right, y) for y in enum_bounded_submultisets(team, f.p)
+                       if self.run(f.left, y))
+            return held and self._holds(
+                f, team, "the implication holds on every submultiteam meeting the size bound")
         raise InputError(f"cannot evaluate a {type(f).__name__} node")
-
-    def _or(self, f: Or, team: Multiteam) -> bool:
-        entries = team.row_items()
-        keys = [k for k, _ in entries]
-        mults = [m for _, m in entries]
-        strict = self.cfg.strictness == "strict"
-        svars = team.variables
-        for kvec in itertools.product(*[range(m + 1) for m in mults]):
-            y = Multiteam._from_table(svars, {k: c for k, c in zip(keys, kvec) if c})
-            if not self.run(f.left, y):
-                continue
-            if strict:
-                zchoices = [(m - c,) for m, c in zip(mults, kvec)]
-            else:
-                zchoices = [tuple(range(m - c, m + 1)) for m, c in zip(mults, kvec)]
-            for lvec in itertools.product(*zchoices):
-                z = Multiteam._from_table(svars, {k: c for k, c in zip(keys, lvec) if c})
-                if self.run(f.right, z):
-                    return True
-        return False
 
 
 def evaluate(structure: Multistructure, team: Multiteam, f: Formula,
@@ -278,7 +310,7 @@ def evaluate(structure: Multistructure, team: Multiteam, f: Formula,
     """Exact satisfaction of f by the multiteam over the structure."""
     cfg = cfg or SemanticsConfig()
     _validate(structure, team, f, cfg)
-    return _Eval(structure, cfg, use_cache).run(f, team.canonical())
+    return bool(_Eval(structure, cfg, use_cache).run(f, team.canonical()))
 
 
 def evaluate_classical(structure: Multistructure, s: Assignment, f: Formula) -> bool:
@@ -304,49 +336,12 @@ def evaluate_classical(structure: Multistructure, s: Assignment, f: Formula) -> 
     raise InputError(f"{type(f).__name__} is not first-order")
 
 
-@dataclass(frozen=True)
-class Witness:
-    """One node of an evaluation trace: which subteam made which part true."""
-
-    formula: Formula
-    team: Multiteam
-    holds: bool
-    choice: str
-    parts: tuple["Witness", ...]
-
-
 def witness(structure: Multistructure, team: Multiteam, f: Formula,
             cfg: SemanticsConfig | None = None, *, use_cache: bool = True) -> Witness:
     """Evaluate and, on success, report the first witnessing choices in the
     same deterministic order the evaluator searches them."""
     cfg = cfg or SemanticsConfig()
     _validate(structure, team, f, cfg)
-    return _trace(_Eval(structure, cfg, use_cache), f, team.canonical())
-
-
-def _trace(ev: _Eval, f: Formula, team: Multiteam) -> Witness:
-    if not ev.run(f, team):
-        return Witness(f, team, False, "", ())
-    if isinstance(f, And):
-        parts = (_trace(ev, f.left, team), _trace(ev, f.right, team))
-        return Witness(f, team, True, "both conjuncts on the same multiteam", parts)
-    if isinstance(f, Or):
-        for y, z in enum_or_splits(team, ev.cfg):
-            if ev.run(f.left, y) and ev.run(f.right, z):
-                parts = (_trace(ev, f.left, y), _trace(ev, f.right, z))
-                return Witness(f, team, True, "split", parts)
-    if isinstance(f, Exists):
-        for sup in enum_supplements(team, f.var, ev.structure.domain, ev.cfg):
-            if ev.run(f.body, sup):
-                return Witness(f, team, True, f"supplement for {f.var}",
-                               (_trace(ev, f.body, sup),))
-    if isinstance(f, Forall):
-        extended = extend_universal(team, f.var, ev.structure.domain)
-        if ev.cfg.team_kind == "set":
-            extended = extended.support()
-        return Witness(f, team, True, f"universal extension of {f.var}",
-                       (_trace(ev, f.body, extended),))
-    if isinstance(f, (ExistsFrac, ForallFrac, ImplFrac)):
-        from . import approx
-        return approx._trace_frac(ev, f, team)
-    return Witness(f, team, True, "", ())
+    team = team.canonical()
+    return (_Eval(structure, cfg, use_cache, explain=True).run(f, team)
+            or Witness(f, team, False, "", ()))

@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiteam.approx import (enum_bounded_submultisets, eval_exists_frac,
-                              eval_forall_frac, eval_impl_frac)
+from multiteam.approx import enum_bounded_submultisets
 from multiteam.atoms import eval_dep
 from multiteam.errors import InputError
-from multiteam.formula import TRUE, Threshold
+from multiteam.formula import TRUE, ExistsFrac, ForallFrac, ImplFrac, Threshold
 from multiteam.model import Multiset, Multiteam, Multistructure
 from multiteam.parser import parse
 from multiteam.semantics import SemanticsConfig, evaluate
@@ -93,20 +92,23 @@ def test_enumeration_accepts_threshold_objects():
 
 
 def test_functional_entry_points():
-    assert eval_exists_frac(STRUCT012, X3, Fraction(2, 3), parse("(x=y | x=z)"))
-    assert not eval_forall_frac(STRUCT012, X3, Fraction(1, 3), parse("x=y"))
-    assert eval_impl_frac(STRUCT012, X3, Fraction(2, 3), parse("x!=x"), parse("x=y"))
+    # the operator nodes built in code, not parsed, go straight to evaluate
+    two_thirds = Threshold(Fraction(2, 3))
+    assert evaluate(STRUCT012, X3, ExistsFrac(two_thirds, parse("(x=y | x=z)")))
+    assert not evaluate(STRUCT012, X3, ForallFrac(Threshold(Fraction(1, 3)), parse("x=y")))
+    assert evaluate(STRUCT012, X3, ImplFrac(two_thirds, parse("x!=x"), parse("x=y")))
     with pytest.raises(InputError):
-        eval_exists_frac(STRUCT012, X3, Fraction(3, 2), parse("x=y"))
+        evaluate(STRUCT012, X3, ExistsFrac(Threshold(Fraction(3, 2)), parse("x=y")))
     with pytest.raises(InputError):
-        eval_exists_frac(STRUCT012, X3, Fraction(1, 2), parse("x=y"), ABS_MULTI)
+        evaluate(STRUCT012, X3, ExistsFrac(Threshold(Fraction(1, 2)), parse("x=y")), ABS_MULTI)
 
 
 def test_absolute_bounds_count_rows():
     t = Multiteam(("x", "y"), [("0", "0"), ("1", "1"), ("0", "1")])
     assert evaluate(STRUCT01, t, parse("<#2> x=y"), ABS_MULTI)
     assert not evaluate(STRUCT01, t, parse("<#3> x=y"), ABS_MULTI)
-    assert eval_exists_frac(STRUCT01, t, 2, parse("x=y"), ABS_MULTI)
+    assert evaluate(STRUCT01, t, ExistsFrac(Threshold(2, absolute=True), parse("x=y")),
+                    ABS_MULTI)
     # an absolute bound above zero is unattainable on the empty multiteam
     empty = Multiteam.empty(("x", "y"))
     assert not evaluate(STRUCT01, empty, parse("<#1> x=y"), ABS_MULTI)
@@ -154,6 +156,6 @@ def test_part_quantified_dependence_is_bounded_deletion(rows, p):
 def test_universal_part_is_implication_from_truth(rows, p):
     t = Multiteam(("x", "y"), rows)
     body = parse("pinc(x ; y)")
-    lhs = eval_forall_frac(STRUCT01, t, p, body)
-    rhs = eval_impl_frac(STRUCT01, t, p, TRUE, body)
+    lhs = evaluate(STRUCT01, t, ForallFrac(Threshold(p), body))
+    rhs = evaluate(STRUCT01, t, ImplFrac(Threshold(p), TRUE, body))
     assert lhs == rhs

@@ -5,7 +5,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from multiteam.atoms import (eval_ci, eval_dep, eval_excl, eval_inc,
-                             eval_pci, eval_pci_as_dep, eval_pinc)
+                             eval_pci, eval_pinc)
 from multiteam.model import Multiteam
 
 VALUES = ("0", "1", "2")
@@ -244,4 +244,4 @@ def test_count_independence_is_symmetric(data):
 def test_self_conditioned_independence_is_dependence(data):
     t = data.draw(teams())
     xs, ys = data.draw(tuple_groups(t))
-    assert eval_pci_as_dep(t, xs, ys) == eval_dep(t, xs, ys)
+    assert eval_pci(t, xs, ys, ys) == eval_dep(t, xs, ys)

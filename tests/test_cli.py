@@ -107,6 +107,22 @@ def test_missing_and_malformed_inputs_exit_two(workspace, capsys):
     assert code == 2
 
 
+def test_too_deeply_nested_formulas_exit_two(workspace, capsys):
+    deep_parens = "(" * 200 + "x=y" + ")" * 200
+    long_chain = " & ".join(["x=y"] * 2000)
+    for text in (deep_parens, long_chain):
+        code, _, err = run([
+            "check", workspace / "structure01.txt", text,
+            "--team", workspace / "fig1.csv"], capsys)
+        assert code == 2 and "nests too deeply" in err
+        path = workspace / "deep.txt"
+        path.write_text(text)
+        code, _, err = run([
+            "check", workspace / "structure01.txt", path,
+            "--team", workspace / "fig1.csv", "--witness"], capsys)
+        assert code == 2 and "nests too deeply" in err
+
+
 def test_generated_instances_feed_back_into_check(workspace, capsys):
     out_dir = workspace / "enc"
     code, out, _ = run(["gen", "3sat", workspace / "two.cnf",

@@ -50,6 +50,13 @@ def test_multiteam_csv_rejections():
         load_multiteam("#count,x\n1,0\n")  # count column not final
 
 
+def test_errors_name_the_line_alone_when_the_column_is_unknown():
+    with pytest.raises(ParseError) as err:
+        load_multiteam("x,#count\n0,-1\n")
+    assert str(err.value).endswith("(line 2)")
+    assert (err.value.line, err.value.col) == (2, None)
+
+
 def test_structure_text():
     a = load_structure("domain: 0 1 2\n")
     assert a == Multistructure({"0": 1, "1": 1, "2": 1})

@@ -61,13 +61,20 @@ def test_empty_multiteam_satisfies_everything():
             assert evaluate(STRUCT01, empty, parse(text), cfg), text
 
 
+def split_pairs(t, cfg):
+    """Every (Y, Z) split, each left part Y with each of its right parts."""
+    return [(y, z) for y, zs in enum_or_splits(t, cfg) for z in zs]
+
+
 def test_or_split_options_per_row():
     single = Multiteam(("x",), [("0",)])
-    assert len(list(enum_or_splits(single, STRICT_MULTI))) == 2
-    assert len(list(enum_or_splits(single, LAX_MULTI))) == 3
+    assert len(split_pairs(single, STRICT_MULTI)) == 2
+    assert len(split_pairs(single, LAX_MULTI)) == 3
     double = Multiteam(("x",), {("0",): 2})
-    assert len(list(enum_or_splits(double, STRICT_MULTI))) == 3
-    assert len(list(enum_or_splits(double, LAX_MULTI))) == 6
+    assert len(split_pairs(double, STRICT_MULTI)) == 3
+    assert len(split_pairs(double, LAX_MULTI)) == 6
+    # one left part per count vector, each listed once
+    assert [y.size for y, _ in enum_or_splits(double, LAX_MULTI)] == [0, 1, 2]
 
 
 def test_the_overlapping_strict_split_is_enumerated():
@@ -75,7 +82,7 @@ def test_the_overlapping_strict_split_is_enumerated():
                   {("0", "0", "1"): 2, ("1", "2", "0"): 1, ("2", "1", "0"): 1})
     y = Multiteam(("x", "y", "z"), {("0", "0", "1"): 1, ("1", "2", "0"): 1})
     z = Multiteam(("x", "y", "z"), {("0", "0", "1"): 1, ("2", "1", "0"): 1})
-    assert (y, z) in set(enum_or_splits(t, STRICT_MULTI))
+    assert (y, z) in set(split_pairs(t, STRICT_MULTI))
 
 
 def test_supplement_counts_for_a_singleton_row():
@@ -245,11 +252,14 @@ def test_cache_is_semantics_transparent(f, t, strictness):
 
 
 @settings(max_examples=80, deadline=None)
-@given(full_formulas(), small_multiteams(), st.sampled_from(("lax", "strict")))
-def test_witness_nodes_reevaluate_to_their_verdict(f, t, strictness):
-    cfg = SemanticsConfig("multi", strictness)
+@given(full_formulas(), small_multiteams(), st.sampled_from(ALL_CFGS))
+def test_witness_nodes_reevaluate_to_their_verdict(f, t, cfg):
+    if cfg.team_kind == "set":
+        t = t.support()
     stack = [witness(STRUCT01, t, f, cfg)]
     assert stack[0].holds == evaluate(STRUCT01, t, f, cfg)
+    # the cache stores the witnesses themselves, so it must not change them
+    assert stack[0] == witness(STRUCT01, t, f, cfg, use_cache=False)
     while stack:
         node = stack.pop()
         assert evaluate(STRUCT01, node.team, node.formula, cfg) == node.holds
