@@ -7,11 +7,12 @@ p*|t| for a fractional threshold, at least k rows for an absolute one.  The
 comparison is exact rational arithmetic, |Y|*den >= num*|t|, so boundary
 cases like 2/3 of 3 are decided correctly.  Submultiteams differing only in
 zero-multiplicity carrier rows are canonically equal and enumerated once.
+Parts are generated size by size, one count vector at a time, so the first
+part costs time linear in the rows however many parts there are.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterator
@@ -33,18 +34,49 @@ def _bound_as_threshold(threshold) -> Threshold:
     raise InputError(f"size bound must be a rational or an integer count, got {threshold!r}")
 
 
-def enum_bounded_submultisets(t: Multiteam, threshold) -> Iterator[Multiteam]:
+def _vectors_of_size(mults: list[int], size: int) -> Iterator[tuple[int, ...]]:
+    """Every count vector v <= mults with sum(v) == size, in ascending
+    lexicographic order, each found from the last without recursion."""
+    n = len(mults)
+    room = [0] * (n + 1)  # room[i]: copies the rows from i on can hold
+    for i in range(n - 1, -1, -1):
+        room[i] = room[i + 1] + mults[i]
+    if size > room[0]:
+        return
+    vec = [0] * n
+
+    def fill(start: int, rest: int) -> None:  # smallest suffix holding rest copies
+        for j in range(start, n):
+            vec[j] = max(0, rest - room[j + 1])
+            rest -= vec[j]
+
+    fill(0, size)
+    while True:
+        yield tuple(vec)
+        # the rightmost row that can take one more copy from the rows after it
+        rest = 0
+        for i in range(n - 1, -1, -1):
+            if rest and vec[i] < mults[i]:
+                break
+            rest += vec[i]
+        else:
+            return
+        vec[i] += 1
+        fill(i + 1, rest - 1)
+
+
+def enum_bounded_submultisets(t: Multiteam, threshold, *,
+                              exact: bool = False) -> Iterator[Multiteam]:
     """All submultiteams of t whose size meets the bound, smallest first and
     in row order within equal sizes.  An integer bound is an absolute row
-    count; a rational bound is a fraction of |t|."""
+    count; a rational bound is a fraction of |t|.  With exact set, only the
+    parts of the smallest size meeting the bound, in the same order."""
     th = _bound_as_threshold(threshold)
     entries = t.row_items()
     keys = [k for k, _ in entries]
     mults = [m for _, m in entries]
     needed = th.min_size(t.size)
-    vectors = [v for v in itertools.product(*[range(m + 1) for m in mults])
-               if sum(v) >= needed]
-    vectors.sort(key=lambda v: (sum(v), v))
-    for vec in vectors:
-        yield Multiteam._from_table(
-            t.variables, {k: c for k, c in zip(keys, vec) if c})
+    for size in range(needed, needed + 1 if exact else t.size + 1):
+        for vec in _vectors_of_size(mults, size):
+            yield Multiteam._from_table(
+                t.variables, {k: c for k, c in zip(keys, vec) if c})

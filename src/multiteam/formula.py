@@ -23,7 +23,7 @@ __all__ = [
     "Threshold", "Formula", "Eq", "Neq", "Rel", "NegRel", "And", "Or",
     "Exists", "Forall", "Dep", "Inc", "Excl", "CI", "PInc", "PCI",
     "ExistsFrac", "ForallFrac", "ImplFrac", "TRUE",
-    "free_vars", "subformulas",
+    "free_vars", "subformulas", "height",
 ]
 
 
@@ -333,3 +333,12 @@ def subformulas(f: Formula) -> Iterator[Formula]:
     elif isinstance(f, ImplFrac):
         yield from subformulas(f.left)
         yield from subformulas(f.right)
+
+
+def height(f: Formula) -> int:
+    """Levels of the formula tree, counted without recursion."""
+    height, level = 0, [f]
+    while level:
+        height += 1
+        level = [c for node in level for c in vars(node).values() if isinstance(c, Formula)]
+    return height

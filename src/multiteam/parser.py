@@ -40,7 +40,7 @@ from typing import NamedTuple
 from .errors import ParseError
 from .formula import (CI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
                       Formula, ForallFrac, ImplFrac, Inc, Neq, NegRel, Or,
-                      PCI, PInc, Rel, Threshold)
+                      PCI, PInc, Rel, Threshold, height)
 
 __all__ = ["parse", "KEYWORDS", "MAX_DEPTH"]
 
@@ -301,15 +301,6 @@ class _Parser:
         return tuple(names)
 
 
-def _height(f: Formula) -> int:
-    """Levels of the formula tree, counted without recursion."""
-    height, level = 0, [f]
-    while level:
-        height += 1
-        level = [c for node in level for c in vars(node).values() if isinstance(c, Formula)]
-    return height
-
-
 def parse(text: str) -> Formula:
     """Parse the text form of a formula into an AST."""
     parser = _Parser(text)
@@ -317,6 +308,6 @@ def parse(text: str) -> Formula:
     tail = parser.peek()
     if tail.kind != "end":
         parser.fail(f"unexpected trailing input {tail.text!r}", tail)
-    if _height(f) > MAX_DEPTH:
+    if height(f) > MAX_DEPTH:
         raise ParseError(f"formula nests too deeply: more than {MAX_DEPTH} levels")
     return f

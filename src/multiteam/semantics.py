@@ -16,6 +16,30 @@ that holds reports the first choice that made it true instead of a bare True,
 so the trace is the search's own path, never a second search.  An optional
 cache keyed by (subformula, multiteam) is on by default and is
 semantics-transparent; pass use_cache=False for the plain recursion.
+
+The search skips candidates that cannot be the first success.  A formula
+is downward closed when it holds on every submultiteam of a multiteam it
+holds on; the evaluator treats as such the literals, `dep` and `excl`, and
+whatever `&`, `|`, `E` and `A` build from them, and nothing else.  Under a
+downward-closed subformula four cuts apply, in every mode:
+
+1. lax `f | g` with f or g closed tries, for each left part Y, only the
+   right part Z = t - Y (the strict split);
+2. lax `E x. f` with f closed tries only supplements giving each copy one
+   value (the strict supplements);
+3. `<p> f` with f closed tries only the parts of exactly the bound size;
+4. `[p] f` with f closed is f on t, or true when no part meets the bound.
+
+Each cut keeps the verdict and the witness, because what it drops comes
+after a kept candidate that succeeds whenever the dropped one does, so the
+first success is never dropped.  Take rule 1 with f closed and the first
+success (Y1, Z1): Y0 = t - Z1 is below Y1 row by row, so comes no later
+in row-vector order, f holds on it, and Z1 is the first right part tried
+for Y0; hence Y0 = Y1 and Z1 = t - Y1.  With g closed, t - Y1 lies below
+Z1 and is the first right part tried for Y1.  Rule 2: every lax supplement
+contains a strict one whose choice vector is below its own.  Rule 3: every
+larger part contains one of the bound size, which is enumerated earlier.
+Rule 4: t is the largest part and a [p] witness names no part.
 """
 
 from __future__ import annotations
@@ -30,8 +54,9 @@ from .approx import enum_bounded_submultisets
 from .errors import InputError
 from .formula import (CI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
                       ForallFrac, Formula, ImplFrac, Inc, Neq, NegRel, Or,
-                      PCI, PInc, Rel, Threshold, free_vars, subformulas)
+                      PCI, PInc, Rel, Threshold, free_vars, height, subformulas)
 from .model import Assignment, Multiset, Multiteam, Multistructure
+from .parser import MAX_DEPTH
 
 __all__ = ["SemanticsConfig", "Instance", "evaluate", "evaluate_classical",
            "enum_or_splits", "enum_supplements", "extend_universal",
@@ -75,6 +100,8 @@ class Instance:
 
 def _validate(structure: Multistructure, team: Multiteam, f: Formula,
               cfg: SemanticsConfig) -> None:
+    if height(f) > MAX_DEPTH:  # before anything below recurses into f
+        raise InputError(f"formula nests too deeply: more than {MAX_DEPTH} levels")
     missing = sorted(free_vars(f) - set(team.variables))
     if missing:
         raise InputError(f"free variables {missing} are not bound by the multiteam")
@@ -118,15 +145,16 @@ def _extender(variables: tuple[str, ...], var: str):
     return new_vars, place
 
 
-def enum_or_splits(t: Multiteam, cfg: SemanticsConfig | None = None
+def enum_or_splits(t: Multiteam, cfg: SemanticsConfig | None = None, *, exact: bool = False
                    ) -> Iterator[tuple[Multiteam, Iterator[Multiteam]]]:
     """Each left part Y a disjunction may split t into, in row-vector order,
-    with a lazy iterator over the right parts Z that complete the split."""
+    with a lazy iterator over the right parts Z that complete the split.
+    With exact set, Z is only t - Y, as in strict mode."""
     cfg = cfg or SemanticsConfig()
     entries = t.row_items()
     keys = [k for k, _ in entries]
     mults = [m for _, m in entries]
-    strict = cfg.strictness == "strict"
+    strict = exact or cfg.strictness == "strict"
 
     def right_parts(kvec):  # Z takes the m - c copies Y leaves out; lax may take up to all m
         for lvec in itertools.product(*[range(m - c, (m - c if strict else m) + 1)
@@ -149,8 +177,10 @@ def _supplement_vectors(m: int, dom_mults: list[int], strict: bool) -> list[tupl
 
 
 def enum_supplements(t: Multiteam, x: str, dom: Multiset,
-                     cfg: SemanticsConfig | None = None) -> Iterator[Multiteam]:
-    """All distinct multiteams obtainable by supplementing t at x from dom."""
+                     cfg: SemanticsConfig | None = None, *,
+                     single: bool = False) -> Iterator[Multiteam]:
+    """All distinct multiteams obtainable by supplementing t at x from dom.
+    With single set, every copy takes one value, as in strict mode."""
     cfg = cfg or SemanticsConfig()
     if dom.size == 0:
         raise InputError("cannot supplement from an empty domain")
@@ -158,7 +188,7 @@ def enum_supplements(t: Multiteam, x: str, dom: Multiset,
     dom_mults = [n for _, n in dom.items()]
     new_vars, place = _extender(t.variables, x)
     entries = t.row_items()
-    strict = cfg.strictness == "strict"
+    strict = single or cfg.strictness == "strict"
     spaces = [_supplement_vectors(m, dom_mults, strict) for _, m in entries]
     seen: set[Multiteam] = set()
     for choice in itertools.product(*spaces):
@@ -201,12 +231,16 @@ class Witness:
     parts: tuple["Witness", ...]
 
 
+#: Atoms that hold on every submultiteam of a multiteam they hold on.
+_CLOSED_ATOMS = (Eq, Neq, Rel, NegRel, Dep, Excl)
+
+
 class _Eval:
     """One evaluation run: fixed structure and config, optional memo cache.
     A node that fails returns False; one that holds returns True, or in a run
     for `witness` (explain set) the Witness of its first successful choice."""
 
-    __slots__ = ("structure", "cfg", "cache", "explain")
+    __slots__ = ("structure", "cfg", "cache", "explain", "closed")
 
     def __init__(self, structure: Multistructure, cfg: SemanticsConfig, use_cache: bool,
                  explain: bool = False):
@@ -214,6 +248,7 @@ class _Eval:
         self.cfg = cfg
         self.cache: Optional[dict] = {} if use_cache else None
         self.explain = explain
+        self.closed: dict[int, tuple[Formula, bool]] = {}
 
     def run(self, f: Formula, team: Multiteam):
         if self.cache is None:
@@ -225,6 +260,22 @@ class _Eval:
                 got = self.cache[key] = self._dispatch(f, team)
         if got is True and self.explain:  # only leaves answer a bare True
             return Witness(f, team, True, "", ())
+        return got
+
+    def _closed(self, f: Formula) -> bool:
+        """Whether f is known to be downward closed: true on every
+        submultiteam of a multiteam it holds on.  Conservative; memoized by
+        node identity, holding the node so that its id is not reused."""
+        known = self.closed.get(id(f))
+        if known is not None:
+            return known[1]
+        if isinstance(f, (And, Or)):
+            got = self._closed(f.left) and self._closed(f.right)
+        elif isinstance(f, (Exists, Forall)):
+            got = self._closed(f.body)
+        else:
+            got = isinstance(f, _CLOSED_ATOMS)
+        self.closed[id(f)] = (f, got)
         return got
 
     def _holds(self, f: Formula, team: Multiteam, choice: str, *parts):
@@ -254,7 +305,8 @@ class _Eval:
             return right and self._holds(f, team, "both conjuncts on the same multiteam",
                                          left, right)
         if isinstance(f, Or):
-            for y, zs in enum_or_splits(team, self.cfg):
+            exact = self._closed(f.left) or self._closed(f.right)
+            for y, zs in enum_or_splits(team, self.cfg, exact=exact):
                 left = self.run(f.left, y)
                 if left:
                     for z in zs:
@@ -263,7 +315,8 @@ class _Eval:
                             return self._holds(f, team, "split", left, right)
             return False
         if isinstance(f, Exists):
-            for sup in enum_supplements(team, f.var, self.structure.domain, self.cfg):
+            for sup in enum_supplements(team, f.var, self.structure.domain, self.cfg,
+                                        single=self._closed(f.body)):
                 body = self.run(f.body, sup)
                 if body:
                     return self._holds(f, team, f"supplement for {f.var}", body)
@@ -287,14 +340,17 @@ class _Eval:
         if isinstance(f, PCI):
             return atoms.eval_pci(team, f.xs, f.ys, f.zs)
         if isinstance(f, ExistsFrac):
-            for y in enum_bounded_submultisets(team, f.p):
+            for y in enum_bounded_submultisets(team, f.p, exact=self._closed(f.body)):
                 body = self.run(f.body, y)
                 if body:
                     return self._holds(
                         f, team, f"submultiteam of size {y.size} out of {team.size}", body)
             return False
         if isinstance(f, ForallFrac):
-            held = all(self.run(f.body, y) for y in enum_bounded_submultisets(team, f.p))
+            if self._closed(f.body):  # t is the largest part, if any part meets the bound
+                held = f.p.min_size(team.size) > team.size or self.run(f.body, team)
+            else:
+                held = all(self.run(f.body, y) for y in enum_bounded_submultisets(team, f.p))
             return held and self._holds(
                 f, team, "every submultiteam meeting the size bound satisfies the body")
         if isinstance(f, ImplFrac):

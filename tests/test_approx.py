@@ -2,6 +2,7 @@
 and the bridge to approximate functional dependence."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,35 @@ def test_bounded_submultiset_enumeration():
     assert list(enum_bounded_submultisets(t, 4)) == []
     weighted = Multiteam(("x",), {("0",): 2, ("1",): 1})
     assert [y.size for y in enum_bounded_submultisets(weighted, 2)] == [2, 2, 3]
+
+
+def test_exact_size_parts_are_the_bound_size_slice_of_all_parts():
+    rng = random.Random(4)
+    for _ in range(300):
+        rows = {(str(i),): rng.randint(1, 3) for i in range(rng.randint(0, 5))}
+        t = Multiteam(("x",), rows)
+        everything = list(enum_bounded_submultisets(t, 0))
+        for needed in {0, t.size, t.size + 1, rng.randint(0, t.size)}:
+            exact = list(enum_bounded_submultisets(t, needed, exact=True))
+            assert exact == [y for y in everything if y.size == needed]
+            assert list(enum_bounded_submultisets(t, needed)) == [
+                y for y in everything if y.size >= needed]
+    assert list(enum_bounded_submultisets(X3, Fraction(2, 3), exact=True)) == [
+        Multiteam(X3.variables, rows) for rows in
+        ([X3.row_items()[1][0], X3.row_items()[2][0]],
+         [X3.row_items()[0][0], X3.row_items()[2][0]],
+         [X3.row_items()[0][0], X3.row_items()[1][0]])]
+
+
+def test_parts_come_one_at_a_time_without_recursion():
+    # 2^64 parts: only a lazy enumerator reaches the first one
+    wide = Multiteam(("x",), [(str(i),) for i in range(64)])
+    for exact in (True, False):
+        first = next(enum_bounded_submultisets(wide, 1, exact=exact))
+        assert first == Multiteam(("x",), [("9",)])  # the last row in sorted order
+    tall = Multiteam(("x",), [(str(i),) for i in range(2000)])
+    assert next(enum_bounded_submultisets(tall, 1, exact=True)).size == 1
+    assert next(enum_bounded_submultisets(tall, 1999, exact=True)).size == 1999
 
 
 def test_enumeration_accepts_threshold_objects():

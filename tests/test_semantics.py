@@ -2,17 +2,22 @@
 single-assignment oracle, and brute-force enumerations of splits and
 supplement functions."""
 
+import contextlib
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiteam.errors import InputError
-from multiteam.formula import (And, Dep, Eq, Exists, Forall, Inc, Neq, NegRel,
-                               Or, PInc, Rel)
+from multiteam.formula import (And, Dep, Eq, Exists, ExistsFrac, Forall,
+                               ForallFrac, Inc, Neq, NegRel, Or, PInc, Rel,
+                               Threshold)
+from multiteam.generate import budgeted_formula, random_structure, random_team
 from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
-from multiteam.parser import parse
-from multiteam.semantics import (SemanticsConfig, _extender, enum_or_splits,
+from multiteam.parser import MAX_DEPTH, parse
+from multiteam.semantics import (SemanticsConfig, _Eval, _extender, enum_or_splits,
                                  enum_supplements, evaluate,
                                  evaluate_classical, extend_universal, witness)
 
@@ -266,6 +271,95 @@ def test_witness_nodes_reevaluate_to_their_verdict(f, t, cfg):
         stack.extend(node.parts)
 
 
+# --- closure-aware pruning ---
+
+@contextlib.contextmanager
+def unpruned(monkeypatch):
+    """Inside, the evaluator knows no formula to be downward closed, so
+    every search runs in full."""
+    with monkeypatch.context() as m:
+        m.setattr(_Eval, "_closed", lambda self, f: False)
+        yield
+
+
+def random_instances(seed, per_mode, fragments=("dep", "fo", "full")):
+    """Seeded (structure, team, formula, cfg) draws in all four modes."""
+    for fragment in fragments:
+        for cfg in ALL_CFGS:
+            rng = random.Random(f"{seed}-{fragment}-{cfg.team_kind}-{cfg.strictness}")
+            mult = 2 if cfg.team_kind == "multi" else 1
+            for _ in range(per_mode):
+                structure = random_structure(rng, max_dom=3)
+                t = random_team(rng, ("x", "y"), structure, max_rows=4, max_mult=mult)
+                f = budgeted_formula(rng, ("x", "y"), fragment=fragment, rows=4,
+                                     mult=mult, dom_size=3, cfgs=[cfg], budget=50_000)
+                yield structure, t, f, cfg
+
+
+def test_pruned_search_finds_the_same_witness_trees(monkeypatch):
+    # 3 fragments x 4 modes x 84 = 1,008 draws, each with the cache on and off
+    instances = list(random_instances("prune", 84))
+    pruned = [witness(s, t, f, cfg, use_cache=c)
+              for s, t, f, cfg in instances for c in (True, False)]
+    with unpruned(monkeypatch):
+        full = [witness(s, t, f, cfg, use_cache=c)
+                for s, t, f, cfg in instances for c in (True, False)]
+    assert pruned == full
+    assert 0 < sum(w.holds for w in pruned) < len(pruned)
+
+
+def subteams(t):
+    entries = t.row_items()
+    for vec in itertools.product(*[range(m + 1) for _, m in entries]):
+        yield Multiteam(t.variables, {k: c for (k, _), c in zip(entries, vec) if c})
+
+
+def test_formulas_classified_downward_closed_are(monkeypatch):
+    instances = [(s, t, f, cfg) for s, t, f, cfg in random_instances("closed", 100)
+                 if _Eval(s, cfg, False)._closed(f)]
+    assert len(instances) > 400
+    held = 0
+    with unpruned(monkeypatch):
+        for structure, t, f, cfg in instances:
+            if evaluate(structure, t, f, cfg):
+                held += 1
+                assert all(evaluate(structure, y, f, cfg) for y in subteams(t)), (f, t, cfg)
+    assert held > 150
+
+
+def test_the_classifier_rejects_what_is_not_downward_closed():
+    closed = _Eval(STRUCT01, LAX_MULTI, False)._closed
+    for text in ["x=y", "x!=y", "R(x)", "~R(x)", "dep(x ; y)", "excl(x ; y)",
+                 "(dep(x ; y) & E u. (excl(x ; u) | A w. w=w))"]:
+        assert closed(parse(text)), text
+    rejected = ["<1/2> dep(x ; y)", "[1/2] x = y", "inc(x ; y)", "ind(x ; y ; x)",
+                "pinc(x ; y)", "pind(; x ; y)", "(x=y ->{1/2} x=y)"]
+    for text in rejected:
+        for wrapped in (text, f"(x=y & {text})", f"({text} | dep(x ; y))",
+                        f"E u. (x=u | {text})", f"A u. ({text} & x=u)"):
+            assert not closed(parse(wrapped)), wrapped
+
+
+def test_closed_part_quantifiers_take_parts_of_the_bound_size():
+    t = Multiteam(("x", "y"), {("0", "0"): 2, ("0", "1"): 1, ("1", "1"): 1})
+    w = witness(STRUCT01, t, parse("<1/2> dep(x ; y)"), LAX_MULTI)
+    assert w.parts[0].team.size == 2
+    assert evaluate(STRUCT01, t, parse("[3/4] dep(; x)"), LAX_MULTI) is False
+    assert evaluate(STRUCT01, t.select(("x",), ("0",)), parse("[3/4] dep(; x)"), LAX_MULTI)
+    assert evaluate(STRUCT01, t, ForallFrac(Threshold(5, absolute=True), parse("x=y")),
+                    SemanticsConfig("multi", "lax", "absolute"))
+
+
+def test_lax_supplements_still_give_a_copy_several_values():
+    # the body is not downward closed, and only u taking both domain values
+    # on the one row satisfies it
+    t = Multiteam(("x",), [("0",)])
+    f = parse("E u. A w. inc(w ; u)")
+    assert evaluate(STRUCT01, t, f, LAX_MULTI) and evaluate(STRUCT01, t, f, LAX_SET)
+    assert not evaluate(STRUCT01, t, f, STRICT_MULTI)
+    assert not evaluate(STRUCT01, t, f, STRICT_SET)
+
+
 # --- the single-assignment evaluator itself ---
 
 def test_classical_evaluation():
@@ -302,6 +396,32 @@ def test_evaluate_rejects_malformed_inputs():
         evaluate(STRUCT01, t, parse("S(x)"), LAX_MULTI)  # unknown relation
     with pytest.raises(InputError):
         evaluate(STRUCT01, t, parse("R(x,x)"), LAX_MULTI)  # arity mismatch
+
+
+def chain(kind, levels):
+    """A formula built in code whose tree has the given number of levels."""
+    half = Threshold(Fraction(1, 2))
+    wrap = {"and": lambda g: And(Eq("x", "x"), g), "or": lambda g: Or(Eq("x", "x"), g),
+            "exists": lambda g: Exists("u", g), "forall-part": lambda g: ForallFrac(half, g),
+            "exists-part": lambda g: ExistsFrac(half, g)}[kind]
+    f = Eq("x", "x")
+    for _ in range(levels - 1):
+        f = wrap(f)
+    return f
+
+
+@pytest.mark.parametrize("kind", ["and", "or", "exists", "forall-part", "exists-part"])
+def test_formulas_built_too_deep_are_rejected_before_the_search(kind):
+    t = Multiteam(("x",), [("0",)])
+    with pytest.raises(InputError, match="nests too deeply"):
+        evaluate(STRUCT01, t, chain(kind, 300), LAX_MULTI)
+    with pytest.raises(InputError, match="nests too deeply"):
+        witness(STRUCT01, t, chain(kind, 300), LAX_MULTI)
+    with pytest.raises(InputError, match="nests too deeply"):
+        evaluate(STRUCT01, t, chain(kind, MAX_DEPTH + 1), LAX_MULTI, use_cache=False)
+    highest = chain(kind, MAX_DEPTH)
+    assert evaluate(STRUCT01, t, highest, LAX_MULTI)
+    assert witness(STRUCT01, t, highest, LAX_MULTI, use_cache=False).holds
 
 
 def test_threshold_flavor_must_match_the_configuration():
