@@ -8,14 +8,16 @@ comparison is exact rational arithmetic, |Y|*den >= num*|t|, so boundary
 cases like 2/3 of 3 are decided correctly.  Submultiteams differing only in
 zero-multiplicity carrier rows are canonically equal and enumerated once.
 Parts are generated size by size, one count vector at a time, so the first
-part costs time linear in the rows however many parts there are.
+part costs time linear in the rows however many parts there are.  The
+evaluator walks these vectors (`part_vectors`) over its row space;
+`enum_bounded_submultisets` is the same walk read out as `Multiteam`s.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import InputError
 from .formula import Threshold
@@ -34,7 +36,7 @@ def _bound_as_threshold(threshold) -> Threshold:
     raise InputError(f"size bound must be a rational or an integer count, got {threshold!r}")
 
 
-def _vectors_of_size(mults: list[int], size: int) -> Iterator[tuple[int, ...]]:
+def _vectors_of_size(mults: Sequence[int], size: int) -> Iterator[tuple[int, ...]]:
     """Every count vector v <= mults with sum(v) == size, in ascending
     lexicographic order, each found from the last without recursion."""
     n = len(mults)
@@ -65,18 +67,23 @@ def _vectors_of_size(mults: list[int], size: int) -> Iterator[tuple[int, ...]]:
         fill(i + 1, rest - 1)
 
 
+def part_vectors(counts: Sequence[int], needed: int, *,
+                 exact: bool = False) -> Iterator[tuple[int, ...]]:
+    """Every count vector below counts whose sum is at least needed, smallest
+    sum first and in lexicographic order within equal sums; with exact set,
+    only those summing to needed."""
+    for size in range(needed, needed + 1 if exact else sum(counts) + 1):
+        yield from _vectors_of_size(counts, size)
+
+
 def enum_bounded_submultisets(t: Multiteam, threshold, *,
                               exact: bool = False) -> Iterator[Multiteam]:
     """All submultiteams of t whose size meets the bound, smallest first and
     in row order within equal sizes.  An integer bound is an absolute row
     count; a rational bound is a fraction of |t|.  With exact set, only the
     parts of the smallest size meeting the bound, in the same order."""
-    th = _bound_as_threshold(threshold)
-    entries = t.row_items()
-    keys = [k for k, _ in entries]
-    mults = [m for _, m in entries]
-    needed = th.min_size(t.size)
-    for size in range(needed, needed + 1 if exact else t.size + 1):
-        for vec in _vectors_of_size(mults, size):
-            yield Multiteam._from_table(
-                t.variables, {k: c for k, c in zip(keys, vec) if c})
+    needed = _bound_as_threshold(threshold).min_size(t.size)
+    items = t.row_items()
+    keys = [k for k, _ in items]
+    for vec in part_vectors([m for _, m in items], needed, exact=exact):
+        yield Multiteam._from_counts(t.variables, keys, vec)

@@ -2,7 +2,8 @@
 atoms, and approximation operators.
 
 Nodes are frozen dataclasses; `str()` of a node is the canonical text form,
-which the parser maps back to an equal AST.  Negation appears only on
+which the parser maps back to an equal AST, printed by one loop rather than
+a call per level, so a formula of any height prints.  Negation appears only on
 relational and equality atoms, so there is no negation node: the negated
 forms `x != y` and `~R(...)` are atoms of their own.
 
@@ -27,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Threshold:
     """A size bound for the approximation operators.
 
@@ -70,6 +71,36 @@ class Formula:
     __slots__ = ()
 
 
+class _Compound(Formula):
+    """A node built from subformulas.  `_pieces` lists its text in order:
+    strings and thresholds as printed, subformulas to be printed in turn, so
+    one loop prints a formula of any height (see `_render`)."""
+
+    __slots__ = ()
+
+    def _pieces(self) -> tuple:
+        raise NotImplementedError
+
+    def children(self) -> list[Formula]:
+        return [x for x in self._pieces() if isinstance(x, Formula)]
+
+    def __str__(self) -> str:
+        return _render(self)
+
+
+def _render(f: Formula) -> str:
+    """The text of f, printed without recursion."""
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _Compound):
+            stack.extend(reversed(item._pieces()))
+        else:
+            out.append(item if isinstance(item, str) else str(item))
+    return "".join(out)
+
+
 def _check_vars(node: str, variables: Sequence[str]) -> tuple[str, ...]:
     out = tuple(variables)
     for x in out:
@@ -78,7 +109,7 @@ def _check_vars(node: str, variables: Sequence[str]) -> tuple[str, ...]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq(Formula):
     x: str
     y: str
@@ -87,7 +118,7 @@ class Eq(Formula):
         return f"{self.x} = {self.y}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neq(Formula):
     x: str
     y: str
@@ -96,7 +127,7 @@ class Neq(Formula):
         return f"{self.x} != {self.y}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rel(Formula):
     name: str
     args: tuple[str, ...]
@@ -108,7 +139,7 @@ class Rel(Formula):
         return f"{self.name}({','.join(self.args)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NegRel(Formula):
     name: str
     args: tuple[str, ...]
@@ -120,48 +151,48 @@ class NegRel(Formula):
         return f"~{self.name}({','.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class And(Formula):
+@dataclass(frozen=True, slots=True)
+class And(_Compound):
     left: Formula
     right: Formula
 
-    def __str__(self) -> str:
-        return f"({self.left} & {self.right})"
+    def _pieces(self) -> tuple:
+        return ("(", self.left, " & ", self.right, ")")
 
 
-@dataclass(frozen=True)
-class Or(Formula):
+@dataclass(frozen=True, slots=True)
+class Or(_Compound):
     left: Formula
     right: Formula
 
-    def __str__(self) -> str:
-        return f"({self.left} | {self.right})"
+    def _pieces(self) -> tuple:
+        return ("(", self.left, " | ", self.right, ")")
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
+@dataclass(frozen=True, slots=True)
+class Exists(_Compound):
     var: str
     body: Formula
 
     # parenthesized because the quantifier scope extends maximally to the right
-    def __str__(self) -> str:
-        return f"(E {self.var}. {self.body})"
+    def _pieces(self) -> tuple:
+        return ("(E ", self.var, ". ", self.body, ")")
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
+@dataclass(frozen=True, slots=True)
+class Forall(_Compound):
     var: str
     body: Formula
 
-    def __str__(self) -> str:
-        return f"(A {self.var}. {self.body})"
+    def _pieces(self) -> tuple:
+        return ("(A ", self.var, ". ", self.body, ")")
 
 
 def _group_text(*groups: Sequence[str]) -> str:
     return " ; ".join(",".join(g) for g in groups).strip()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dep(Formula):
     """Functional dependence: xs determines ys.  dep(; ys) asserts constancy."""
 
@@ -176,7 +207,7 @@ class Dep(Formula):
         return f"dep({_group_text(self.xs, self.ys)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inc(Formula):
     """Inclusion: every value of xs occurs as a value of ys."""
 
@@ -193,7 +224,7 @@ class Inc(Formula):
         return f"inc({_group_text(self.xs, self.ys)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Excl(Formula):
     """Exclusion: xs and ys share no value tuple."""
 
@@ -210,7 +241,7 @@ class Excl(Formula):
         return f"excl({_group_text(self.xs, self.ys)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CI(Formula):
     """Conditional independence of ys and zs given xs (combinability of rows)."""
 
@@ -227,7 +258,7 @@ class CI(Formula):
         return f"ind({_group_text(self.xs, self.ys, self.zs)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PInc(Formula):
     """Probabilistic inclusion: each xs value tuple occurs at most as often as ys takes it."""
 
@@ -244,7 +275,7 @@ class PInc(Formula):
         return f"pinc({_group_text(self.xs, self.ys)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PCI(Formula):
     """Probabilistic conditional independence given xs: the exact count product equation."""
 
@@ -261,30 +292,30 @@ class PCI(Formula):
         return f"pind({_group_text(self.xs, self.ys, self.zs)})"
 
 
-@dataclass(frozen=True)
-class ExistsFrac(Formula):
+@dataclass(frozen=True, slots=True)
+class ExistsFrac(_Compound):
     """Some submultiteam of at least the threshold size satisfies the body."""
 
     p: Threshold
     body: Formula
 
-    def __str__(self) -> str:
-        return f"<{self.p}> {self.body}"
+    def _pieces(self) -> tuple:
+        return ("<", self.p, "> ", self.body)
 
 
-@dataclass(frozen=True)
-class ForallFrac(Formula):
+@dataclass(frozen=True, slots=True)
+class ForallFrac(_Compound):
     """Every submultiteam of at least the threshold size satisfies the body."""
 
     p: Threshold
     body: Formula
 
-    def __str__(self) -> str:
-        return f"[{self.p}] {self.body}"
+    def _pieces(self) -> tuple:
+        return ("[", self.p, "] ", self.body)
 
 
-@dataclass(frozen=True)
-class ImplFrac(Formula):
+@dataclass(frozen=True, slots=True)
+class ImplFrac(_Compound):
     """Every submultiteam of at least the threshold size satisfying the
     antecedent also satisfies the consequent."""
 
@@ -292,8 +323,8 @@ class ImplFrac(Formula):
     left: Formula
     right: Formula
 
-    def __str__(self) -> str:
-        return f"({self.left} ->{{{self.p}}} {self.right})"
+    def _pieces(self) -> tuple:
+        return ("(", self.left, " ->{", self.p, "} ", self.right, ")")
 
 
 #: `dep(;)` requires nothing of any row, so it is satisfied by every
@@ -340,5 +371,5 @@ def height(f: Formula) -> int:
     height, level = 0, [f]
     while level:
         height += 1
-        level = [c for node in level for c in vars(node).values() if isinstance(c, Formula)]
+        level = [c for node in level if isinstance(node, _Compound) for c in node.children()]
     return height

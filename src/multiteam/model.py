@@ -176,7 +176,7 @@ class Multiteam:
     checks ignore them, while `carrier_items` and `weak_flattening` keep them.
     """
 
-    __slots__ = ("_vars", "_index", "_rows", "_size", "_hash", "_sorted_items")
+    __slots__ = ("_vars", "_rows", "_size", "_hash")
 
     def __init__(self, variables: Iterable[str],
                  rows: Mapping | Iterable = ()):
@@ -201,12 +201,10 @@ class Multiteam:
             for row in rows:
                 add(row, 1)
         object.__setattr__(self, "_vars", svars)
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(svars)})
         object.__setattr__(self, "_rows", table)
         object.__setattr__(self, "_size", sum(table.values()))
         canon = frozenset((k, m) for k, m in table.items() if m > 0)
         object.__setattr__(self, "_hash", hash((svars, canon)))
-        object.__setattr__(self, "_sorted_items", None)
 
     @staticmethod
     def _coerce_row(row, vars_in, svars, perm) -> tuple[str, ...]:
@@ -226,13 +224,17 @@ class Multiteam:
         """Internal fast path: table must already be keyed by svars order."""
         mt = cls.__new__(cls)
         object.__setattr__(mt, "_vars", svars)
-        object.__setattr__(mt, "_index", {x: i for i, x in enumerate(svars)})
         object.__setattr__(mt, "_rows", table)
         object.__setattr__(mt, "_size", sum(table.values()))
         canon = frozenset((k, m) for k, m in table.items() if m > 0)
         object.__setattr__(mt, "_hash", hash((svars, canon)))
-        object.__setattr__(mt, "_sorted_items", None)
         return mt
+
+    @classmethod
+    def _from_counts(cls, svars: tuple[str, ...], keys: Sequence[tuple[str, ...]],
+                     counts: Iterable[int]) -> "Multiteam":
+        """Internal: the team counting keys[i] counts[i] times, zero rows left out."""
+        return cls._from_table(svars, {k: c for k, c in zip(keys, counts) if c})
 
     @classmethod
     def empty(cls, variables: Iterable[str] = ()) -> "Multiteam":
@@ -252,8 +254,8 @@ class Multiteam:
 
     def position(self, var: str) -> int:
         try:
-            return self._index[var]
-        except KeyError:
+            return self._vars.index(var)
+        except ValueError:
             raise InputError(f"unknown variable {var!r}; team variables are {self._vars!r}") from None
 
     def positions(self, variables: Sequence[str]) -> tuple[int, ...]:
@@ -261,11 +263,7 @@ class Multiteam:
 
     def row_items(self) -> list[tuple[tuple[str, ...], int]]:
         """Rows with multiplicity >= 1 as (value-tuple, mult), sorted."""
-        cached = self._sorted_items
-        if cached is None:
-            cached = sorted((k, m) for k, m in self._rows.items() if m > 0)
-            object.__setattr__(self, "_sorted_items", cached)
-        return cached
+        return sorted((k, m) for k, m in self._rows.items() if m > 0)
 
     def carrier_items(self) -> list[tuple[tuple[str, ...], int]]:
         """All stored rows including zero-multiplicity ones, sorted."""
@@ -286,9 +284,6 @@ class Multiteam:
     def support(self) -> "Multiteam":
         """Rows with multiplicity >= 1, each set to multiplicity exactly 1."""
         return Multiteam._from_table(self._vars, {k: 1 for k, m in self._rows.items() if m > 0})
-
-    def support_keys(self) -> list[tuple[str, ...]]:
-        return [k for k, _ in self.row_items()]
 
     def weak_flattening(self) -> "Multiteam":
         """Like support, but retains zero-multiplicity rows in the carrier."""

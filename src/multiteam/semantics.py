@@ -13,9 +13,23 @@ The evaluator is an exhaustive exact search with early exit, enumerating in a
 fixed deterministic order (rows sorted, values sorted, sizes ascending).  One
 search serves both `evaluate` and `witness`: run for a witness, each node
 that holds reports the first choice that made it true instead of a bare True,
-so the trace is the search's own path, never a second search.  An optional
-cache keyed by (subformula, multiteam) is on by default and is
-semantics-transparent; pass use_cache=False for the plain recursion.
+so the trace is the search's own path, never a second search.
+
+A submultiteam is one multiplicity per row, none above the team's own, so
+the search carries teams as count vectors.  A row space is the sorted rows
+of one team; the team and every part that `|`, `<p>`, `[p]` and `->{p}`
+derive from it are tuples of counts over that row list, enumerated
+directly, with Z = t - Y a tuple subtraction.  Only `E x` and `A x` change
+the row space: each row space has one child per variable, listing every row
+extended by every domain value, and each supplement and the universal
+extension is a vector over it (clipped to counts of 1 in set mode).  A row
+counted 0 is absent, so every order and verdict is the one over the team's
+own rows.  Each subformula is worked out once per row space (a node): atoms
+project the rows once and then test any vector.  No `Multiteam` is built for
+a candidate, only for the `Witness` nodes of a run from `witness`.  An
+optional memo cache keyed by (node, vector), that is by (subformula
+identity, row space, vector), is on by default and is semantics-transparent;
+pass use_cache=False for the plain recursion.
 
 The search skips candidates that cannot be the first success.  A formula
 is downward closed when it holds on every submultiteam of a multiteam it
@@ -47,10 +61,11 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from functools import partial
+from typing import Iterator, Optional
 
 from . import atoms
-from .approx import enum_bounded_submultisets
+from .approx import part_vectors
 from .errors import InputError
 from .formula import (CI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
                       ForallFrac, Formula, ImplFrac, Inc, Neq, NegRel, Or,
@@ -145,28 +160,98 @@ def _extender(variables: tuple[str, ...], var: str):
     return new_vars, place
 
 
-def enum_or_splits(t: Multiteam, cfg: SemanticsConfig | None = None, *, exact: bool = False
-                   ) -> Iterator[tuple[Multiteam, Iterator[Multiteam]]]:
-    """Each left part Y a disjunction may split t into, in row-vector order,
-    with a lazy iterator over the right parts Z that complete the split.
-    With exact set, Z is only t - Y, as in strict mode."""
-    cfg = cfg or SemanticsConfig()
-    entries = t.row_items()
-    keys = [k for k, _ in entries]
-    mults = [m for _, m in entries]
-    strict = exact or cfg.strictness == "strict"
-
-    def right_parts(kvec):  # Z takes the m - c copies Y leaves out; lax may take up to all m
-        for lvec in itertools.product(*[range(m - c, (m - c if strict else m) + 1)
-                                        for m, c in zip(mults, kvec)]):
-            yield Multiteam._from_table(t.variables, {k: c for k, c in zip(keys, lvec) if c})
-
-    for kvec in itertools.product(*[range(m + 1) for m in mults]):
-        yield (Multiteam._from_table(t.variables, {k: c for k, c in zip(keys, kvec) if c}),
-               right_parts(kvec))
+Counts = tuple[int, ...]  # one multiplicity per row of a row space
 
 
-def _supplement_vectors(m: int, dom_mults: list[int], strict: bool) -> list[tuple[int, ...]]:
+class _Space:
+    """A row space: the sorted rows of one team, over which that team and
+    every subteam the search derives from it are count vectors.  `E x` and
+    `A x` lead to one extension per variable, memoized here; a space belongs
+    to one run and so to one domain."""
+
+    __slots__ = ("variables", "keys", "index", "extensions")
+
+    def __init__(self, variables: tuple[str, ...], keys: list[tuple[str, ...]]):
+        self.variables = variables
+        self.keys = keys
+        self.index = {x: i for i, x in enumerate(variables)}
+        self.extensions: dict[str, _Extension] = {}
+
+    @classmethod
+    def rooted(cls, t: Multiteam) -> tuple["_Space", Counts]:
+        """The row space of t's rows, and t as a vector over it."""
+        items = t.row_items()
+        return cls(t.variables, [k for k, _ in items]), tuple(m for _, m in items)
+
+    def team(self, counts: Counts) -> Multiteam:
+        return Multiteam._from_counts(self.variables, self.keys, counts)
+
+    def extended(self, var: str, dom: Multiset) -> "_Extension":
+        got = self.extensions.get(var)
+        if got is None:
+            got = self.extensions[var] = _Extension(self, var, dom)
+        return got
+
+
+class _Extension:
+    """A row space's rows extended by var taking each domain value: the
+    child space of every such row, and for each row i and value j the child
+    row targets[i][j] it extends to."""
+
+    __slots__ = ("space", "targets", "mults")
+
+    def __init__(self, parent: _Space, var: str, dom: Multiset):
+        new_vars, place = _extender(parent.variables, var)
+        values = dom.items()
+        placed = [[place(k, v) for v, _ in values] for k in parent.keys]
+        keys = sorted({k for row in placed for k in row})
+        where = {k: i for i, k in enumerate(keys)}
+        self.space = _Space(new_vars, keys)
+        self.targets = [[where[k] for k in row] for row in placed]
+        self.mults = [n for _, n in values]
+
+    def supplements(self, counts: Counts, strict: bool, flat: bool) -> Iterator[Counts]:
+        """Each distinct supplement of the team counted by counts, in the
+        order of the copies' choices; with flat, counts clipped to 1."""
+        rows = [i for i, m in enumerate(counts) if m]
+        seen: set[Counts] = set()
+        for choice in itertools.product(*[_copy_choices(counts[i], self.mults, strict)
+                                          for i in rows]):
+            out = [0] * len(self.space.keys)
+            for i, per_value in zip(rows, choice):
+                for j, c in zip(self.targets[i], per_value):
+                    out[j] += c
+            sup = tuple(min(c, 1) for c in out) if flat else tuple(out)
+            if sup not in seen:
+                seen.add(sup)
+                yield sup
+
+    def universal(self, counts: Counts, flat: bool) -> Counts:
+        """Every copy of every row extended by every domain value: extended
+        row s(a/x) collects m(s)*n(a) from each preimage s."""
+        out = [0] * len(self.space.keys)
+        for m, row in zip(counts, self.targets):
+            if m:
+                for j, n in zip(row, self.mults):
+                    out[j] += m * n
+        return tuple(min(c, 1) for c in out) if flat else tuple(out)
+
+
+def _split_vectors(counts: Counts, strict: bool) -> Iterator[tuple[Counts, Iterator[Counts]]]:
+    """Each left part Y of a split, in row-vector order, with a lazy iterator
+    over the right parts Z: Z takes the m - c copies Y leaves out of a row,
+    and in lax mode may take up to all m."""
+    def right_parts(y):
+        if strict:
+            yield tuple(m - c for m, c in zip(counts, y))
+        else:
+            yield from itertools.product(*[range(m - c, m + 1) for m, c in zip(counts, y)])
+
+    for y in itertools.product(*[range(m + 1) for m in counts]):
+        yield y, right_parts(y)
+
+
+def _copy_choices(m: int, dom_mults: list[int], strict: bool) -> list[Counts]:
     """Per-row value count vectors reachable by giving each of the m copies a
     nonempty submultiset (lax) or a single element (strict) of the domain."""
     if strict:
@@ -174,6 +259,17 @@ def _supplement_vectors(m: int, dom_mults: list[int], strict: bool) -> list[tupl
         return [v for v in itertools.product(*axes) if sum(v) == m]
     axes = [range(m * n + 1) for n in dom_mults]
     return [v for v in itertools.product(*axes) if sum(v) >= m]
+
+
+def enum_or_splits(t: Multiteam, cfg: SemanticsConfig | None = None, *, exact: bool = False
+                   ) -> Iterator[tuple[Multiteam, Iterator[Multiteam]]]:
+    """Each left part Y a disjunction may split t into, in row-vector order,
+    with a lazy iterator over the right parts Z that complete the split.
+    With exact set, Z is only t - Y, as in strict mode."""
+    cfg = cfg or SemanticsConfig()
+    space, counts = _Space.rooted(t)
+    for y, zs in _split_vectors(counts, exact or cfg.strictness == "strict"):
+        yield space.team(y), map(space.team, zs)
 
 
 def enum_supplements(t: Multiteam, x: str, dom: Multiset,
@@ -184,26 +280,11 @@ def enum_supplements(t: Multiteam, x: str, dom: Multiset,
     cfg = cfg or SemanticsConfig()
     if dom.size == 0:
         raise InputError("cannot supplement from an empty domain")
-    values = [v for v, _ in dom.items()]
-    dom_mults = [n for _, n in dom.items()]
-    new_vars, place = _extender(t.variables, x)
-    entries = t.row_items()
-    strict = single or cfg.strictness == "strict"
-    spaces = [_supplement_vectors(m, dom_mults, strict) for _, m in entries]
-    seen: set[Multiteam] = set()
-    for choice in itertools.product(*spaces):
-        table: dict[tuple[str, ...], int] = {}
-        for (key, _), vec in zip(entries, choice):
-            for value, c in zip(values, vec):
-                if c:
-                    nk = place(key, value)
-                    table[nk] = table.get(nk, 0) + c
-        supplemented = Multiteam._from_table(new_vars, table)
-        if cfg.team_kind == "set":
-            supplemented = supplemented.support()
-        if supplemented not in seen:
-            seen.add(supplemented)
-            yield supplemented
+    space, counts = _Space.rooted(t)
+    ext = space.extended(x, dom)
+    for sup in ext.supplements(counts, single or cfg.strictness == "strict",
+                               cfg.team_kind == "set"):
+        yield ext.space.team(sup)
 
 
 def extend_universal(t: Multiteam, x: str, dom: Multiset) -> Multiteam:
@@ -211,13 +292,9 @@ def extend_universal(t: Multiteam, x: str, dom: Multiset) -> Multiteam:
     so row s(a/x) collects multiplicity m(s)*n(a) from each preimage s."""
     if dom.size == 0:
         raise InputError("cannot extend over an empty domain")
-    new_vars, place = _extender(t.variables, x)
-    table: dict[tuple[str, ...], int] = {}
-    for key, m in t.row_items():
-        for value, n in dom.items():
-            nk = place(key, value)
-            table[nk] = table.get(nk, 0) + m * n
-    return Multiteam._from_table(new_vars, table)
+    space, counts = _Space.rooted(t)
+    ext = space.extended(x, dom)
+    return ext.space.team(ext.universal(counts, False))
 
 
 @dataclass(frozen=True)
@@ -234,13 +311,36 @@ class Witness:
 #: Atoms that hold on every submultiteam of a multiteam they hold on.
 _CLOSED_ATOMS = (Eq, Neq, Rel, NegRel, Dep, Excl)
 
+#: Each dependency atom's test over a count vector (see `atoms`).
+_ATOM_TESTS = {Dep: atoms.dep_holds, Inc: atoms.inc_holds, Excl: atoms.excl_holds,
+               CI: atoms.ci_holds, PInc: atoms.pinc_holds, PCI: atoms.pci_holds}
+
+
+def _none_counted(failing: list[int], counts: Counts) -> bool:
+    for i in failing:
+        if counts[i]:
+            return False
+    return True
+
+
+class _Node:
+    """One subformula over one row space.  `test` maps a count vector to the
+    node's answer; it is worked out on the node's first use."""
+
+    __slots__ = ("f", "space", "test")
+
+    def __init__(self, f: Formula, space: _Space):
+        self.f = f
+        self.space = space
+        self.test = None
+
 
 class _Eval:
     """One evaluation run: fixed structure and config, optional memo cache.
     A node that fails returns False; one that holds returns True, or in a run
     for `witness` (explain set) the Witness of its first successful choice."""
 
-    __slots__ = ("structure", "cfg", "cache", "explain", "closed")
+    __slots__ = ("structure", "cfg", "cache", "explain", "closed", "nodes")
 
     def __init__(self, structure: Multistructure, cfg: SemanticsConfig, use_cache: bool,
                  explain: bool = False):
@@ -249,17 +349,40 @@ class _Eval:
         self.cache: Optional[dict] = {} if use_cache else None
         self.explain = explain
         self.closed: dict[int, tuple[Formula, bool]] = {}
+        self.nodes: dict[tuple[int, _Space], _Node] = {}
 
-    def run(self, f: Formula, team: Multiteam):
+    def search(self, f: Formula, team: Multiteam):
+        """Run f on team; also return the team's space and vector."""
+        space, counts = _Space.rooted(team)
+        try:
+            return self.run(self.node(f, space), counts), space, counts
+        finally:  # the nodes' tests call back into this run: drop them
+            self.nodes.clear()
+            if self.cache is not None:
+                self.cache.clear()
+
+    def node(self, f: Formula, space: _Space) -> _Node:
+        """The node of f over space, one per pair; it holds f, so the id in
+        its key is not reused."""
+        key = (id(f), space)
+        got = self.nodes.get(key)
+        if got is None:
+            got = self.nodes[key] = _Node(f, space)
+        return got
+
+    def run(self, node: _Node, counts: Counts):
+        test = node.test
+        if test is None:
+            test = node.test = self._test(node.f, node.space)
         if self.cache is None:
-            got = self._dispatch(f, team)
+            got = test(counts)
         else:
-            key = (f, team)
+            key = (node, counts)
             got = self.cache.get(key)
             if got is None:
-                got = self.cache[key] = self._dispatch(f, team)
+                got = self.cache[key] = test(counts)
         if got is True and self.explain:  # only leaves answer a bare True
-            return Witness(f, team, True, "", ())
+            return Witness(node.f, node.space.team(counts), True, "", ())
         return got
 
     def _closed(self, f: Formula) -> bool:
@@ -278,87 +401,111 @@ class _Eval:
         self.closed[id(f)] = (f, got)
         return got
 
-    def _holds(self, f: Formula, team: Multiteam, choice: str, *parts):
-        return Witness(f, team, True, choice, parts) if self.explain else True
+    def _holds(self, f: Formula, space: _Space, counts: Counts, choice: str, *parts):
+        if self.explain:
+            return Witness(f, space.team(counts), True, choice, parts)
+        return True
 
-    def _rows_hold(self, team: Multiteam, pred: Callable[[tuple[str, ...]], bool]) -> bool:
-        return all(pred(k) for k, _ in team.row_items())
-
-    def _dispatch(self, f: Formula, team: Multiteam):
-        if isinstance(f, Eq):
-            px, py = team.position(f.x), team.position(f.y)
-            return self._rows_hold(team, lambda k: k[px] == k[py])
-        if isinstance(f, Neq):
-            px, py = team.position(f.x), team.position(f.y)
-            return self._rows_hold(team, lambda k: k[px] != k[py])
-        if isinstance(f, Rel):
-            pos = team.positions(f.args)
-            return self._rows_hold(
-                team, lambda k: self.structure.has(f.name, tuple(k[i] for i in pos)))
-        if isinstance(f, NegRel):
-            pos = team.positions(f.args)
-            return self._rows_hold(
-                team, lambda k: not self.structure.has(f.name, tuple(k[i] for i in pos)))
+    def _test(self, f: Formula, space: _Space):
+        """The test of f's node over space: what f reads of the rows, worked
+        out once, applied to a count vector.  It refers to the nodes below,
+        never to its own."""
+        at = space.index
+        if isinstance(f, (Eq, Neq)):
+            px, py = at[f.x], at[f.y]
+            want = isinstance(f, Eq)
+            return partial(_none_counted, [i for i, k in enumerate(space.keys)
+                                           if (k[px] == k[py]) != want])
+        if isinstance(f, (Rel, NegRel)):
+            pos = [at[x] for x in f.args]
+            want = isinstance(f, Rel)
+            return partial(_none_counted, [
+                i for i, k in enumerate(space.keys)
+                if self.structure.has(f.name, tuple(k[j] for j in pos)) != want])
+        atom = _ATOM_TESTS.get(type(f))
+        if atom is not None:
+            groups = (f.xs, f.ys, f.zs) if isinstance(f, (CI, PCI)) else (f.xs, f.ys)
+            rows = atoms.project(space.keys, [[at[x] for x in g] for g in groups])
+            if isinstance(f, PCI):
+                return partial(atom, rows, shared=atoms.shared_pairs(f.ys, f.zs))
+            return partial(atom, rows)
+        strict = self.cfg.strictness == "strict"
         if isinstance(f, And):
-            left = self.run(f.left, team)
-            right = left and self.run(f.right, team)
-            return right and self._holds(f, team, "both conjuncts on the same multiteam",
-                                         left, right)
+            return partial(self._and, f, space, self.node(f.left, space),
+                           self.node(f.right, space))
         if isinstance(f, Or):
-            exact = self._closed(f.left) or self._closed(f.right)
-            for y, zs in enum_or_splits(team, self.cfg, exact=exact):
-                left = self.run(f.left, y)
-                if left:
-                    for z in zs:
-                        right = self.run(f.right, z)
-                        if right:
-                            return self._holds(f, team, "split", left, right)
-            return False
-        if isinstance(f, Exists):
-            for sup in enum_supplements(team, f.var, self.structure.domain, self.cfg,
-                                        single=self._closed(f.body)):
-                body = self.run(f.body, sup)
-                if body:
-                    return self._holds(f, team, f"supplement for {f.var}", body)
-            return False
-        if isinstance(f, Forall):
-            extended = extend_universal(team, f.var, self.structure.domain)
-            if self.cfg.team_kind == "set":
-                extended = extended.support()
-            body = self.run(f.body, extended)
-            return body and self._holds(f, team, f"universal extension of {f.var}", body)
-        if isinstance(f, Dep):
-            return atoms.eval_dep(team, f.xs, f.ys)
-        if isinstance(f, Inc):
-            return atoms.eval_inc(team, f.xs, f.ys)
-        if isinstance(f, Excl):
-            return atoms.eval_excl(team, f.xs, f.ys)
-        if isinstance(f, CI):
-            return atoms.eval_ci(team, f.xs, f.ys, f.zs)
-        if isinstance(f, PInc):
-            return atoms.eval_pinc(team, f.xs, f.ys)
-        if isinstance(f, PCI):
-            return atoms.eval_pci(team, f.xs, f.ys, f.zs)
+            return partial(self._or, f, space, self.node(f.left, space),
+                           self.node(f.right, space),
+                           strict or self._closed(f.left) or self._closed(f.right))
+        if isinstance(f, (Exists, Forall)):
+            ext = space.extended(f.var, self.structure.domain)
+            body = self.node(f.body, ext.space)
+            if isinstance(f, Forall):
+                return partial(self._forall, f, space, ext, body)
+            return partial(self._exists, f, space, ext, body, strict or self._closed(f.body))
         if isinstance(f, ExistsFrac):
-            for y in enum_bounded_submultisets(team, f.p, exact=self._closed(f.body)):
-                body = self.run(f.body, y)
-                if body:
-                    return self._holds(
-                        f, team, f"submultiteam of size {y.size} out of {team.size}", body)
-            return False
+            return partial(self._exists_part, f, space, self.node(f.body, space),
+                           self._closed(f.body))
         if isinstance(f, ForallFrac):
-            if self._closed(f.body):  # t is the largest part, if any part meets the bound
-                held = f.p.min_size(team.size) > team.size or self.run(f.body, team)
-            else:
-                held = all(self.run(f.body, y) for y in enum_bounded_submultisets(team, f.p))
-            return held and self._holds(
-                f, team, "every submultiteam meeting the size bound satisfies the body")
+            return partial(self._forall_part, f, space, self.node(f.body, space),
+                           self._closed(f.body))
         if isinstance(f, ImplFrac):
-            held = all(self.run(f.right, y) for y in enum_bounded_submultisets(team, f.p)
-                       if self.run(f.left, y))
-            return held and self._holds(
-                f, team, "the implication holds on every submultiteam meeting the size bound")
+            return partial(self._implies, f, space, self.node(f.left, space),
+                           self.node(f.right, space))
         raise InputError(f"cannot evaluate a {type(f).__name__} node")
+
+    def _and(self, f, space, left_node, right_node, counts):
+        left = self.run(left_node, counts)
+        right = left and self.run(right_node, counts)
+        return right and self._holds(f, space, counts, "both conjuncts on the same multiteam",
+                                     left, right)
+
+    def _or(self, f, space, left_node, right_node, strict, counts):
+        for y, zs in _split_vectors(counts, strict):
+            left = self.run(left_node, y)
+            if left:
+                for z in zs:
+                    right = self.run(right_node, z)
+                    if right:
+                        return self._holds(f, space, counts, "split", left, right)
+        return False
+
+    def _exists(self, f, space, ext, body_node, strict, counts):
+        for sup in ext.supplements(counts, strict, self.cfg.team_kind == "set"):
+            body = self.run(body_node, sup)
+            if body:
+                return self._holds(f, space, counts, f"supplement for {f.var}", body)
+        return False
+
+    def _forall(self, f, space, ext, body_node, counts):
+        body = self.run(body_node, ext.universal(counts, self.cfg.team_kind == "set"))
+        return body and self._holds(f, space, counts, f"universal extension of {f.var}", body)
+
+    def _exists_part(self, f, space, body_node, closed, counts):
+        size = sum(counts)
+        for y in part_vectors(counts, f.p.min_size(size), exact=closed):
+            body = self.run(body_node, y)
+            if body:
+                return self._holds(
+                    f, space, counts, f"submultiteam of size {sum(y)} out of {size}", body)
+        return False
+
+    def _forall_part(self, f, space, body_node, closed, counts):
+        size = sum(counts)
+        needed = f.p.min_size(size)
+        if closed:  # t is the largest part, if any part meets the bound
+            held = needed > size or self.run(body_node, counts)
+        else:
+            held = all(self.run(body_node, y) for y in part_vectors(counts, needed))
+        return held and self._holds(
+            f, space, counts, "every submultiteam meeting the size bound satisfies the body")
+
+    def _implies(self, f, space, left_node, right_node, counts):
+        held = all(self.run(right_node, y)
+                   for y in part_vectors(counts, f.p.min_size(sum(counts)))
+                   if self.run(left_node, y))
+        return held and self._holds(
+            f, space, counts, "the implication holds on every submultiteam meeting the size bound")
 
 
 def evaluate(structure: Multistructure, team: Multiteam, f: Formula,
@@ -366,11 +513,17 @@ def evaluate(structure: Multistructure, team: Multiteam, f: Formula,
     """Exact satisfaction of f by the multiteam over the structure."""
     cfg = cfg or SemanticsConfig()
     _validate(structure, team, f, cfg)
-    return bool(_Eval(structure, cfg, use_cache).run(f, team.canonical()))
+    return bool(_Eval(structure, cfg, use_cache).search(f, team)[0])
 
 
 def evaluate_classical(structure: Multistructure, s: Assignment, f: Formula) -> bool:
     """Ordinary single-assignment first-order satisfaction."""
+    if height(f) > MAX_DEPTH:  # before the recursion below
+        raise InputError(f"formula nests too deeply: more than {MAX_DEPTH} levels")
+    return _classical(structure, s, f)
+
+
+def _classical(structure: Multistructure, s: Assignment, f: Formula) -> bool:
     if isinstance(f, Eq):
         return s[f.x] == s[f.y]
     if isinstance(f, Neq):
@@ -380,14 +533,14 @@ def evaluate_classical(structure: Multistructure, s: Assignment, f: Formula) -> 
     if isinstance(f, NegRel):
         return not structure.has(f.name, s.project(f.args))
     if isinstance(f, And):
-        return evaluate_classical(structure, s, f.left) and evaluate_classical(structure, s, f.right)
+        return _classical(structure, s, f.left) and _classical(structure, s, f.right)
     if isinstance(f, Or):
-        return evaluate_classical(structure, s, f.left) or evaluate_classical(structure, s, f.right)
+        return _classical(structure, s, f.left) or _classical(structure, s, f.right)
     if isinstance(f, Exists):
-        return any(evaluate_classical(structure, s.extended(f.var, a), f.body)
+        return any(_classical(structure, s.extended(f.var, a), f.body)
                    for a in structure.domain.support)
     if isinstance(f, Forall):
-        return all(evaluate_classical(structure, s.extended(f.var, a), f.body)
+        return all(_classical(structure, s.extended(f.var, a), f.body)
                    for a in structure.domain.support)
     raise InputError(f"{type(f).__name__} is not first-order")
 
@@ -398,6 +551,5 @@ def witness(structure: Multistructure, team: Multiteam, f: Formula,
     same deterministic order the evaluator searches them."""
     cfg = cfg or SemanticsConfig()
     _validate(structure, team, f, cfg)
-    team = team.canonical()
-    return (_Eval(structure, cfg, use_cache, explain=True).run(f, team)
-            or Witness(f, team, False, "", ()))
+    got, space, counts = _Eval(structure, cfg, use_cache, explain=True).search(f, team)
+    return got or Witness(f, space.team(counts), False, "", ())

@@ -1,0 +1,276 @@
+"""A plain reference evaluator, kept only for differential tests.
+
+It is the search `multiteam.semantics` ran before subteams became count
+vectors: every candidate split, supplement and part is built as a
+`Multiteam`, the atoms read `Multiteam` rows, and the memo cache is keyed by
+(subformula, multiteam).  It applies the same closure-aware cuts in the same
+order, so it finds the same witness trees; `reference_witness` is its
+counterpart of `semantics.witness`.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from multiteam.approx import _bound_as_threshold
+from multiteam.errors import InputError
+from multiteam.formula import (CI, PCI, And, Dep, Eq, Excl, Exists, ExistsFrac,
+                               Forall, ForallFrac, ImplFrac, Inc, Neq, NegRel,
+                               Or, PInc, Rel)
+from multiteam.model import Multiteam
+from multiteam.semantics import SemanticsConfig, Witness, _extender, _validate
+
+_CLOSED_ATOMS = (Eq, Neq, Rel, NegRel, Dep, Excl)
+
+
+# --- enumerators, one Multiteam per candidate ---
+
+def _team(t, vec):
+    return Multiteam._from_table(
+        t.variables, {k: c for (k, _), c in zip(t.row_items(), vec) if c})
+
+
+def or_splits(t, strict):
+    mults = [m for _, m in t.row_items()]
+
+    def right_parts(kvec):
+        for lvec in itertools.product(*[range(m - c, (m - c if strict else m) + 1)
+                                        for m, c in zip(mults, kvec)]):
+            yield _team(t, lvec)
+
+    for kvec in itertools.product(*[range(m + 1) for m in mults]):
+        yield _team(t, kvec), right_parts(kvec)
+
+
+def _copy_choices(m, dom_mults, strict):
+    if strict:
+        return [v for v in itertools.product(*[range(m + 1)] * len(dom_mults)) if sum(v) == m]
+    return [v for v in itertools.product(*[range(m * n + 1) for n in dom_mults])
+            if sum(v) >= m]
+
+
+def supplements(t, x, dom, strict, flat):
+    values = [v for v, _ in dom.items()]
+    dom_mults = [n for _, n in dom.items()]
+    new_vars, place = _extender(t.variables, x)
+    entries = t.row_items()
+    seen = set()
+    for choice in itertools.product(*[_copy_choices(m, dom_mults, strict)
+                                      for _, m in entries]):
+        table = {}
+        for (key, _), vec in zip(entries, choice):
+            for value, c in zip(values, vec):
+                if c:
+                    nk = place(key, value)
+                    table[nk] = table.get(nk, 0) + c
+        supplemented = Multiteam._from_table(new_vars, table)
+        if flat:
+            supplemented = supplemented.support()
+        if supplemented not in seen:
+            seen.add(supplemented)
+            yield supplemented
+
+
+def universal(t, x, dom):
+    new_vars, place = _extender(t.variables, x)
+    table = {}
+    for key, m in t.row_items():
+        for value, n in dom.items():
+            nk = place(key, value)
+            table[nk] = table.get(nk, 0) + m * n
+    return Multiteam._from_table(new_vars, table)
+
+
+def _vectors_of_size(mults, size, prefix=()):
+    """Count vectors below mults summing to size, in lexicographic order."""
+    if not mults:
+        if size == 0:
+            yield prefix
+        return
+    for c in range(min(mults[0], size) + 1):
+        if size - c <= sum(mults[1:]):
+            yield from _vectors_of_size(mults[1:], size - c, prefix + (c,))
+
+
+def bounded_parts(t, threshold, exact=False):
+    needed = _bound_as_threshold(threshold).min_size(t.size)
+    mults = [m for _, m in t.row_items()]
+    for size in range(needed, needed + 1 if exact else t.size + 1):
+        for vec in _vectors_of_size(mults, size):
+            yield _team(t, vec)
+
+
+# --- atoms on Multiteam rows ---
+
+def _proj(k, pos):
+    return tuple(k[i] for i in pos)
+
+
+def dep(t, xs, ys):
+    px, py = t.positions(xs), t.positions(ys)
+    seen = {}
+    return all(seen.setdefault(_proj(k, px), _proj(k, py)) == _proj(k, py)
+               for k, _ in t.row_items())
+
+
+def inc(t, xs, ys, negate=False):
+    px, py = t.positions(xs), t.positions(ys)
+    keys = [k for k, _ in t.row_items()]
+    y_values = {_proj(k, py) for k in keys}
+    return all((_proj(k, px) in y_values) != negate for k in keys)
+
+
+def ci(t, xs, ys, zs):
+    px, py, pz = t.positions(xs), t.positions(ys), t.positions(zs)
+    groups = {}
+    for k, _ in t.row_items():
+        seen = groups.setdefault(_proj(k, px), (set(), set(), set()))
+        b, c = _proj(k, py), _proj(k, pz)
+        seen[0].add(b)
+        seen[1].add(c)
+        seen[2].add((b, c))
+    return all((b, c) in yz for ys_, zs_, yz in groups.values() for b in ys_ for c in zs_)
+
+
+def pinc(t, xs, ys):
+    px, py = t.positions(xs), t.positions(ys)
+    x_count, y_count = {}, {}
+    for k, m in t.row_items():
+        x_count[_proj(k, px)] = x_count.get(_proj(k, px), 0) + m
+        y_count[_proj(k, py)] = y_count.get(_proj(k, py), 0) + m
+    return all(n <= y_count.get(a, 0) for a, n in x_count.items())
+
+
+def pci(t, xs, ys, zs):
+    px, py, pz = t.positions(xs), t.positions(ys), t.positions(zs)
+    shared = [(i, j) for i, x in enumerate(ys) for j, z in enumerate(zs) if x == z]
+    groups = {}
+    for k, m in t.row_items():
+        b, c = _proj(k, py), _proj(k, pz)
+        cy, cz, cyz, total = groups.setdefault(_proj(k, px), ({}, {}, {}, [0]))
+        cy[b] = cy.get(b, 0) + m
+        cz[c] = cz.get(c, 0) + m
+        cyz[b, c] = cyz.get((b, c), 0) + m
+        total[0] += m
+    return all(nb * nc == cyz.get((b, c), 0) * total[0]
+               for cy, cz, cyz, total in groups.values()
+               for b, nb in cy.items() for c, nc in cz.items()
+               if all(b[i] == c[j] for i, j in shared))
+
+
+# --- the search ---
+
+class ReferenceEval:
+    """One run over (subformula, Multiteam) pairs, as in the original core."""
+
+    def __init__(self, structure, cfg, use_cache, explain=False):
+        self.structure = structure
+        self.cfg = cfg
+        self.cache = {} if use_cache else None
+        self.explain = explain
+
+    def run(self, f, team):
+        if self.cache is None:
+            got = self._dispatch(f, team)
+        else:
+            key = (f, team)
+            got = self.cache.get(key)
+            if got is None:
+                got = self.cache[key] = self._dispatch(f, team)
+        if got is True and self.explain:
+            return Witness(f, team, True, "", ())
+        return got
+
+    def closed(self, f):
+        if isinstance(f, (And, Or)):
+            return self.closed(f.left) and self.closed(f.right)
+        if isinstance(f, (Exists, Forall)):
+            return self.closed(f.body)
+        return isinstance(f, _CLOSED_ATOMS)
+
+    def _holds(self, f, team, choice, *parts):
+        return Witness(f, team, True, choice, parts) if self.explain else True
+
+    def _literal(self, team, pred):
+        return all(pred(k) for k, _ in team.row_items())
+
+    def _dispatch(self, f, team):
+        has = self.structure.has
+        if isinstance(f, (Eq, Neq)):
+            px, py = team.position(f.x), team.position(f.y)
+            return self._literal(team, lambda k: (k[px] == k[py]) == isinstance(f, Eq))
+        if isinstance(f, (Rel, NegRel)):
+            pos = team.positions(f.args)
+            return self._literal(
+                team, lambda k: has(f.name, _proj(k, pos)) == isinstance(f, Rel))
+        if isinstance(f, And):
+            left = self.run(f.left, team)
+            right = left and self.run(f.right, team)
+            return right and self._holds(f, team, "both conjuncts on the same multiteam",
+                                         left, right)
+        if isinstance(f, Or):
+            strict = (self.cfg.strictness == "strict"
+                      or self.closed(f.left) or self.closed(f.right))
+            for y, zs in or_splits(team, strict):
+                left = self.run(f.left, y)
+                if left:
+                    for z in zs:
+                        right = self.run(f.right, z)
+                        if right:
+                            return self._holds(f, team, "split", left, right)
+            return False
+        if isinstance(f, Exists):
+            strict = self.cfg.strictness == "strict" or self.closed(f.body)
+            for sup in supplements(team, f.var, self.structure.domain, strict,
+                                   self.cfg.team_kind == "set"):
+                body = self.run(f.body, sup)
+                if body:
+                    return self._holds(f, team, f"supplement for {f.var}", body)
+            return False
+        if isinstance(f, Forall):
+            extended = universal(team, f.var, self.structure.domain)
+            if self.cfg.team_kind == "set":
+                extended = extended.support()
+            body = self.run(f.body, extended)
+            return body and self._holds(f, team, f"universal extension of {f.var}", body)
+        if isinstance(f, Dep):
+            return dep(team, f.xs, f.ys)
+        if isinstance(f, Inc):
+            return inc(team, f.xs, f.ys)
+        if isinstance(f, Excl):
+            return inc(team, f.xs, f.ys, negate=True)
+        if isinstance(f, CI):
+            return ci(team, f.xs, f.ys, f.zs)
+        if isinstance(f, PInc):
+            return pinc(team, f.xs, f.ys)
+        if isinstance(f, PCI):
+            return pci(team, f.xs, f.ys, f.zs)
+        if isinstance(f, ExistsFrac):
+            for y in bounded_parts(team, f.p, exact=self.closed(f.body)):
+                body = self.run(f.body, y)
+                if body:
+                    return self._holds(
+                        f, team, f"submultiteam of size {y.size} out of {team.size}", body)
+            return False
+        if isinstance(f, ForallFrac):
+            if self.closed(f.body):
+                held = f.p.min_size(team.size) > team.size or self.run(f.body, team)
+            else:
+                held = all(self.run(f.body, y) for y in bounded_parts(team, f.p))
+            return held and self._holds(
+                f, team, "every submultiteam meeting the size bound satisfies the body")
+        if isinstance(f, ImplFrac):
+            held = all(self.run(f.right, y) for y in bounded_parts(team, f.p)
+                       if self.run(f.left, y))
+            return held and self._holds(
+                f, team, "the implication holds on every submultiteam meeting the size bound")
+        raise InputError(f"cannot evaluate a {type(f).__name__} node")
+
+
+def reference_witness(structure, team, f, cfg=None, *, use_cache=True):
+    """`semantics.witness` as the reference search answers it."""
+    cfg = cfg or SemanticsConfig()
+    _validate(structure, team, f, cfg)
+    team = team.canonical()
+    return (ReferenceEval(structure, cfg, use_cache, explain=True).run(f, team)
+            or Witness(f, team, False, "", ()))

@@ -157,6 +157,27 @@ class TestPrint:
         assert str(Threshold(Fraction(1))) == "1"
         assert str(Threshold(4, absolute=True)) == "#4"
 
+    def test_deep_formulas_print_without_recursion(self):
+        # 400 levels, more than a printer recursing once per level reaches
+        # at the default recursion limit; each chain's text in closed form
+        n = 399
+        leaf = Eq("x", "y")
+        chains = [
+            (lambda g: And(leaf, g), "(x = y & " * n + "x = y" + ")" * n),
+            (lambda g: And(g, leaf), "(" * n + "x = y" + " & x = y)" * n),
+            (lambda g: Or(leaf, g), "(x = y | " * n + "x = y" + ")" * n),
+            (lambda g: Exists("u", g), "(E u. " * n + "x = y" + ")" * n),
+            (lambda g: Forall("u", g), "(A u. " * n + "x = y" + ")" * n),
+            (lambda g: ExistsFrac(half, g), "<1/2> " * n + "x = y"),
+            (lambda g: ForallFrac(half, g), "[1/2] " * n + "x = y"),
+            (lambda g: ImplFrac(half, leaf, g), "(x = y ->{1/2} " * n + "x = y" + ")" * n),
+        ]
+        for wrap, text in chains:
+            f = leaf
+            for _ in range(n):
+                f = wrap(f)
+            assert str(f) == text
+
     def test_implication_text(self):
         f = ImplFrac(two_thirds, TRUE, PInc(("x",), ("y",)))
         assert str(f) == "(dep(;) ->{2/3} pinc(x ; y))"
@@ -238,3 +259,26 @@ def formulas() -> st.SearchStrategy[Formula]:
 @given(formulas())
 def test_parse_print_round_trip(f):
     assert parse(str(f)) == f
+
+
+def recursive_text(f: Formula) -> str:
+    """The printer as one recursive call per level, for comparison."""
+    if isinstance(f, (And, Or)):
+        op = "&" if isinstance(f, And) else "|"
+        return f"({recursive_text(f.left)} {op} {recursive_text(f.right)})"
+    if isinstance(f, (Exists, Forall)):
+        q = "E" if isinstance(f, Exists) else "A"
+        return f"({q} {f.var}. {recursive_text(f.body)})"
+    if isinstance(f, ExistsFrac):
+        return f"<{f.p}> {recursive_text(f.body)}"
+    if isinstance(f, ForallFrac):
+        return f"[{f.p}] {recursive_text(f.body)}"
+    if isinstance(f, ImplFrac):
+        return f"({recursive_text(f.left)} ->{{{f.p}}} {recursive_text(f.right)})"
+    return str(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas())
+def test_printer_gives_the_recursive_printers_text(f):
+    assert str(f) == recursive_text(f)

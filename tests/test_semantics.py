@@ -1,6 +1,6 @@
 """Evaluator tests: worked multiteams with known verdicts, the Tarskian
-single-assignment oracle, and brute-force enumerations of splits and
-supplement functions."""
+single-assignment oracle, brute-force enumerations of splits and
+supplement functions, and the kept reference search (`reference_eval`)."""
 
 import contextlib
 import itertools
@@ -17,9 +17,11 @@ from multiteam.formula import (And, Dep, Eq, Exists, ExistsFrac, Forall,
 from multiteam.generate import budgeted_formula, random_structure, random_team
 from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
+from multiteam.reductions import CnfFormula, encode_3sat
 from multiteam.semantics import (SemanticsConfig, _Eval, _extender, enum_or_splits,
                                  enum_supplements, evaluate,
                                  evaluate_classical, extend_universal, witness)
+from reference_eval import reference_witness
 
 STRUCT01 = Multistructure({"0": 1, "1": 1}, {"R": (1, [("0",)])})
 STRUCT012 = Multistructure({"0": 1, "1": 1, "2": 1})
@@ -308,6 +310,38 @@ def test_pruned_search_finds_the_same_witness_trees(monkeypatch):
     assert 0 < sum(w.holds for w in pruned) < len(pruned)
 
 
+def test_vector_search_finds_the_reference_witness_trees():
+    # 3 fragments x 4 modes x 84 = 1,008 draws, each with the cache on and off,
+    # against the search that builds a Multiteam per candidate
+    for s, t, f, cfg in random_instances("reference", 84):
+        for c in (True, False):
+            assert witness(s, t, f, cfg, use_cache=c) == reference_witness(
+                s, t, f, cfg, use_cache=c), (str(f), t, cfg, c)
+
+
+def test_checking_an_encoding_builds_no_multiteam_per_candidate(monkeypatch):
+    # whole clauses x1, ~x1, x2, ~x3: unsatisfiable, so every one of the
+    # C(12, 4) = 495 candidate parts of the 12-row team is tried
+    phi = CnfFormula(tuple(((v, p),) * 3 for v, p in
+                           (("x1", 0), ("x1", 1), ("x2", 0), ("x3", 1))))
+    inst = encode_3sat(phi)
+    built = []
+    original = Multiteam._from_table.__func__
+
+    def counting(cls, svars, table):
+        built.append(table)
+        return original(cls, svars, table)
+
+    monkeypatch.setattr(Multiteam, "_from_table", classmethod(counting))
+    for cfg in (LAX_MULTI, STRICT_MULTI):
+        assert not evaluate(inst.structure, inst.team, inst.formula, cfg)
+    assert len(built) <= 2  # at most one per check, however many parts it tries
+    built.clear()
+    assert not reference_witness(inst.structure, inst.team, inst.formula, STRICT_MULTI,
+                                 use_cache=False).holds
+    assert len(built) > 495  # the reference builds one per candidate part
+
+
 def subteams(t):
     entries = t.row_items()
     for vec in itertools.product(*[range(m + 1) for _, m in entries]):
@@ -371,6 +405,15 @@ def test_classical_evaluation():
     assert evaluate_classical(STRUCT01, t, parse("(x=y | x!=y)"))
     assert evaluate_classical(STRUCT01, t, parse("E u. (u=x & R(u))"))
     assert not evaluate_classical(STRUCT01, t, parse("A u. u=x"))
+
+
+def test_classical_evaluation_rejects_formulas_built_too_deep():
+    s = Assignment({"x": "0"})
+    with pytest.raises(InputError, match="nests too deeply"):
+        evaluate_classical(STRUCT01, s, chain("and", 1200))
+    with pytest.raises(InputError, match="nests too deeply"):
+        evaluate_classical(STRUCT01, s, chain("exists", MAX_DEPTH + 1))
+    assert evaluate_classical(STRUCT01, s, chain("and", MAX_DEPTH))
 
 
 def test_classical_evaluation_rejects_team_atoms():
