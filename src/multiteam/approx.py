@@ -9,8 +9,10 @@ cases like 2/3 of 3 are decided correctly.  Submultiteams differing only in
 zero-multiplicity carrier rows are canonically equal and enumerated once.
 Parts are generated size by size, one count vector at a time, so the first
 part costs time linear in the rows however many parts there are.  The
-evaluator walks these vectors (`part_vectors`) over its row space;
-`enum_bounded_submultisets` is the same walk read out as `Multiteam`s.
+evaluator walks these vectors (`part_vectors`) over its row space, or the
+same vectors pruned row by row when the body has a literal or `dep` to
+test on each prefix (`semantics._walk`); `enum_bounded_submultisets` is
+the plain walk read out as `Multiteam`s.
 """
 
 from __future__ import annotations

@@ -17,6 +17,8 @@ rows' projections onto the atom's variable groups (`project`) and one count
 per row, and looks only at rows counted at least once.  The evaluator
 projects a row space once per atom and then tests every candidate subteam's
 vector; the `eval_*` functions are the same tests read off a `Multiteam`.
+`dep` also has an incremental form (`dep_entries`) for the evaluator's
+row-by-row walk, which tests each row as it is added to a part.
 """
 
 from __future__ import annotations
@@ -63,6 +65,18 @@ def dep_holds(rows: Rows, counts) -> bool:
         if c and seen.setdefault(a, b) != b:
             return False
     return True
+
+
+def dep_entries(rows: Rows, first_slot: int = 0) -> tuple[list[tuple[int, int]], int]:
+    """`dep` as an incremental test.  It holds on a set of rows iff no two of
+    them map one xs-value to different ys-values, so a walk that adds rows one
+    at a time keeps one table slot per xs-value, fails at the first row whose
+    slot holds another ys-value, and frees on backtrack the slots a row
+    filled.  Returned: per row its (slot, value) pair, xs- and ys-values
+    numbered as small ints with slots from first_slot, and the next free slot."""
+    slot = {a: k for k, a in enumerate(dict.fromkeys([a for a, _ in rows]), first_slot)}
+    value = {b: k for k, b in enumerate(dict.fromkeys([b for _, b in rows]))}
+    return [(slot[a], value[b]) for a, b in rows], first_slot + len(slot)
 
 
 def _included(rows: Rows, counts, wanted: bool) -> bool:

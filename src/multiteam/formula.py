@@ -327,6 +327,85 @@ class ImplFrac(_Compound):
         return ("(", self.left, " ->{", self.p, "} ", self.right, ")")
 
 
+class _HashOf:
+    """Stands in a field tuple for a subformula whose hash is known."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+def _hash(f: _Compound) -> int:
+    """hash(f) as the dataclass defines it, the hash of the tuple of f's
+    fields, worked out from the leaves up without recursion."""
+    known: dict[int, int] = {}
+    stack: list[_Compound] = [f]
+    while stack:
+        g = stack[-1]
+        if id(g) in known:
+            stack.pop()
+            continue
+        fields = [getattr(g, name) for name in g.__match_args__]
+        todo = [v for v in fields if isinstance(v, _Compound) and id(v) not in known]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        known[id(g)] = hash(tuple(_HashOf(known[id(v)]) if isinstance(v, _Compound) else v
+                                  for v in fields))
+    return known[id(f)]
+
+
+def _eq(f: _Compound, other) -> bool:
+    """f == other as the dataclass defines it, field by field, compared
+    without recursion."""
+    if other.__class__ is not f.__class__:
+        return NotImplemented
+    stack = [(f, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__:
+            return False
+        if isinstance(a, _Compound):
+            stack += [(getattr(a, name), getattr(b, name)) for name in a.__match_args__]
+        elif a != b:
+            return False
+    return True
+
+
+def _repr(f: _Compound) -> str:
+    """repr(f) as the dataclass writes it, printed without recursion."""
+    out: list[str] = []
+    stack: list = [f]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        pieces = [type(item).__qualname__, "("]
+        for k, name in enumerate(item.__match_args__):
+            value = getattr(item, name)
+            pieces += [", " if k else "", name, "=",
+                       value if isinstance(value, _Compound) else repr(value)]
+        pieces.append(")")
+        stack.extend(reversed(pieces))
+    return "".join(out)
+
+
+# The dataclass decorator writes a recursive __eq__, __hash__ and __repr__
+# into each class; these give the same answers for a formula of any height.
+for _cls in (And, Or, Exists, Forall, ExistsFrac, ForallFrac, ImplFrac):
+    _cls.__eq__ = _eq
+    _cls.__hash__ = _hash
+    _cls.__repr__ = _repr
+
+
 #: `dep(;)` requires nothing of any row, so it is satisfied by every
 #: multiteam in every mode: a convenient syntactic truth constant.
 TRUE = Dep((), ())

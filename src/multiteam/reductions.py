@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from sys import intern
 
 from .errors import InputError, ParseError
 from .formula import And, Dep, ExistsFrac, Or, Threshold
@@ -68,12 +69,14 @@ class CnfFormula:
 
 
 def _encode_team(phi: CnfFormula) -> tuple[Multistructure, Multiteam]:
+    # one string object per symbol, however many rows and instances repeat it
     rows = []
     symbols = {"0", "1"}
     for i, clause in enumerate(phi.clauses, 1):
         for j, (var, parity) in enumerate(clause, 1):
-            rows.append((str(i), str(j), var, str(parity)))
-            symbols.update((str(i), str(j), var))
+            row = (intern(str(i)), intern(str(j)), intern(var), intern(str(parity)))
+            rows.append(row)
+            symbols.update(row[:3])
     structure = Multistructure({v: 1 for v in symbols})
     return structure, Multiteam(TEAM_COLUMNS, rows)
 

@@ -54,6 +54,31 @@ Z1 and is the first right part tried for Y1.  Rule 2: every lax supplement
 contains a strict one whose choice vector is below its own.  Rule 3: every
 larger part contains one of the bound size, which is enumerated earlier.
 Rule 4: t is the largest part and a [p] witness names no part.
+
+A fifth rule prunes inside an enumeration.  A necessary closed condition
+of a formula is a literal or `dep` conjunct of it, reached through `&`
+alone: it is downward closed and holds wherever the formula does.
+
+5. The left parts Y of `f | g` and the exact-size parts Y of `<p> f` with f
+   closed are walked one row at a time, in row-vector order, and every
+   prefix on which a necessary closed condition fails is dropped with all
+   its completions.  The conditions are those of f on Y and those of g on
+   Z = t - Y, whose prefix is fixed with Y's.  A literal bars rows; `dep`
+   keeps a table of the values fixed so far, undone on backtrack, so each
+   row step costs O(1).
+
+Rule 5 drops only candidates that fail, in a walk that keeps the order of
+the rest, so the first success is the same.  Row-vector order is
+lexicographic with the first row most significant, which is the order of a
+depth-first walk fixing rows first to last with values ascending.  Every
+completion of a prefix is at least the prefix (later rows counted 0) row
+by row.  So is every right part of Y, strict or lax, at least t - Y, and
+t - Y at least its own prefix.  A downward-closed condition failing on a
+prefix fails on all of these, and then f fails on Y, g on every right part
+of Y, or the body on the part.  The search would try that candidate, see
+it fail and go on, so dropping it changes neither the verdict nor the
+first success.  `E` supplements, `excl`, and closed conjuncts built with
+`|`, `E` or `A` give no condition.
 """
 
 from __future__ import annotations
@@ -237,18 +262,115 @@ class _Extension:
         return tuple(min(c, 1) for c in out) if flat else tuple(out)
 
 
-def _split_vectors(counts: Counts, strict: bool) -> Iterator[tuple[Counts, Iterator[Counts]]]:
+def _split_vectors(counts: Counts, strict: bool, prune: Optional[_Prune] = None
+                   ) -> Iterator[tuple[Counts, Iterator[Counts]]]:
     """Each left part Y of a split, in row-vector order, with a lazy iterator
     over the right parts Z: Z takes the m - c copies Y leaves out of a row,
-    and in lax mode may take up to all m."""
+    and in lax mode may take up to all m.  With prune, only the left parts
+    its walk keeps (see `_walk`)."""
     def right_parts(y):
         if strict:
             yield tuple(m - c for m, c in zip(counts, y))
         else:
             yield from itertools.product(*[range(m - c, m + 1) for m, c in zip(counts, y)])
 
-    for y in itertools.product(*[range(m + 1) for m in counts]):
+    lefts = (itertools.product(*[range(m + 1) for m in counts]) if prune is None
+             else _walk(counts, prune))
+    for y in lefts:
         yield y, right_parts(y)
+
+
+class _Prune:
+    """The necessary closed conditions of one enumeration over one row space,
+    as tests on a part Y fixed row by row and, for a split, on Z = t - Y,
+    whose prefix is fixed with Y's.  Failing literals
+    bar rows from Y (y_barred) or from Z (z_barred).  Each `dep` gives every
+    row one (slot, value) entry for a table of `slots` slots (see
+    `atoms.dep_entries`); per row, `y`, `z` and `yz` list the entries it adds
+    when Y counts it, when Z does, and when both do."""
+
+    __slots__ = ("y_barred", "z_barred", "y", "z", "yz", "slots")
+
+    def __init__(self, n: int):
+        self.y_barred = [False] * n
+        self.z_barred = [False] * n
+        self.y: list[tuple] = [()] * n
+        self.z: list[tuple] = [()] * n
+        self.yz: list[tuple] = [()] * n
+        self.slots = 0
+
+
+def _walk(counts: Counts, prune: _Prune, size: Optional[int] = None) -> Iterator[Counts]:
+    """The count vectors below counts, or with size those summing to it, in
+    row-vector order (as `_split_vectors` and `part_vectors` give them),
+    less every vector with a prefix on which a condition of prune fails.
+    One row is fixed at a time, each value tested in O(1) per condition and
+    undone on backtrack, in a loop rather than a call per row."""
+    n = len(counts)
+    y_entries, z_entries, yz_entries = prune.y, prune.z, prune.yz
+    # per row, its smallest and largest value before the size bound
+    low = [m if barred else 0 for m, barred in zip(counts, prune.z_barred)]
+    high = [0 if barred else m for m, barred in zip(counts, prune.y_barred)]
+    room = [0] * (n + 1)  # room[i]: copies the rows from i on may take
+    for i in range(n - 1, -1, -1):
+        room[i] = room[i + 1] + high[i]
+    if size is not None and size > room[0]:
+        return
+    if n == 0:
+        yield ()
+        return
+    table = [None] * prune.slots
+    vec = [0] * n
+    top = high[:]  # per row, the largest value it may take after this prefix
+    filled: list[list[int]] = [[]] * n  # per row, the table slots its value filled
+    rest = size  # with size, the copies the rows from i on must take
+    i, c = 0, low[0]
+    if size is not None:
+        c, top[0] = max(c, size - room[1]), min(top[0], size)
+    while True:
+        m = counts[i]
+        while c <= top[i]:  # the smallest value from c on that no condition refutes
+            entries = (yz_entries[i] if c < m else y_entries[i]) if c else (
+                z_entries[i] if m else ())
+            added = []
+            for slot, value in entries:
+                held = table[slot]
+                if held is None:
+                    table[slot] = value
+                    added.append(slot)
+                elif held != value:
+                    break
+            else:
+                break
+            for slot in added:
+                table[slot] = None
+            c += 1
+        else:  # row i is exhausted: take the previous row's next value
+            if i == 0:
+                return
+            i -= 1
+            for slot in filled[i]:
+                table[slot] = None
+            c = vec[i]
+            if size is not None:
+                rest += c
+            c += 1
+            continue
+        vec[i] = c
+        if i + 1 < n:
+            filled[i] = added
+            i += 1
+            if size is None:
+                c = low[i]
+            else:
+                rest -= vec[i - 1]
+                c = low[i] if low[i] > rest - room[i + 1] else rest - room[i + 1]
+                top[i] = high[i] if high[i] < rest else rest
+            continue
+        yield tuple(vec)
+        for slot in added:
+            table[slot] = None
+        c += 1
 
 
 def _copy_choices(m: int, dom_mults: list[int], strict: bool) -> list[Counts]:
@@ -314,6 +436,23 @@ _CLOSED_ATOMS = (Eq, Neq, Rel, NegRel, Dep, Excl)
 #: Each dependency atom's test over a count vector (see `atoms`).
 _ATOM_TESTS = {Dep: atoms.dep_holds, Inc: atoms.inc_holds, Excl: atoms.excl_holds,
                CI: atoms.ci_holds, PInc: atoms.pinc_holds, PCI: atoms.pci_holds}
+
+
+#: Literals: each row passes or fails them on its own.
+_LITERALS = (Eq, Neq, Rel, NegRel)
+
+
+def _conditions(f: Optional[Formula]) -> list[Formula]:
+    """The literal and `dep` conjuncts of f, reached through `&` alone: each
+    is downward closed and holds wherever f does."""
+    out, stack = [], [f] if f is not None else []
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        elif isinstance(g, _LITERALS + (Dep,)):
+            out.append(g)
+    return out
 
 
 def _none_counted(failing: list[int], counts: Counts) -> bool:
@@ -406,26 +545,54 @@ class _Eval:
             return Witness(f, space.team(counts), True, choice, parts)
         return True
 
-    def _test(self, f: Formula, space: _Space):
-        """The test of f's node over space: what f reads of the rows, worked
-        out once, applied to a count vector.  It refers to the nodes below,
-        never to its own."""
+    def _failing(self, f: Formula, space: _Space) -> list[int]:
+        """The rows of space on which the literal f fails."""
         at = space.index
         if isinstance(f, (Eq, Neq)):
             px, py = at[f.x], at[f.y]
             want = isinstance(f, Eq)
-            return partial(_none_counted, [i for i, k in enumerate(space.keys)
-                                           if (k[px] == k[py]) != want])
-        if isinstance(f, (Rel, NegRel)):
-            pos = [at[x] for x in f.args]
-            want = isinstance(f, Rel)
-            return partial(_none_counted, [
-                i for i, k in enumerate(space.keys)
-                if self.structure.has(f.name, tuple(k[j] for j in pos)) != want])
+            return [i for i, k in enumerate(space.keys) if (k[px] == k[py]) != want]
+        pos = [at[x] for x in f.args]
+        want = isinstance(f, Rel)
+        return [i for i, k in enumerate(space.keys)
+                if self.structure.has(f.name, tuple(k[j] for j in pos)) != want]
+
+    @staticmethod
+    def _project(f: Formula, space: _Space) -> atoms.Rows:
+        """The rows of space projected onto the dependency atom f's groups."""
+        groups = (f.xs, f.ys, f.zs) if isinstance(f, (CI, PCI)) else (f.xs, f.ys)
+        return atoms.project(space.keys, [[space.index[x] for x in g] for g in groups])
+
+    def _prune(self, space: _Space, y_side: Formula,
+               z_side: Optional[Formula] = None) -> Optional[_Prune]:
+        """The necessary closed conditions of y_side on a part Y and of z_side
+        on Z = t - Y, over space: their literal and `dep` conjuncts.  None
+        when no condition can fail, so the plain enumeration runs."""
+        prune = _Prune(len(space.keys))
+        useful = False
+        for f, barred, deps in ((y_side, prune.y_barred, prune.y),
+                                (z_side, prune.z_barred, prune.z)):
+            for g in _conditions(f):
+                if isinstance(g, Dep):
+                    entries, prune.slots = atoms.dep_entries(self._project(g, space),
+                                                             prune.slots)
+                    deps[:] = [d + (e,) for d, e in zip(deps, entries)]
+                    useful = useful or len(g.ys) > 0
+                else:
+                    for i in self._failing(g, space):
+                        barred[i] = useful = True
+        prune.yz = [y + z for y, z in zip(prune.y, prune.z)]
+        return prune if useful else None
+
+    def _test(self, f: Formula, space: _Space):
+        """The test of f's node over space: what f reads of the rows, worked
+        out once, applied to a count vector.  It refers to the nodes below,
+        never to its own."""
+        if isinstance(f, _LITERALS):
+            return partial(_none_counted, self._failing(f, space))
         atom = _ATOM_TESTS.get(type(f))
         if atom is not None:
-            groups = (f.xs, f.ys, f.zs) if isinstance(f, (CI, PCI)) else (f.xs, f.ys)
-            rows = atoms.project(space.keys, [[at[x] for x in g] for g in groups])
+            rows = self._project(f, space)
             if isinstance(f, PCI):
                 return partial(atom, rows, shared=atoms.shared_pairs(f.ys, f.zs))
             return partial(atom, rows)
@@ -436,7 +603,8 @@ class _Eval:
         if isinstance(f, Or):
             return partial(self._or, f, space, self.node(f.left, space),
                            self.node(f.right, space),
-                           strict or self._closed(f.left) or self._closed(f.right))
+                           strict or self._closed(f.left) or self._closed(f.right),
+                           self._prune(space, f.left, f.right))
         if isinstance(f, (Exists, Forall)):
             ext = space.extended(f.var, self.structure.domain)
             body = self.node(f.body, ext.space)
@@ -444,8 +612,9 @@ class _Eval:
                 return partial(self._forall, f, space, ext, body)
             return partial(self._exists, f, space, ext, body, strict or self._closed(f.body))
         if isinstance(f, ExistsFrac):
-            return partial(self._exists_part, f, space, self.node(f.body, space),
-                           self._closed(f.body))
+            closed = self._closed(f.body)
+            return partial(self._exists_part, f, space, self.node(f.body, space), closed,
+                           self._prune(space, f.body) if closed else None)
         if isinstance(f, ForallFrac):
             return partial(self._forall_part, f, space, self.node(f.body, space),
                            self._closed(f.body))
@@ -460,8 +629,8 @@ class _Eval:
         return right and self._holds(f, space, counts, "both conjuncts on the same multiteam",
                                      left, right)
 
-    def _or(self, f, space, left_node, right_node, strict, counts):
-        for y, zs in _split_vectors(counts, strict):
+    def _or(self, f, space, left_node, right_node, strict, prune, counts):
+        for y, zs in _split_vectors(counts, strict, prune):
             left = self.run(left_node, y)
             if left:
                 for z in zs:
@@ -481,9 +650,12 @@ class _Eval:
         body = self.run(body_node, ext.universal(counts, self.cfg.team_kind == "set"))
         return body and self._holds(f, space, counts, f"universal extension of {f.var}", body)
 
-    def _exists_part(self, f, space, body_node, closed, counts):
+    def _exists_part(self, f, space, body_node, closed, prune, counts):
         size = sum(counts)
-        for y in part_vectors(counts, f.p.min_size(size), exact=closed):
+        needed = f.p.min_size(size)
+        parts = (part_vectors(counts, needed, exact=closed) if prune is None
+                 else _walk(counts, prune, needed))
+        for y in parts:
             body = self.run(body_node, y)
             if body:
                 return self._holds(

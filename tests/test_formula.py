@@ -1,5 +1,6 @@
-"""Parser, printer, and free-variable tests."""
+"""Parser, printer, hash, repr and free-variable tests."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -282,3 +283,70 @@ def recursive_text(f: Formula) -> str:
 @given(formulas())
 def test_printer_gives_the_recursive_printers_text(f):
     assert str(f) == recursive_text(f)
+
+
+# --- hash and repr of a formula of any height ---------------------------
+
+COMPOUNDS = (And, Or, Exists, Forall, ExistsFrac, ForallFrac, ImplFrac)
+
+
+def generated(cls):
+    """A dataclass with cls's name and fields, whose __hash__ and __repr__
+    are the ones the decorator writes, recursing once per level."""
+    mirror = type(cls.__name__, (), {
+        "__annotations__": {name: object for name in cls.__match_args__},
+        "__qualname__": cls.__qualname__})
+    return dataclasses.dataclass(frozen=True)(mirror)
+
+
+MIRRORS = {cls: generated(cls) for cls in COMPOUNDS}
+
+
+def mirrored(f):
+    """f rebuilt from the generated classes, leaves and thresholds kept."""
+    mirror = MIRRORS.get(type(f))
+    if mirror is None:
+        return f
+    return mirror(*[mirrored(getattr(f, name)) for name in type(f).__match_args__])
+
+
+@settings(max_examples=200, deadline=None)
+@given(formulas())
+def test_hash_and_repr_are_the_generated_ones(f):
+    assert repr(f) == repr(mirrored(f))
+    assert hash(f) == hash(mirrored(f))
+    g = parse(str(f))
+    assert g == f and not g != f and hash(g) == hash(f)
+
+
+@pytest.mark.parametrize("cls", COMPOUNDS, ids=lambda cls: cls.__name__)
+def test_hash_and_repr_of_formulas_built_deep(cls):
+    # 1,200 levels, more than the generated methods reach at the default
+    # recursion limit; two chains built apart are equal and hash equal, and
+    # differ from a chain with another leaf
+    leaf = Eq("x", "y")
+    wrap = {And: lambda g: And(leaf, g), Or: lambda g: Or(g, leaf),
+            Exists: lambda g: Exists("u", g), Forall: lambda g: Forall("u", g),
+            ExistsFrac: lambda g: ExistsFrac(half, g), ForallFrac: lambda g: ForallFrac(half, g),
+            ImplFrac: lambda g: ImplFrac(half, leaf, g)}[cls]
+    chains = []
+    for _ in range(2):
+        f = leaf
+        for _ in range(1199):
+            f = wrap(f)
+        chains.append(f)
+    first, second = chains
+    assert first is not second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    other = Eq("x", "z")
+    for _ in range(1199):
+        other = wrap(other)
+    assert first != other and other not in {first}
+    text = repr(first)
+    assert text.startswith(f"{cls.__name__}(") and text.count(f"{cls.__name__}(") == 1199
+    assert text.count("Eq(x='x', y='y')") == (1200 if cls in (And, Or, ImplFrac) else 1)
+    # the text of a short chain is the generated text
+    f = leaf
+    for _ in range(3):
+        f = wrap(f)
+    assert repr(f) == repr(mirrored(f)) and hash(f) == hash(mirrored(f))

@@ -10,15 +10,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multiteam import cli
+from multiteam.approx import part_vectors
 from multiteam.errors import InputError
 from multiteam.formula import (And, Dep, Eq, Exists, ExistsFrac, Forall,
                                ForallFrac, Inc, Neq, NegRel, Or, PInc, Rel,
                                Threshold)
 from multiteam.generate import budgeted_formula, random_structure, random_team
+from multiteam.io import dump_multiteam, dump_structure
 from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
-from multiteam.reductions import CnfFormula, encode_3sat
-from multiteam.semantics import (SemanticsConfig, _Eval, _extender, enum_or_splits,
+from multiteam.reductions import (CnfFormula, encode_3sat, encode_maxsat,
+                                  maxsat_oracle, sat_oracle)
+from multiteam.semantics import (SemanticsConfig, _Eval, _extender, _Prune, _Space,
+                                 _split_vectors, _walk, enum_or_splits,
                                  enum_supplements, evaluate,
                                  evaluate_classical, extend_universal, witness)
 from reference_eval import reference_witness
@@ -277,10 +282,11 @@ def test_witness_nodes_reevaluate_to_their_verdict(f, t, cfg):
 
 @contextlib.contextmanager
 def unpruned(monkeypatch):
-    """Inside, the evaluator knows no formula to be downward closed, so
-    every search runs in full."""
+    """Inside, the evaluator knows no formula to be downward closed and no
+    necessary closed condition, so every search runs in full."""
     with monkeypatch.context() as m:
         m.setattr(_Eval, "_closed", lambda self, f: False)
+        m.setattr(_Eval, "_prune", lambda self, *sides: None)
         yield
 
 
@@ -340,6 +346,160 @@ def test_checking_an_encoding_builds_no_multiteam_per_candidate(monkeypatch):
     assert not reference_witness(inst.structure, inst.team, inst.formula, STRICT_MULTI,
                                  use_cache=False).holds
     assert len(built) > 495  # the reference builds one per candidate part
+
+
+# --- prefix pruning: the row-by-row walk ---
+
+def test_a_walk_without_conditions_is_the_plain_enumeration():
+    for counts in [(), (0,), (2,), (1, 0, 2), (2, 1, 1, 3), (0, 0), (1,) * 6]:
+        free = _Prune(len(counts))
+        assert list(_walk(counts, free)) == [y for y, _ in _split_vectors(counts, False)]
+        for size in range(sum(counts) + 2):
+            assert list(_walk(counts, free, size)) == list(
+                part_vectors(counts, size, exact=True)), (counts, size)
+
+
+def test_the_walk_keeps_exactly_the_vectors_its_conditions_hold_on():
+    # conditions on Y alone (a part) and on Y and Z = t - Y (a split), each
+    # side listed with its literal and dep conjuncts reached through & alone;
+    # the expected vectors are checked by evaluate
+    structure = Multistructure({"0": 1, "1": 1, "2": 1}, {"R": (1, [("0",), ("2",)])})
+    sides = [(parse(text), [parse(c) for c in conditions]) for text, conditions in (
+        ("x = y", ["x = y"]), ("x != y", ["x != y"]), ("dep(x ; y)", ["dep(x ; y)"]),
+        ("(dep(y ; x) & x != y)", ["dep(y ; x)", "x != y"]),
+        ("(dep(; x) & (~R(y) & inc(x ; y)))", ["dep(; x)", "~R(y)"]),
+        ("(dep(y ; x) & E u. (x=u & dep(x ; y)))", ["dep(y ; x)"]))]
+    rng = random.Random(9)
+    walked = 0
+    for _ in range(150):
+        t = random_team(rng, ("x", "y"), structure, max_rows=5, max_mult=2)
+        space, counts = _Space.rooted(t)
+        (y_side, y_conditions), (z_side, z_conditions) = rng.choice(sides), rng.choice(
+            sides + [(None, [])])
+        prune = _Eval(structure, LAX_MULTI, False)._prune(space, y_side, z_side)
+        if prune is None:
+            continue
+        walked += 1
+
+        def holds(conditions, vec):
+            return all(evaluate(structure, space.team(vec), g, LAX_MULTI) for g in conditions)
+
+        def kept(vec):
+            return holds(y_conditions, vec) and holds(
+                z_conditions, tuple(m - c for m, c in zip(counts, vec)))
+
+        assert list(_walk(counts, prune)) == [
+            y for y, _ in _split_vectors(counts, False) if kept(y)], (t, y_side, z_side)
+        if z_side is None:
+            for size in range(sum(counts) + 1):
+                assert list(_walk(counts, prune, size)) == [
+                    y for y in part_vectors(counts, size, exact=True) if kept(y)]
+    assert walked > 100
+
+
+def random_cnf(rng, clauses, width, accept):
+    """A CNF over `width` variables that accept takes, about half of its
+    clauses one literal repeated, so that false instances are common."""
+    variables = ("x1", "x2", "x3")[:width]
+    while True:
+        phi = CnfFormula(tuple(
+            ((rng.choice(variables), rng.randint(0, 1)),) * width if rng.random() < 0.5
+            else tuple((v, rng.randint(0, 1)) for v in rng.sample(variables, width))
+            for _ in range(clauses)))
+        if accept(phi):
+            return phi
+
+
+def test_encodings_find_the_reference_witness_trees():
+    # per clause count 3-6: a satisfiable and an unsatisfiable 3CNF, and a
+    # 2CNF with all clauses but one holding at once, at every k/m; against
+    # the search that builds a Multiteam per candidate
+    rng = random.Random("encodings")
+    verdicts = []
+    for clauses in (3, 4, 5, 6):
+        instances = [encode_3sat(random_cnf(rng, clauses, 3, lambda phi: sat_oracle(phi) == want))
+                     for want in (True, False)]
+        two = random_cnf(rng, clauses, 2, lambda phi: maxsat_oracle(phi) == clauses - 1)
+        instances += [encode_maxsat(two, Fraction(k, clauses)) for k in range(clauses + 1)]
+        for inst in instances:
+            for cfg in (LAX_MULTI, STRICT_MULTI):
+                for c in (True, False):
+                    got = witness(inst.structure, inst.team, inst.formula, cfg, use_cache=c)
+                    assert got == reference_witness(inst.structure, inst.team, inst.formula,
+                                                    cfg, use_cache=c), (str(inst.formula), cfg, c)
+                    verdicts.append(got.holds)
+    assert verdicts.count(False) == 4 * 2 * 2 * 2
+
+
+def unsatisfiable_encodings():
+    """A 7-clause 3SAT and a 7-clause MAX-2SAT instance that are false."""
+    # whole clauses x1 and ~x1, and five of the eight sign patterns over x2..x4
+    sat = CnfFormula((((("x1", 0),) * 3), (("x1", 1),) * 3) + tuple(
+        tuple(zip(("x2", "x3", "x4"), signs))
+        for signs in list(itertools.product((0, 1), repeat=3))[:5]))
+    assert not sat_oracle(sat)
+    # at most six of the seven 2-clauses hold at once; ask for all seven
+    two = CnfFormula(((("x1", 0),) * 2, (("x1", 1),) * 2, (("x2", 0), ("x3", 0)),
+                      (("x2", 1), ("x3", 0)), (("x2", 0), ("x3", 1)),
+                      (("x1", 0), ("x2", 0)), (("x1", 1), ("x3", 1))))
+    assert maxsat_oracle(two) == 6
+    return encode_3sat(sat), encode_maxsat(two, Fraction(7, 7))
+
+
+def test_prefix_pruning_bounds_the_work_on_unsatisfiable_encodings(monkeypatch):
+    # the search tries C(21, 7) = 116,280 parts and 2^14 splits without
+    # pruning; dep(clause ; literal) refutes every prefix taking two
+    # literals of one clause, so at most 3^7 node runs remain
+    calls = []
+    original = _Eval.run
+
+    def counting(self, node, counts):
+        calls.append(node)
+        return original(self, node, counts)
+
+    monkeypatch.setattr(_Eval, "run", counting)
+    for inst in unsatisfiable_encodings():
+        for cfg in (LAX_MULTI, STRICT_MULTI):
+            calls.clear()
+            assert not evaluate(inst.structure, inst.team, inst.formula, cfg)
+            assert 0 < len(calls) <= 3 ** 7, (str(inst.formula), cfg, len(calls))
+
+
+def test_two_thousand_rows_are_walked_without_recursion(tmp_path, capsys):
+    # each side of the split bars the other's rows, and the first part's
+    # body refutes nothing, so one walk down the rows finds the first
+    # success; on the second team the rows x=y bars from the part come
+    # last, and the walk leaves room for the part in the rows before them
+    n = 2000
+    structure = Multistructure([str(i) for i in range(n)])
+    mixed = Multiteam(("x", "y", "z"), [(str(i % 7), str(i % 5), str(i)) for i in range(n)])
+    equal_first = Multiteam(("x", "y", "z"), [(str(i * 2 // n), "0", str(i)) for i in range(n)])
+    cases = [(mixed, "x=y | x!=y", sum(i % 7 == i % 5 for i in range(n))),
+             (mixed, "<1/2>(x=x & dep(z;z))", n // 2),
+             (equal_first, "<1/2>(x=y & dep(z;z))", n // 2)]
+    (tmp_path / "s.txt").write_text(dump_structure(structure), encoding="utf-8")
+    for k, (t, text, first_part) in enumerate(cases):
+        (tmp_path / f"t{k}.csv").write_text(dump_multiteam(t), encoding="utf-8")
+        for cfg in (LAX_MULTI, STRICT_MULTI):
+            f = parse(text)
+            assert evaluate(structure, t, f, cfg)
+            w = witness(structure, t, f, cfg)
+            assert w.holds and w.parts[0].team.size == first_part
+            argv = ["check", str(tmp_path / "s.txt"), text, "--team", str(tmp_path / f"t{k}.csv"),
+                    "--strictness", cfg.strictness]
+            assert cli.main(argv) == 0
+            assert cli.main(argv + ["--witness"]) == 0
+            assert capsys.readouterr().out.endswith("true\n")
+
+
+def test_part_bodies_that_are_not_closed_keep_the_larger_parts():
+    # dep(y ; x) gives the walk a condition, but the body is not closed and
+    # only the whole team satisfies inc(x ; y)
+    t = Multiteam(("x", "y"), [("0", "1"), ("1", "0")])
+    f = parse("<1/2>(dep(y ; x) & inc(x ; y))")
+    for cfg in ALL_CFGS:
+        w = witness(STRUCT01, t, f, cfg)
+        assert w.holds and w.parts[0].team == t
 
 
 def subteams(t):
