@@ -1,0 +1,188 @@
+"""Benchmark a change against a parent commit in alternating pairs.
+
+    python3 scripts/bench_pairs.py --parent COMMIT --out BENCH_N.json
+        --pairs files:301-310 --pairs encodings:311-313 [--trace files:1]
+        [--seconds 30] [--claim files:ops_per_s] [--what TEXT]
+
+The parent side is a local `git clone` of COMMIT in a temporary directory;
+the change side is the checkout this script lives in, as its files stand.
+Each pair runs the unmodified `bench/run.py` once per side on one seed, with
+the side that runs first swapping from pair to pair.  `--pairs W:A-B` (or
+`W:A,B,...`) gives workload W one pair per seed; `--trace W:S` adds one
+`--trace 1` run per side on seed S, reported under `trace_seed_S`.  The
+output file is rewritten after every pair and trace, so an interrupted
+session keeps what it measured: per workload
+and end-to-end metric the runs, medians, inclusive quartiles and the pairs
+the change won (ties count for neither side), plus failed and attempted
+calls and `src_lines` per side.  Metric names, units and directions come
+from BENCHMARK.json.  Only the standard library is used.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SIDES = ("parent", "change")
+
+
+def parse_seeds(spec: str) -> tuple[str, list[int]]:
+    workload, _, seeds = spec.partition(":")
+    if "-" in seeds:
+        first, last = map(int, seeds.split("-"))
+        return workload, list(range(first, last + 1))
+    return workload, [int(s) for s in seeds.split(",")]
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One `bench/run.py` run: its metadata line and result line."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if len(lines) < 2:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {done.returncode} "
+                         f"without a result")
+    return {"meta": json.loads(lines[-2])["meta"], "result": json.loads(lines[-1])}
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return [round(q[0], 5), round(q[2], 5)]
+
+
+def summarize(runs: dict, metrics: dict) -> dict:
+    """BENCH layout for one workload's pairs; runs[side] lists results in
+    pair order."""
+    out = {"pairs": len(runs["change"]), "seeds": runs["seeds"][:len(runs["change"])],
+           "failed": {s: sum(r["result"]["failed"] for r in runs[s]) for s in SIDES},
+           "attempted": {s: sum(r["result"]["attempted"] for r in runs[s]) for s in SIDES},
+           "metrics": {}}
+    for name, spec in metrics.items():
+        values = {s: [r["result"]["metrics"][name]["value"] for r in runs[s]] for s in SIDES}
+        pairs = list(zip(values["parent"], values["change"]))
+        higher = spec["better"] == "higher"
+        wins = sum((c > p) if higher else (c < p) for p, c in pairs)
+        medians = {s: statistics.median(values[s]) for s in SIDES}
+        out["metrics"][name] = {
+            "unit": spec["unit"], "better": spec["better"],
+            "parent_median": round(medians["parent"], 5),
+            "parent_quartiles": quartiles(values["parent"]),
+            "change_median": round(medians["change"], 5),
+            "change_quartiles": quartiles(values["change"]),
+            "change_over_parent": (round(medians["change"] / medians["parent"], 4)
+                                   if medians["parent"] else None),
+            "change_wins_pairs": wins,
+            "parent_runs": [round(v, 5) for v in values["parent"]],
+            "change_runs": [round(v, 5) for v in values["change"]],
+        }
+    return out
+
+
+def add_trace(doc: dict, workload: str, trace: dict) -> None:
+    """A traced pair under `trace_seed_<seed>`: per-layer values per side,
+    and the metrics each side reports as null."""
+    values = {s: {name: m["value"] for name, m in trace[s]["result"]["metrics"].items()}
+              for s in SIDES if s in trace}
+    section = doc.setdefault(f"trace_seed_{trace['seed']}", {"null_metrics": {}})
+    section["null_metrics"][workload] = {
+        s: sorted(n for n, v in values[s].items() if v is None) for s in values}
+    section[workload] = {n: {s: values[s].get(n) for s in values}
+                         for n in sorted(set().union(*values.values()))}
+
+
+def report(args, state: dict, metrics: dict) -> dict:
+    metas = [r["meta"] for runs in state["runs"].values() for s in SIDES for r in runs[s]]
+    metas += [t[s]["meta"] for t in state["traces"].values() for s in SIDES if s in t]
+    by_side = {s: [r["meta"] for runs in state["runs"].values() for r in runs[s]]
+               for s in SIDES}
+    doc = {
+        "what": args.what,
+        "command": (f"python3 bench/run.py --workload W --seed N --seconds {args.seconds:g} "
+                    f"--trace {{0,1}}, unmodified, run by scripts/bench_pairs.py"),
+        "host": {"nproc": metas[0]["nproc"] if metas else None,
+                 "python": metas[0]["python"] if metas else None},
+        "src_lines": {s: by_side[s][0]["src_lines"] if by_side[s] else None for s in SIDES},
+        "commits": {"parent": state["parent"], "change": "working tree of " + state["head"]},
+        "method": ("alternating pairs, the side run first swapping each pair (the parent "
+                   "first in the first pair); one seed per pair; quartiles inclusive"),
+        "end_to_end": {w: summarize(runs, metrics)
+                       for w, runs in state["runs"].items() if runs["change"]},
+    }
+    if args.claim:
+        workload, _, metric = args.claim.partition(":")
+        got = doc["end_to_end"].get(workload, {}).get("metrics", {}).get(metric)
+        if got:
+            doc["claim"] = {
+                "workload": workload, "metric": metric,
+                "parent_median": got["parent_median"], "change_median": got["change_median"],
+                "change_over_parent": got["change_over_parent"],
+                "change_wins_pairs": f"{got['change_wins_pairs']} of "
+                                     f"{doc['end_to_end'][workload]['pairs']}",
+                "parent_iqr": got["parent_quartiles"]}
+    for workload, trace in state["traces"].items():
+        add_trace(doc, workload, trace)
+    return doc
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", required=True, help="commit to compare against")
+    p.add_argument("--out", required=True, type=Path)
+    p.add_argument("--pairs", action="append", default=[], help="WORKLOAD:SEEDS")
+    p.add_argument("--trace", action="append", default=[], help="WORKLOAD:SEED")
+    p.add_argument("--seconds", type=float, default=30)
+    p.add_argument("--claim", help="WORKLOAD:METRIC the change claims a gain on")
+    p.add_argument("--what", default="", help="one line on what the change does")
+    args = p.parse_args(argv)
+    metrics = {m["name"]: m for m in
+               json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
+
+    def git(*cmd, cwd=ROOT):
+        return subprocess.run(["git", *cmd], cwd=cwd, check=True, capture_output=True,
+                              text=True).stdout.strip()
+
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_dir = Path(tmp) / "parent"
+        git("clone", "--quiet", "--no-checkout", str(ROOT), str(parent_dir))
+        git("checkout", "--quiet", args.parent, cwd=parent_dir)
+        checkouts = {"parent": parent_dir, "change": ROOT}
+        state = {"parent": git("rev-parse", args.parent), "head": git("rev-parse", "HEAD"),
+                 "runs": {}, "traces": {}}
+        for spec in args.pairs:
+            workload, seeds = parse_seeds(spec)
+            state["runs"][workload] = {"seeds": seeds, "parent": [], "change": []}
+        pair = 0
+        for workload, runs in state["runs"].items():
+            for seed in runs["seeds"]:
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    start = time.monotonic()
+                    runs[side].append(run_bench(checkouts[side], workload, seed,
+                                                args.seconds, 0))
+                    ops = runs[side][-1]["result"]["metrics"]["ops_per_s"]["value"]
+                    print(f"{workload} seed {seed} {side}: ops_per_s {ops:.2f} "
+                          f"({time.monotonic() - start:.0f} s)", file=sys.stderr)
+                pair += 1
+                args.out.write_text(json.dumps(report(args, state, metrics), indent=2) + "\n",
+                                    encoding="utf-8")
+        for spec in args.trace:
+            workload, (seed, *_) = parse_seeds(spec)
+            trace = state["traces"][workload] = {"seed": seed}
+            for side in SIDES:
+                trace[side] = run_bench(checkouts[side], workload, seed, args.seconds, 1)
+            args.out.write_text(json.dumps(report(args, state, metrics), indent=2) + "\n",
+                                encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,6 +7,7 @@ before the built-in multi/lax/ratio defaults.
 """
 
 import argparse
+import functools
 import inspect
 import os
 import sys
@@ -147,8 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of `main` and reused: parsing
+    leaves it unchanged, and the environment defaults are read per call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (InputError, ParseError, OSError) as exc:

@@ -6,13 +6,20 @@ Multistructures are line oriented: a `domain:` line of values with optional
 `*mult` suffixes, then one `rel NAME/ARITY:` line of parenthesized value
 tuples per relation.  Dumps are canonical - rows and values in sorted order,
 zero-multiplicity rows dropped - so loading a dump reproduces the input up to
-canonicalization and dumps are diffable.
+canonicalization and dumps are diffable.  A multiteam whose CSV would not
+load back equal is refused by `dump_multiteam` (see there).
+
+A CSV multiteam is read in one pass straight into the table a `Multiteam`
+keeps: each row's fields are taken in sorted-variable order as it is read,
+stripped and checked, and duplicate rows are summed, so no row is coerced a
+second time.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _stringio
+from operator import itemgetter
 
 from .errors import InputError, ParseError
 from .model import Multiset, Multiteam, Multistructure
@@ -30,22 +37,28 @@ def load_multiteam(text: str) -> Multiteam:
     except StopIteration:
         raise ParseError("multiteam CSV needs a header row") from None
     header = [h.strip() for h in header]
+    width = len(header)
     counted = bool(header) and header[-1] == COUNT_COLUMN
     variables = header[:-1] if counted else header
     if len(set(variables)) != len(variables):
         raise ParseError(f"duplicate variable names in header {header!r}")
     if COUNT_COLUMN in variables:
         raise ParseError(f"{COUNT_COLUMN} may only be the final column")
+    svars = tuple(sorted(variables))
+    # one getter takes a row's values in sorted-variable order, count last
+    order = [variables.index(x) for x in svars] + ([width - 1] if counted else [])
+    permute = itemgetter(*order) if len(order) > 1 else (
+        lambda row: tuple(row[i] for i in order))
     table: dict[tuple[str, ...], int] = {}
     for lineno, row in enumerate(reader, 2):
         if not row:
             continue
-        row = [v.strip() for v in row]
-        if len(row) != len(header):
+        if len(row) != width:
             raise ParseError(
-                f"row has {len(row)} fields, header has {len(header)}", line=lineno)
+                f"row has {len(row)} fields, header has {width}", line=lineno)
+        fields = tuple(map(str.strip, permute(row)))
         if counted:
-            values, count_text = tuple(row[:-1]), row[-1]
+            values, count_text = fields[:-1], fields[-1]
             try:
                 count = int(count_text)
             except ValueError:
@@ -54,13 +67,30 @@ def load_multiteam(text: str) -> Multiteam:
             if count < 0:
                 raise ParseError(f"count {count} is negative", line=lineno)
         else:
-            values, count = tuple(row), 1
+            values, count = fields, 1
         table[values] = table.get(values, 0) + count
-    return Multiteam(variables, table)
+    return Multiteam._from_table(svars, table)
+
+
+def _check_writable(text: str, what: str) -> None:
+    """Refuse a name or value the loader would not read back as itself: it
+    strips every field, and csv reads a bare carriage return as a line end."""
+    if text != text.strip() or "\r" in text:
+        raise InputError(f"{what} {text!r} cannot be written as CSV that loads back: "
+                         f"it has leading or trailing whitespace or a carriage return")
 
 
 def dump_multiteam(t: Multiteam) -> str:
-    """Canonical CSV text for a multiteam, always with a #count column."""
+    """Canonical CSV text for a multiteam, always with a #count column.  Only
+    what loads back equal is written: a variable named #count, or a name or
+    value with leading or trailing whitespace or a carriage return, raises
+    InputError."""
+    if COUNT_COLUMN in t.variables:
+        raise InputError(f"a variable named {COUNT_COLUMN} cannot be written as CSV")
+    for x in t.variables:
+        _check_writable(x, "variable name")
+    for v in sorted(t.values_used()):
+        _check_writable(v, "value")
     out = _stringio.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(t.variables) + [COUNT_COLUMN])

@@ -87,6 +87,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from . import atoms
@@ -168,23 +169,6 @@ def _validate(structure: Multistructure, team: Multiteam, f: Formula,
                 raise InputError("fractional bound requires approx_kind='ratio'")
 
 
-def _extender(variables: tuple[str, ...], var: str):
-    """New sorted variable tuple and a key builder for extending rows by var."""
-    if var in variables:
-        p = variables.index(var)
-        new_vars = variables
-
-        def place(key, value):
-            return key[:p] + (value,) + key[p + 1:]
-    else:
-        p = bisect_left(variables, var)
-        new_vars = variables[:p] + (var,) + variables[p:]
-
-        def place(key, value):
-            return key[:p] + (value,) + key[p:]
-    return new_vars, place
-
-
 Counts = tuple[int, ...]  # one multiplicity per row of a row space
 
 
@@ -221,19 +205,42 @@ class _Space:
 class _Extension:
     """A row space's rows extended by var taking each domain value: the
     child space of every such row, and for each row i and value j the child
-    row targets[i][j] it extends to."""
+    row targets[i][j] it extends to.
+
+    The child rows are listed in sorted order without sorting them.  The
+    parent's keys are sorted and distinct (every space's are), so the rows
+    sharing a prefix before var's slot p are consecutive, and an extended
+    row is prefix + (value,) + suffix, where the suffix is what follows slot
+    p (a new var) or slot p itself (a rebound var).  Per prefix, in parent
+    order, the child rows are every value in sorted order, each with every
+    distinct suffix in sorted order.  For a new var the suffixes come sorted
+    and distinct, so sorting them is one linear pass; for a rebound var the
+    same sort merges and dedupes the runs of each old value."""
 
     __slots__ = ("space", "targets", "mults")
 
     def __init__(self, parent: _Space, var: str, dom: Multiset):
-        new_vars, place = _extender(parent.variables, var)
-        values = dom.items()
-        placed = [[place(k, v) for v, _ in values] for k in parent.keys]
-        keys = sorted({k for row in placed for k in row})
-        where = {k: i for i, k in enumerate(keys)}
+        variables = parent.variables
+        rebound = var in variables
+        p = variables.index(var) if rebound else bisect_left(variables, var)
+        q = p + rebound  # where the suffix starts in a parent key
+        values = [(v,) for v, _ in dom.items()]
+        keys: list[tuple[str, ...]] = []
+        targets: list[list[int]] = []
+        for prefix, group in itertools.groupby(parent.keys, itemgetter(slice(p))):
+            suffixes = [k[q:] for k in group]
+            distinct = sorted(dict.fromkeys(suffixes))
+            width = len(distinct)
+            at = {s: i for i, s in enumerate(distinct, len(keys))}
+            stop = width * len(values)
+            targets += [list(range(at[s], at[s] + stop, width)) for s in suffixes]
+            for value in values:
+                head = prefix + value
+                keys += [head + s for s in distinct]
+        new_vars = variables if rebound else variables[:p] + (var,) + variables[p:]
         self.space = _Space(new_vars, keys)
-        self.targets = [[where[k] for k in row] for row in placed]
-        self.mults = [n for _, n in values]
+        self.targets = targets
+        self.mults = [n for _, n in dom.items()]
 
     def supplements(self, counts: Counts, strict: bool, flat: bool) -> Iterator[Counts]:
         """Each distinct supplement of the team counted by counts, in the
@@ -479,7 +486,7 @@ class _Eval:
     A node that fails returns False; one that holds returns True, or in a run
     for `witness` (explain set) the Witness of its first successful choice."""
 
-    __slots__ = ("structure", "cfg", "cache", "explain", "closed", "nodes")
+    __slots__ = ("structure", "cfg", "cache", "explain", "closed", "nodes", "projections")
 
     def __init__(self, structure: Multistructure, cfg: SemanticsConfig, use_cache: bool,
                  explain: bool = False):
@@ -489,6 +496,7 @@ class _Eval:
         self.explain = explain
         self.closed: dict[int, tuple[Formula, bool]] = {}
         self.nodes: dict[tuple[int, _Space], _Node] = {}
+        self.projections: dict[tuple[int, _Space], tuple[Formula, atoms.Rows]] = {}
 
     def search(self, f: Formula, team: Multiteam):
         """Run f on team; also return the team's space and vector."""
@@ -497,6 +505,7 @@ class _Eval:
             return self.run(self.node(f, space), counts), space, counts
         finally:  # the nodes' tests call back into this run: drop them
             self.nodes.clear()
+            self.projections.clear()
             if self.cache is not None:
                 self.cache.clear()
 
@@ -557,11 +566,18 @@ class _Eval:
         return [i for i, k in enumerate(space.keys)
                 if self.structure.has(f.name, tuple(k[j] for j in pos)) != want]
 
-    @staticmethod
-    def _project(f: Formula, space: _Space) -> atoms.Rows:
-        """The rows of space projected onto the dependency atom f's groups."""
-        groups = (f.xs, f.ys, f.zs) if isinstance(f, (CI, PCI)) else (f.xs, f.ys)
-        return atoms.project(space.keys, [[space.index[x] for x in g] for g in groups])
+    def _project(self, f: Formula, space: _Space) -> atoms.Rows:
+        """The rows of space projected onto the dependency atom f's groups,
+        once per run for each pair: an atom that is both a node and a
+        condition of the walks above it is projected once.  Memoized by
+        node identity, holding the node so that its id is not reused."""
+        key = (id(f), space)
+        got = self.projections.get(key)
+        if got is None:
+            groups = (f.xs, f.ys, f.zs) if isinstance(f, (CI, PCI)) else (f.xs, f.ys)
+            got = self.projections[key] = (f, atoms.project(
+                space.keys, [[space.index[x] for x in g] for g in groups]))
+        return got[1]
 
     def _prune(self, space: _Space, y_side: Formula,
                z_side: Optional[Formula] = None) -> Optional[_Prune]:

@@ -5,12 +5,15 @@ vectors: every candidate split, supplement and part is built as a
 `Multiteam`, the atoms read `Multiteam` rows, and the memo cache is keyed by
 (subformula, multiteam).  It applies the same closure-aware cuts in the same
 order, so it finds the same witness trees; `reference_witness` is its
-counterpart of `semantics.witness`.
+counterpart of `semantics.witness`.  `reference_extension` is the
+sort-based construction of an extended row space that `semantics._Extension`
+replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
 from multiteam.approx import _bound_as_threshold
 from multiteam.errors import InputError
@@ -18,9 +21,38 @@ from multiteam.formula import (CI, PCI, And, Dep, Eq, Excl, Exists, ExistsFrac,
                                Forall, ForallFrac, ImplFrac, Inc, Neq, NegRel,
                                Or, PInc, Rel)
 from multiteam.model import Multiteam
-from multiteam.semantics import SemanticsConfig, Witness, _extender, _validate
+from multiteam.semantics import SemanticsConfig, Witness, _validate
 
 _CLOSED_ATOMS = (Eq, Neq, Rel, NegRel, Dep, Excl)
+
+
+# --- extending rows by a variable ---
+
+def _extender(variables, var):
+    """New sorted variable tuple and a key builder for extending rows by var."""
+    if var in variables:
+        p = variables.index(var)
+        new_vars = variables
+
+        def place(key, value):
+            return key[:p] + (value,) + key[p + 1:]
+    else:
+        p = bisect_left(variables, var)
+        new_vars = variables[:p] + (var,) + variables[p:]
+
+        def place(key, value):
+            return key[:p] + (value,) + key[p:]
+    return new_vars, place
+
+
+def reference_extension(variables, keys, var, dom):
+    """The child variables, sorted child keys and per-row targets of keys
+    extended by var over dom, by sorting every extended key."""
+    new_vars, place = _extender(variables, var)
+    placed = [[place(k, v) for v, _ in dom.items()] for k in keys]
+    child = sorted({k for row in placed for k in row})
+    where = {k: i for i, k in enumerate(child)}
+    return new_vars, child, [[where[k] for k in row] for row in placed]
 
 
 # --- enumerators, one Multiteam per candidate ---

@@ -1,7 +1,13 @@
 """Tests for the command-line front end."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from multiteam import cli
 from multiteam.cli import main
 
 FIG1_TEAM = "x,y,#count\n0,0,2\n0,1,1\n1,0,1\n1,1,1\n"
@@ -167,3 +173,44 @@ def test_law_suites_run_from_the_command_line(workspace, capsys):
                         "--max-clauses", "1", "--max-clauses2", "1",
                         "--jobs", "1"], capsys)
     assert code == 0 and "reductions: pass" in out
+
+
+def fresh_process(argv, env_extra=()):
+    """main in a new interpreter, as the `multiteam` command runs it."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MULTITEAM_")}
+    env.update(env_extra, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from multiteam.cli import main; sys.exit(main(sys.argv[1:]))",
+         *map(str, argv)], env=env, capture_output=True, text=True)
+    return done.returncode, done.stdout
+
+
+def test_one_parser_serves_every_call_in_a_process(workspace, capsys, monkeypatch):
+    for name in [k for k in os.environ if k.startswith("MULTITEAM_")]:
+        monkeypatch.delenv(name)
+    s012, fig2 = workspace / "structure012.txt", workspace / "fig2flat.csv"
+    base = ["check", s012, "inc(x;z) | inc(y;z)", "--team", fig2]
+    calls = [
+        (base + ["--witness"], {}),
+        (base, {}),
+        (base + ["--team-kind", "set"], {}),
+        (base + ["--team-kind", "bogus"], {}),  # a usage error: exit 2
+        (base + ["--team-kind", "multi", "--strictness", "strict"], {}),
+        (base + ["--witness"], {"MULTITEAM_STRICTNESS": "strict"}),
+        (base, {}),
+    ]
+    codes = []
+    for argv, env in calls:
+        with monkeypatch.context() as m:
+            for name, value in env.items():
+                m.setenv(name, value)
+            try:
+                code = main([str(a) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+        out = capsys.readouterr().out
+        assert (code, out) == fresh_process(argv, env), argv
+        codes.append(code)
+    assert codes == [0, 0, 0, 2, 1, 1, 0]

@@ -1,5 +1,9 @@
 """Round trips and rejection cases for the two text formats."""
 
+import csv
+import io
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -96,14 +100,130 @@ def test_structure_rejections():
 
 
 VALUES = st.text(alphabet="abc012", min_size=1, max_size=3)
+#: Letters, digits, space and the characters CSV quotes or the format reserves.
+CSV_TEXT = st.text(alphabet="ab01 #,\"", max_size=4)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.tuples(VALUES, VALUES),
-                       st.integers(min_value=1, max_value=9), max_size=5))
-def test_multiteam_round_trip(rows):
-    t = Multiteam(("x", "y"), rows)
-    assert load_multiteam(dump_multiteam(t)) == t
+def _loads_back(text):
+    return text == text.strip()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(CSV_TEXT, max_size=3, unique=True).flatmap(
+    lambda names: st.tuples(st.just(names), st.dictionaries(
+        st.tuples(*[CSV_TEXT] * len(names)), st.integers(min_value=1, max_value=9),
+        max_size=4))))
+def test_multiteam_round_trip(drawn):
+    names, rows = drawn
+    t = Multiteam(names, rows)
+    writable = ("#count" not in names and all(map(_loads_back, names))
+                and all(_loads_back(v) for key in rows for v in key))
+    if writable:
+        assert load_multiteam(dump_multiteam(t)) == t
+    else:
+        with pytest.raises(InputError):
+            dump_multiteam(t)
+
+
+def test_dumps_that_would_not_load_back_are_refused():
+    for t in (Multiteam(("#count", "x"), {("1", "a"): 2}),
+              Multiteam(("x",), {(" padded ",): 1}),
+              Multiteam((" x",), {("a",): 1}),
+              Multiteam(("x",), {("a\rb",): 1})):
+        with pytest.raises(InputError):
+            dump_multiteam(t)
+    quoted = Multiteam(("x,y", '"q"'), {("a b", ',"#'): 2, ("", "#count"): 1})
+    assert load_multiteam(dump_multiteam(quoted)) == quoted
+
+
+# --- the one-pass loader against the loader it replaced ---
+
+def reference_load(text):
+    """The CSV loader before rows were read into the sorted-column table:
+    every row is parsed into a dict keyed in header order, then coerced
+    again by the Multiteam constructor."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("multiteam CSV needs a header row") from None
+    header = [h.strip() for h in header]
+    counted = bool(header) and header[-1] == "#count"
+    variables = header[:-1] if counted else header
+    if len(set(variables)) != len(variables):
+        raise ParseError(f"duplicate variable names in header {header!r}")
+    if "#count" in variables:
+        raise ParseError("#count may only be the final column")
+    table = {}
+    for lineno, row in enumerate(reader, 2):
+        if not row:
+            continue
+        row = [v.strip() for v in row]
+        if len(row) != len(header):
+            raise ParseError(
+                f"row has {len(row)} fields, header has {len(header)}", line=lineno)
+        if counted:
+            values, count_text = tuple(row[:-1]), row[-1]
+            try:
+                count = int(count_text)
+            except ValueError:
+                raise ParseError(
+                    f"count {count_text!r} is not an integer", line=lineno) from None
+            if count < 0:
+                raise ParseError(f"count {count} is negative", line=lineno)
+        else:
+            values, count = tuple(row), 1
+        table[values] = table.get(values, 0) + count
+    return Multiteam(variables, table)
+
+
+def _padded(rng, text):
+    return rng.choice(("", " ", "  ", "\t")) + text + rng.choice(("", " ", "\t "))
+
+
+def random_csv(rng):
+    """CSV text with shuffled headers, duplicate, blank and ragged rows,
+    padded fields, zero and bad counts, and teams of zero variables."""
+    names = rng.sample(["x", "y", "z", "b1", "a"], rng.randint(0, 4))
+    if names and rng.random() < 0.05:
+        names.append(rng.choice(names))  # a duplicate name
+    if rng.random() < 0.05:
+        names.insert(rng.randint(0, len(names)), "#count")  # not last
+    counted = rng.random() < 0.5
+    header = names + (["#count"] if counted else [])
+    lines = [",".join(_padded(rng, h) for h in header)]
+    for _ in range(rng.randint(0, 8)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append("")
+            continue
+        width = len(header) + (rng.choice((-1, 1)) if roll < 0.15 else 0)
+        fields = [_padded(rng, rng.choice(("0", "1", "v", '"q,r"', ""))) for _ in range(width)]
+        if counted and width == len(header) and width:
+            fields[-1] = _padded(rng, rng.choice(
+                ("0", "1", "2", "3", "007", "-1", "two", "", "1_0")))
+        lines.append(",".join(fields))
+    return "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
+
+
+def _outcome(load, text):
+    try:
+        t = load(text)
+    except (InputError, ParseError) as exc:
+        return type(exc), str(exc)
+    return t.variables, list(t._rows.items()), hash(t)
+
+
+def test_the_one_pass_loader_reads_what_the_old_loader_read():
+    rng = random.Random(10)
+    texts = ["", "\n", "#count\n3\n\n0\n", "x\n\n\n", "#count\n"]
+    texts += [random_csv(rng) for _ in range(3000)]
+    failed = 0
+    for text in texts:
+        want = _outcome(reference_load, text)
+        assert _outcome(load_multiteam, text) == want, text
+        failed += isinstance(want[0], type)
+    assert 300 < failed < 2700  # both the errors and the teams are exercised
 
 
 @settings(max_examples=100, deadline=None)

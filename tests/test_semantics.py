@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiteam import cli
+from multiteam import atoms, cli
 from multiteam.approx import part_vectors
 from multiteam.errors import InputError
 from multiteam.formula import (And, Dep, Eq, Exists, ExistsFrac, Forall,
@@ -22,11 +22,11 @@ from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
 from multiteam.reductions import (CnfFormula, encode_3sat, encode_maxsat,
                                   maxsat_oracle, sat_oracle)
-from multiteam.semantics import (SemanticsConfig, _Eval, _extender, _Prune, _Space,
+from multiteam.semantics import (SemanticsConfig, _Eval, _Extension, _Prune, _Space,
                                  _split_vectors, _walk, enum_or_splits,
                                  enum_supplements, evaluate,
                                  evaluate_classical, extend_universal, witness)
-from reference_eval import reference_witness
+from reference_eval import _extender, reference_extension, reference_witness
 
 STRUCT01 = Multistructure({"0": 1, "1": 1}, {"R": (1, [("0",)])})
 STRUCT012 = Multistructure({"0": 1, "1": 1, "2": 1})
@@ -140,6 +140,26 @@ def test_rebinding_a_variable_overwrites_it():
     assert out.variables == ("x", "y")
     assert out.mult(("0", "0")) == 2
     assert out.size == 4
+
+
+def test_extended_rows_are_listed_as_the_sort_lists_them():
+    # the child space is built in order, without sorting its rows; the
+    # sort-based construction it replaced gives the same keys and targets
+    rng = random.Random(7)
+    pool = ("b", "d", "f", "h")
+    for _ in range(1500):
+        variables = tuple(sorted(rng.sample(pool, rng.randint(0, 4))))
+        values = ["0", "1", "2", "q"][:rng.randint(1, 4)]  # "q" lies outside dom
+        keys = sorted({tuple(rng.choice(values) for _ in variables)
+                       for _ in range(rng.randint(0, 12))})
+        dom = Multiset({v: rng.randint(1, 3) for v in rng.sample(("0", "1", "2"),
+                                                                rng.randint(1, 3))})
+        for var in ("a", "c", "e", "z") + variables:  # new first, middle, last; rebound
+            ext = _Extension(_Space(variables, keys), var, dom)
+            want = reference_extension(variables, keys, var, dom)
+            assert (ext.space.variables, ext.space.keys, ext.targets) == want, (
+                variables, keys, var, dom)
+            assert ext.mults == [n for _, n in dom.items()]
 
 
 # --- brute-force supplement oracle: enumerate the choice functions ---
@@ -463,6 +483,33 @@ def test_prefix_pruning_bounds_the_work_on_unsatisfiable_encodings(monkeypatch):
             calls.clear()
             assert not evaluate(inst.structure, inst.team, inst.formula, cfg)
             assert 0 < len(calls) <= 3 ** 7, (str(inst.formula), cfg, len(calls))
+
+
+def test_each_atom_is_projected_once_per_run(monkeypatch):
+    # in the MAX-2SAT formula one dep atom is a node's own test and a
+    # condition of the walks on both sides above it; it is projected once
+    _, inst = unsatisfiable_encodings()
+    looked_up, projected = [], []
+    lookup, project = _Eval._project, atoms.project
+
+    def recording_lookup(self, f, space):
+        looked_up.append((f, space))
+        return lookup(self, f, space)
+
+    def recording_project(keys, positions):
+        projected.append(positions)
+        return project(keys, positions)
+
+    monkeypatch.setattr(_Eval, "_project", recording_lookup)
+    monkeypatch.setattr(atoms, "project", recording_project)
+    for cfg in (LAX_MULTI, STRICT_MULTI):
+        looked_up.clear()
+        projected.clear()
+        run = _Eval(inst.structure, cfg, True)
+        assert not run.search(inst.formula, inst.team)[0]
+        pairs = {(id(f), space) for f, space in looked_up}
+        assert len(projected) == len(pairs) < len(looked_up)
+        assert not run.projections  # dropped with the nodes
 
 
 def test_two_thousand_rows_are_walked_without_recursion(tmp_path, capsys):
