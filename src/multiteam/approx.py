@@ -5,14 +5,13 @@ implication a ->{p} b, which the evaluator in `semantics` searches with it.
 All three quantify over submultiteams whose size meets a bound: at least
 p*|t| for a fractional threshold, at least k rows for an absolute one.  The
 comparison is exact rational arithmetic, |Y|*den >= num*|t|, so boundary
-cases like 2/3 of 3 are decided correctly.  Submultiteams differing only in
-zero-multiplicity carrier rows are canonically equal and enumerated once.
-Parts are generated size by size, one count vector at a time, so the first
-part costs time linear in the rows however many parts there are.  The
-evaluator walks these vectors (`part_vectors`) over its row space, or the
-same vectors pruned row by row when the body has a literal or `dep` to
-test on each prefix (`semantics._walk`); `enum_bounded_submultisets` is
-the plain walk read out as `Multiteam`s.
+cases like 2/3 of 3 are decided correctly.  Parts are generated size by
+size, one count vector at a time, so the first part costs time linear in
+the rows however many parts there are.  The evaluator walks these vectors
+(`part_vectors`) over its row space, or the same vectors pruned row by row
+when the body has a literal or `dep` to test on each prefix
+(`semantics._walk`); `enum_bounded_submultisets` is the plain walk read out
+as `Multiteam`s.
 """
 
 from __future__ import annotations

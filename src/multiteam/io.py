@@ -4,15 +4,16 @@ Multiteams are CSV: a header of variable names, optionally ending in a
 `#count` column holding decimal multiplicities (absent means 1 per row).
 Multistructures are line oriented: a `domain:` line of values with optional
 `*mult` suffixes, then one `rel NAME/ARITY:` line of parenthesized value
-tuples per relation.  Dumps are canonical - rows and values in sorted order,
-zero-multiplicity rows dropped - so loading a dump reproduces the input up to
-canonicalization and dumps are diffable.  A multiteam whose CSV would not
-load back equal is refused by `dump_multiteam` (see there).
+tuples per relation.  Dumps are canonical - rows and values in sorted
+order - so dumps are diffable and a dump loads back as an equal multiteam or
+multistructure; what would not load back equal is refused with InputError
+(see `dump_multiteam` and `dump_structure`).
 
 A CSV multiteam is read in one pass straight into the table a `Multiteam`
 keeps: each row's fields are taken in sorted-variable order as it is read,
 stripped and checked, and duplicate rows are summed, so no row is coerced a
-second time.
+second time.  A row counted 0 is checked like any other and then not
+stored, as a `Multiteam` holds only counted rows.
 """
 
 from __future__ import annotations
@@ -30,8 +31,17 @@ COUNT_COLUMN = "#count"
 
 
 def load_multiteam(text: str) -> Multiteam:
-    """Parse the CSV multiteam format."""
+    """Parse the CSV multiteam format.  A record csv cannot read (a bare
+    carriage return in a field, a field over csv's size limit) is a
+    ParseError at the reader's physical line."""
     reader = csv.reader(_stringio.StringIO(text))
+    try:
+        return _read_multiteam(reader)
+    except csv.Error as exc:
+        raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
+
+
+def _read_multiteam(reader) -> Multiteam:
     try:
         header = next(reader)
     except StopIteration:
@@ -69,6 +79,8 @@ def load_multiteam(text: str) -> Multiteam:
         else:
             values, count = fields, 1
         table[values] = table.get(values, 0) + count
+    if 0 in table.values():  # a scan in C; rebuild only when a row sums to 0
+        table = {k: c for k, c in table.items() if c}
     return Multiteam._from_table(svars, table)
 
 
@@ -173,8 +185,26 @@ def load_structure(text: str) -> Multistructure:
     return Multistructure(domain, relations)
 
 
+def _refuse(what: str, text: str, why: str):
+    raise InputError(f"{what} {text!r} cannot be written as text that loads back: {why}")
+
+
 def dump_structure(a: Multistructure) -> str:
-    """Canonical text for a multistructure."""
+    """Canonical text for a multistructure.  Only what loads back equal is
+    written: a domain value that is empty or has whitespace or `*`, a `,` in
+    a value some tuple holds, and a relation name that is empty or has `:`,
+    `/`, a line break or leading or trailing whitespace raise InputError."""
+    for value in a.domain.support:
+        if value.split() != [value] or "*" in value:
+            _refuse("domain value", value, "it is empty or has whitespace or '*'")
+    for name, (_, tuples) in sorted(a.relations.items()):
+        if (name.splitlines() != [name] or name != name.strip()
+                or ":" in name or "/" in name):
+            _refuse("relation name", name, "it is empty or has ':', '/', a line "
+                    "break or leading or trailing whitespace")
+        comma = min((v for tup in tuples for v in tup if "," in v), default=None)
+        if comma is not None:
+            _refuse("tuple value", comma, "it has ','")
     entries = []
     for value, mult in a.domain.items():
         entries.append(value if mult == 1 else f"{value}*{mult}")

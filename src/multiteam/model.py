@@ -5,8 +5,9 @@ in the package is deterministic and reproducible.  Multiplicities are Python
 ints (arbitrary precision) and probabilities are exact `fractions.Fraction`s;
 no floating point appears anywhere.  All types are immutable after
 construction and hashable, so they can be shared between evaluators and used
-as cache keys.  Zero multiplicities may be stored for notational convenience;
-equality and subset checks always canonicalize first.
+as cache keys.  Zero multiplicities may be written for notational
+convenience but are never stored: a multiset or multiteam holds only its
+counted values or rows, so it is fixed by its positive counts.
 """
 
 from __future__ import annotations
@@ -72,20 +73,12 @@ class Multiset:
         """(value, multiplicity) pairs in sorted value order."""
         return sorted(self._entries.items())
 
-    def canonical_set(self) -> frozenset[tuple[str, int]]:
-        """The set of (value, occurrence-index) pairs unfolding the multiset."""
-        return frozenset((v, i) for v, m in self._entries.items() for i in range(1, m + 1))
-
     def disjoint_union(self, other: "Multiset") -> "Multiset":
         """Additive union: each value's count is the sum of the two counts."""
         counts = dict(self._entries)
         for v, m in other._entries.items():
             counts[v] = counts.get(v, 0) + m
         return Multiset(counts)
-
-    def issubmset(self, other: "Multiset") -> bool:
-        """Componentwise <=, equivalent to inclusion of canonical set representatives."""
-        return all(m <= other.mult(v) for v, m in self._entries.items())
 
     def __contains__(self, v: str) -> bool:
         return self.mult(v) >= 1
@@ -171,9 +164,9 @@ def _check_value_var(var) -> str:
 class Multiteam:
     """A multiset of assignments over a fixed variable domain.
 
-    Rows are stored positionally against the sorted variable tuple.  The
-    carrier may contain zero-multiplicity rows; equality, hashing and subset
-    checks ignore them, while `carrier_items` and `weak_flattening` keep them.
+    Rows are stored positionally against the sorted variable tuple.  Only
+    rows counted at least once are stored: the constructor checks a row
+    given with multiplicity 0 like any other and then leaves it out.
     """
 
     __slots__ = ("_vars", "_rows", "_size", "_hash")
@@ -192,7 +185,8 @@ class Multiteam:
         def add(row, mult):
             key = self._coerce_row(row, vars_in, svars, perm)
             _check_mult(row, mult)
-            table[key] = table.get(key, 0) + mult
+            if mult:
+                table[key] = table.get(key, 0) + mult
 
         if isinstance(rows, Mapping):
             for row, mult in rows.items():
@@ -200,11 +194,7 @@ class Multiteam:
         else:
             for row in rows:
                 add(row, 1)
-        object.__setattr__(self, "_vars", svars)
-        object.__setattr__(self, "_rows", table)
-        object.__setattr__(self, "_size", sum(table.values()))
-        canon = frozenset((k, m) for k, m in table.items() if m > 0)
-        object.__setattr__(self, "_hash", hash((svars, canon)))
+        self._set(svars, table)
 
     @staticmethod
     def _coerce_row(row, vars_in, svars, perm) -> tuple[str, ...]:
@@ -219,15 +209,18 @@ class Multiteam:
             raise InputError(f"row {values!r} has {len(values)} values for {len(vars_in)} variables")
         return tuple(values[i] for i in perm)
 
+    def _set(self, svars: tuple[str, ...], table: dict[tuple[str, ...], int]) -> None:
+        object.__setattr__(self, "_vars", svars)
+        object.__setattr__(self, "_rows", table)
+        object.__setattr__(self, "_size", sum(table.values()))
+        object.__setattr__(self, "_hash", hash((svars, frozenset(table.items()))))
+
     @classmethod
     def _from_table(cls, svars: tuple[str, ...], table: dict[tuple[str, ...], int]) -> "Multiteam":
-        """Internal fast path: table must already be keyed by svars order."""
+        """Internal fast path: table must already be keyed by svars order and
+        hold no zero counts."""
         mt = cls.__new__(cls)
-        object.__setattr__(mt, "_vars", svars)
-        object.__setattr__(mt, "_rows", table)
-        object.__setattr__(mt, "_size", sum(table.values()))
-        canon = frozenset((k, m) for k, m in table.items() if m > 0)
-        object.__setattr__(mt, "_hash", hash((svars, canon)))
+        mt._set(svars, table)
         return mt
 
     @classmethod
@@ -262,15 +255,11 @@ class Multiteam:
         return tuple(self.position(x) for x in variables)
 
     def row_items(self) -> list[tuple[tuple[str, ...], int]]:
-        """Rows with multiplicity >= 1 as (value-tuple, mult), sorted."""
-        return sorted((k, m) for k, m in self._rows.items() if m > 0)
-
-    def carrier_items(self) -> list[tuple[tuple[str, ...], int]]:
-        """All stored rows including zero-multiplicity ones, sorted."""
+        """Rows as (value-tuple, mult), sorted."""
         return sorted(self._rows.items())
 
     def rows(self) -> Iterator[tuple[Assignment, int]]:
-        """(assignment, multiplicity) pairs with multiplicity >= 1, in sorted order."""
+        """(assignment, multiplicity) pairs in sorted row order."""
         for key, m in self.row_items():
             yield self.assignment(key), m
 
@@ -282,22 +271,21 @@ class Multiteam:
         return self._rows.get(key, 0)
 
     def support(self) -> "Multiteam":
-        """Rows with multiplicity >= 1, each set to multiplicity exactly 1."""
-        return Multiteam._from_table(self._vars, {k: 1 for k, m in self._rows.items() if m > 0})
+        """Every row, each set to multiplicity exactly 1."""
+        return Multiteam._from_table(self._vars, dict.fromkeys(self._rows, 1))
 
     def weak_flattening(self) -> "Multiteam":
-        """Like support, but retains zero-multiplicity rows in the carrier."""
-        return Multiteam._from_table(
-            self._vars, {k: (1 if m > 0 else 0) for k, m in self._rows.items()})
+        """The paper's name for the support: every row counted once."""
+        return self.support()
 
     def select(self, variables: Sequence[str], values: Sequence[str]) -> "Multiteam":
-        """Same carrier; multiplicity kept on rows where s(variables) = values, zero elsewhere."""
+        """The rows where s(variables) = values, with their multiplicities."""
         if len(variables) != len(values):
             raise InputError("select needs as many values as variables")
         pos = self.positions(variables)
         vals = tuple(values)
-        table = {k: (m if tuple(k[i] for i in pos) == vals else 0)
-                 for k, m in self._rows.items()}
+        table = {k: m for k, m in self._rows.items()
+                 if tuple(k[i] for i in pos) == vals}
         return Multiteam._from_table(self._vars, table)
 
     def count(self, variables: Sequence[str], values: Sequence[str]) -> int:
@@ -306,8 +294,7 @@ class Multiteam:
             raise InputError("count needs as many values as variables")
         pos = self.positions(variables)
         vals = tuple(values)
-        return sum(m for k, m in self._rows.items()
-                   if m > 0 and tuple(k[i] for i in pos) == vals)
+        return sum(m for k, m in self._rows.items() if tuple(k[i] for i in pos) == vals)
 
     def restrict(self, variables: Iterable[str]) -> "Multiteam":
         """Project rows onto a subset of the variables, summing multiplicities."""
@@ -335,23 +322,12 @@ class Multiteam:
             table[k] = table.get(k, 0) + m
         return Multiteam._from_table(self._vars, table)
 
-    def issubmteam(self, other: "Multiteam") -> bool:
-        """Componentwise multiplicity <=; requires equal variable domains."""
-        if self._vars != other._vars:
-            raise InputError(
-                f"submultiset test needs equal variable domains, got {self._vars!r} and {other._vars!r}")
-        return all(m <= other._rows.get(k, 0) for k, m in self._rows.items() if m > 0)
-
-    def canonical(self) -> "Multiteam":
-        """Drop zero-multiplicity rows from the carrier."""
-        return Multiteam._from_table(self._vars, {k: m for k, m in self._rows.items() if m > 0})
-
     def is_flat(self) -> bool:
-        """True when every stored multiplicity is 0 or 1."""
+        """True when every multiplicity is 1."""
         return all(m <= 1 for m in self._rows.values())
 
     def values_used(self) -> set[str]:
-        return {v for k, m in self._rows.items() if m > 0 for v in k}
+        return {v for k in self._rows for v in k}
 
     def __bool__(self) -> bool:
         return self._size > 0
@@ -359,18 +335,14 @@ class Multiteam:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multiteam):
             return NotImplemented
-        if self._vars != other._vars:
-            return False
-        mine = {k: m for k, m in self._rows.items() if m > 0}
-        theirs = {k: m for k, m in other._rows.items() if m > 0}
-        return mine == theirs
+        return self._vars == other._vars and self._rows == other._rows
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
         head = ",".join(self._vars)
-        body = "; ".join(f"({','.join(k)}):{m}" for k, m in self.carrier_items())
+        body = "; ".join(f"({','.join(k)}):{m}" for k, m in self.row_items())
         return f"Multiteam[{head}]{{{body}}}"
 
 

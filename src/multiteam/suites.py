@@ -83,10 +83,8 @@ def shrink_team(team: Multiteam, still_bad) -> Multiteam:
             for smaller in (0, 1):
                 if smaller >= m:
                     continue
-                table = {k: (smaller if k == key else c)
-                         for k, c in current.row_items()}
                 trimmed = Multiteam(current.variables,
-                                    {k: c for k, c in table.items() if c})
+                                    {**dict(current.row_items()), key: smaller})
                 try:
                     bad = still_bad(trimmed)
                 except InputError:
@@ -102,6 +100,15 @@ def shrink_team(team: Multiteam, still_bad) -> Multiteam:
 
 def _ctx(*pairs) -> tuple[tuple[str, str], ...]:
     return tuple((label, text) for label, text in pairs if text is not None)
+
+
+def _check_team(violations, team, bad, description, *context, structure=None) -> None:
+    """When bad(team) holds, report it: the context, the structure if one is
+    given, and last the team shrunk under bad."""
+    if bad(team):
+        violations.append(Violation(description, _ctx(
+            *context, ("structure", structure and dump_structure(structure)),
+            ("team", dump_multiteam(shrink_team(team, bad))))))
 
 
 def _var_pool(rng, most=3):
@@ -129,28 +136,21 @@ def run_flatness(seed=0, *, trials=500, max_rows=4, max_dom=3, max_depth=4):
 
         for cfg in (LAX_SET, STRICT_SET):
             checks += 1
-            if evaluate(structure, team, f, cfg) != rowwise(team):
-                bad = shrink_team(
-                    team, lambda t: evaluate(structure, t, f, cfg) != rowwise(t))
-                violations.append(Violation(
-                    f"classical formula disagrees with rowwise truth "
-                    f"({cfg.strictness} set semantics)",
-                    _ctx(("formula", str(f)),
-                         ("structure", dump_structure(structure)),
-                         ("team", dump_multiteam(bad)))))
+            _check_team(
+                violations, team,
+                lambda t: evaluate(structure, t, f, cfg) != rowwise(t),
+                f"classical formula disagrees with rowwise truth "
+                f"({cfg.strictness} set semantics)",
+                ("formula", str(f)), structure=structure)
         for scfg, mcfg in ((LAX_SET, LAX_MULTI), (STRICT_SET, STRICT_MULTI)):
             checks += 1
-            if (evaluate(structure, team, f, scfg)
-                    != evaluate(structure, team, f, mcfg)):
-                bad = shrink_team(
-                    team, lambda t: (evaluate(structure, t, f, scfg)
-                                     != evaluate(structure, t, f, mcfg)))
-                violations.append(Violation(
-                    f"set and multiteam runs disagree on a unit-multiplicity "
-                    f"team ({scfg.strictness})",
-                    _ctx(("formula", str(f)),
-                         ("structure", dump_structure(structure)),
-                         ("team", dump_multiteam(bad)))))
+            _check_team(
+                violations, team,
+                lambda t: (evaluate(structure, t, f, scfg)
+                           != evaluate(structure, t, f, mcfg)),
+                f"set and multiteam runs disagree on a unit-multiplicity "
+                f"team ({scfg.strictness})",
+                ("formula", str(f)), structure=structure)
     return SuiteReport("flatness", checks, tuple(violations))
 
 
@@ -177,18 +177,14 @@ def run_locality(seed=0, *, trials=300, max_rows=4, max_dom=3, max_depth=3,
                             | set(rng.sample(spare, rng.randint(0, len(spare))))))
         for cfg in (LAX_MULTI, STRICT_MULTI):
             checks += 1
-            whole = evaluate(structure, team, f, cfg)
-            if whole != evaluate(structure, team.restrict(keep), f, cfg):
-                bad = shrink_team(
-                    team,
-                    lambda t: (evaluate(structure, t, f, cfg)
-                               != evaluate(structure, t.restrict(keep), f, cfg)))
-                violations.append(Violation(
-                    f"restriction to free variables changed the verdict "
-                    f"({cfg.strictness})",
-                    _ctx(("formula", str(f)), ("kept columns", " ".join(keep) or "(none)"),
-                         ("structure", dump_structure(structure)),
-                         ("team", dump_multiteam(bad)))))
+            _check_team(
+                violations, team,
+                lambda t: (evaluate(structure, t, f, cfg)
+                           != evaluate(structure, t.restrict(keep), f, cfg)),
+                f"restriction to free variables changed the verdict "
+                f"({cfg.strictness})",
+                ("formula", str(f)), ("kept columns", " ".join(keep) or "(none)"),
+                structure=structure)
     return SuiteReport("locality", checks, tuple(violations))
 
 
@@ -222,18 +218,13 @@ def run_weakflat(seed=0, *, trials=300, max_rows=4, max_dom=3, max_depth=3,
                 rows=max(team.size, 1), mult=max_mult,
                 dom_size=structure.domain.size, cfgs=(cfg,), budget=100_000)
             checks += 1
-            if (evaluate(structure, team, f, cfg)
-                    != evaluate(structure, team.weak_flattening(), f, cfg)):
-                bad = shrink_team(
-                    team,
-                    lambda t: (evaluate(structure, t, f, cfg)
-                               != evaluate(structure, t.weak_flattening(), f, cfg)))
-                violations.append(Violation(
-                    f"weak flattening changed the verdict of a "
-                    f"multiplicity-blind formula ({cfg.strictness})",
-                    _ctx(("formula", str(f)),
-                         ("structure", dump_structure(structure)),
-                         ("team", dump_multiteam(bad)))))
+            _check_team(
+                violations, team,
+                lambda t: (evaluate(structure, t, f, cfg)
+                           != evaluate(structure, t.weak_flattening(), f, cfg)),
+                f"weak flattening changed the verdict of a "
+                f"multiplicity-blind formula ({cfg.strictness})",
+                ("formula", str(f)), structure=structure)
     for team, f, cfg, on_team, on_flat in _flattening_witnesses():
         structure = Multistructure(sorted(team.values_used()), {})
         checks += 1
@@ -335,27 +326,19 @@ def run_pci_ci(seed=0, *, trials=200, max_rows=3, max_dom=2, max_vars=3,
                                     max_rows=4, max_mult=max_mult)
         xs, ys, zs = generate.random_groups(rng, ("x0", "x1", "x2"), 3)
         checks += 1
-        if eval_pci(team, xs, ys, zs) and not eval_ci(team, xs, ys, zs):
-            bad = shrink_team(team, lambda t: eval_pci(t, xs, ys, zs)
-                              and not eval_ci(t, xs, ys, zs))
-            violations.append(Violation(
-                "product independence held without combinability",
-                _ctx(("groups", f"{xs}; {ys}; {zs}"),
-                     ("team", dump_multiteam(bad)))))
+        _check_team(
+            violations, team,
+            lambda t: eval_pci(t, xs, ys, zs) and not eval_ci(t, xs, ys, zs),
+            "product independence held without combinability",
+            ("groups", f"{xs}; {ys}; {zs}"))
         checks += 1
-        stratum = team.select(("x1",), ("0",))
-        direct = eval_pci(stratum, (), ("x0",), ("x2",))
-        if evaluate(structure, team, guarded) != direct:
-            bad = shrink_team(
-                team,
-                lambda t: (evaluate(structure, t, guarded)
-                           != eval_pci(t.select(("x1",), ("0",)),
-                                       (), ("x0",), ("x2",))))
-            violations.append(Violation(
-                "conditioning on a context value disagrees with the guarded "
-                "split formula",
-                _ctx(("formula", str(guarded)),
-                     ("team", dump_multiteam(bad)))))
+        _check_team(
+            violations, team,
+            lambda t: (evaluate(structure, t, guarded)
+                       != eval_pci(t.select(("x1",), ("0",)), (), ("x0",), ("x2",))),
+            "conditioning on a context value disagrees with the guarded "
+            "split formula",
+            ("formula", str(guarded)))
     return SuiteReport("pci-ci", checks, tuple(violations))
 
 

@@ -303,6 +303,5 @@ def reference_witness(structure, team, f, cfg=None, *, use_cache=True):
     """`semantics.witness` as the reference search answers it."""
     cfg = cfg or SemanticsConfig()
     _validate(structure, team, f, cfg)
-    team = team.canonical()
     return (ReferenceEval(structure, cfg, use_cache, explain=True).run(f, team)
             or Witness(f, team, False, "", ()))

@@ -113,6 +113,18 @@ def test_missing_and_malformed_inputs_exit_two(workspace, capsys):
     assert code == 2
 
 
+def test_csv_the_reader_cannot_read_exits_two(workspace, capsys):
+    # a bare carriage return cannot reach the loader from a file, which the
+    # CLI reads with universal newlines; a field over csv's limit can
+    for text in ("a" * 200_000 + "\n", "x\n0\n" + "a" * 200_000 + "\n"):
+        (workspace / "huge.csv").write_text(text)
+        code, out, err = run([
+            "check", workspace / "structure01.txt", "x=x",
+            "--team", workspace / "huge.csv"], capsys)
+        assert (code, out) == (2, "") and err.startswith("error:")
+        assert "field larger than field limit" in err
+
+
 def test_too_deeply_nested_formulas_exit_two(workspace, capsys):
     deep_parens = "(" * 200 + "x=y" + ")" * 200
     long_chain = " & ".join(["x=y"] * 2000)

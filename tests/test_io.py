@@ -54,6 +54,19 @@ def test_multiteam_csv_rejections():
         load_multiteam("#count,x\n1,0\n")  # count column not final
 
 
+#: (CSV text, line of the error): a bare carriage return in a field, and a
+#: field over csv's size limit in the header and in a data row.
+UNREADABLE_CSV = (("x\na\rb\n", 2), ("a" * 200_000 + "\n", 1),
+                  ("x\n0\n" + "a" * 200_000 + "\n", 3))
+
+
+def test_csv_the_reader_cannot_read_is_a_parse_error():
+    for text, line in UNREADABLE_CSV:
+        with pytest.raises(ParseError) as err:
+            load_multiteam(text)
+        assert err.value.line == line
+
+
 def test_errors_name_the_line_alone_when_the_column_is_unknown():
     with pytest.raises(ParseError) as err:
         load_multiteam("x,#count\n0,-1\n")
@@ -100,6 +113,9 @@ def test_structure_rejections():
 
 
 VALUES = st.text(alphabet="abc012", min_size=1, max_size=3)
+#: Letters, digits, space and the characters the structure format reserves,
+#: half the time drawn from plain values only.
+STRUCTURE_TEXT = st.one_of(VALUES, st.text(alphabet="ab01 *,():/#", min_size=1, max_size=3))
 #: Letters, digits, space and the characters CSV quotes or the format reserves.
 CSV_TEXT = st.text(alphabet="ab01 #,\"", max_size=4)
 
@@ -226,11 +242,33 @@ def test_the_one_pass_loader_reads_what_the_old_loader_read():
     assert 300 < failed < 2700  # both the errors and the teams are exercised
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.dictionaries(VALUES, st.integers(min_value=1, max_value=5),
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(STRUCTURE_TEXT, st.integers(min_value=1, max_value=5),
                        min_size=1, max_size=4),
-       st.lists(VALUES, max_size=3))
-def test_structure_round_trip(domain, unary):
-    a = Multistructure(domain,
-                       {"R": (1, [(v,) for v in unary if v in domain])})
-    assert load_structure(dump_structure(a)) == a
+       st.lists(STRUCTURE_TEXT, max_size=3, unique=True), st.data())
+def test_structure_round_trip(domain, names, data):
+    values = st.sampled_from(sorted(domain))
+    a = Multistructure(domain, {
+        name: (arity, data.draw(st.lists(st.tuples(*[values] * arity), max_size=3)))
+        for arity, name in enumerate(names)})
+    try:
+        text = dump_structure(a)
+    except InputError:
+        return
+    assert load_structure(text) == a
+
+
+def test_structure_dumps_that_would_not_load_back_are_refused():
+    for a in (Multistructure({"a b": 1}), Multistructure({"a*2": 1}),
+              Multistructure({"": 1, "a": 1}),
+              Multistructure({"a,b": 1}, {"R": (1, [("a,b",)])}),
+              Multistructure({"a": 1}, {"R:": (1, [])}),
+              Multistructure({"a": 1}, {"R/S": (1, [])}),
+              Multistructure({"a": 1}, {" R": (1, [])}),
+              Multistructure({"a": 1}, {"": (1, [])}),
+              Multistructure({"a": 1}, {"R\nS": (1, [])})):
+        with pytest.raises(InputError):
+            dump_structure(a)
+    kept = Multistructure({"a,b": 1, "(": 2, ")": 1, "#": 1},
+                          {"#R S": (2, [("(", ")"), ("#", "(")]), "E": (0, [()])})
+    assert load_structure(dump_structure(kept)) == kept

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from multiteam.errors import InputError
+from multiteam.io import dump_multiteam, load_multiteam
 from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
 
 
@@ -27,21 +28,6 @@ class TestMultiset:
         a = Multiset({"0": 2, "1": 1})
         b = Multiset({"1": 4, "2": 1})
         assert a.disjoint_union(b).size == a.size + b.size
-
-    def test_canonical_set(self):
-        assert Multiset({"v": 2}).canonical_set() == {("v", 1), ("v", 2)}
-        assert Multiset().canonical_set() == frozenset()
-        assert len(Multiset({"0": 2, "1": 1}).canonical_set()) == 3
-
-    def test_submset(self):
-        assert Multiset({"0": 1}).issubmset(Multiset({"0": 2}))
-        assert not Multiset({"0": 3}).issubmset(Multiset({"0": 2}))
-
-    def test_submset_antisymmetric(self):
-        a = Multiset({"0": 1, "1": 0})
-        b = Multiset({"0": 1})
-        assert a.issubmset(b) and b.issubmset(a)
-        assert a == b and a.canonical_set() == b.canonical_set()
 
     def test_zero_entries_ignored_by_equality(self):
         assert Multiset({"0": 1, "1": 0}) == Multiset({"0": 1})
@@ -76,11 +62,12 @@ class TestAssignment:
 
 class TestMultiteam:
     def test_select_counts(self):
+        # select keeps the matching rows with their counts and no other row
         t = fig_ym()
         sel = t.select(("x",), ("0",))
         assert sel.size == 3
         assert sel.variables == ("x", "y")
-        assert sorted(m for _, m in sel.carrier_items()) == [0, 0, 1, 2]
+        assert sel.row_items() == [(("0", "0"), 2), (("0", "1"), 1)]
         assert t.select(("x", "y"), ("0", "1")).size == 1
         assert t.select((), ()) == t
 
@@ -120,12 +107,11 @@ class TestMultiteam:
         assert t.weak_flattening() == flat
         assert t.support().support() == t.support()
 
-    def test_weak_flattening_keeps_zero_rows(self):
+    def test_weak_flattening_is_the_support(self):
+        # a row given with count 0 is not in the team, so not in its flattening
         t = Multiteam(("x",), {("0",): 3, ("1",): 0})
-        w = t.weak_flattening()
-        assert dict(w.carrier_items()) == {("0",): 1, ("1",): 0}
-        s = t.support()
-        assert dict(s.carrier_items()) == {("0",): 1}
+        assert t.weak_flattening().row_items() == [(("0",), 1)]
+        assert t.weak_flattening() == t.support() == Multiteam(("x",), [("0",)])
 
     def test_prob(self):
         t = fig_ym()
@@ -146,7 +132,7 @@ class TestMultiteam:
         a = Multiteam(("x",), {("0",): 1, ("1",): 0})
         b = Multiteam(("x",), {("0",): 1})
         assert a == b and hash(a) == hash(b)
-        assert a.canonical().carrier_items() == [(("0",), 1)]
+        assert a.row_items() == [(("0",), 1)] and a.mult(("1",)) == 0
 
     def test_variable_order_normalized(self):
         a = Multiteam(("y", "x"), {("1", "0"): 2})  # given as (y, x)
@@ -160,13 +146,6 @@ class TestMultiteam:
         assert k.disjoint_union(ell) == m
         with pytest.raises(InputError):
             k.disjoint_union(Multiteam(("x",), {("0",): 1}))
-
-    def test_issubmteam(self):
-        big = fig_ym()
-        small = Multiteam(("x", "y"), {("0", "0"): 2, ("1", "1"): 1})
-        assert small.issubmteam(big)
-        assert not big.issubmteam(small)
-        assert big.issubmteam(big)
 
     def test_row_coercion_forms(self):
         by_dict = Multiteam(("x", "y"), [{"x": "0", "y": "1"}, {"x": "0", "y": "1"}])
@@ -185,6 +164,36 @@ class TestMultiteam:
     def test_empty_domain_singleton(self):
         t = Multiteam((), {(): 1})
         assert t.size == 1 and t.variables == ()
+
+    def test_no_way_of_making_a_team_stores_a_zero_row(self):
+        # each team below is given or derived with rows counted 0; it must
+        # store none of them and be, in every observable way, the team
+        # built from its counted rows alone
+        want = Multiteam(("x", "y"), {("0", "0"): 2, ("1", "0"): 1})
+        flat = Multiteam(("x", "y"), [("0", "0"), ("1", "0")])
+        zeros = Multiteam(("x", "y"), {("0", "0"): 2, ("0", "1"): 0,
+                                       ("1", "0"): 1, ("1", "1"): 0})
+        made = [
+            (zeros, want),
+            (load_multiteam("y,x,#count\n0,0,2\n1,0,0\n0,1,1\n1,1,0\n"), want),
+            (Multiteam(("x", "y"), {("0", "0"): 2, ("0", "1"): 4, ("1", "0"): 1})
+             .select(("y",), ("0",)), want),
+            (Multiteam(("x", "y", "z"), {("0", "0", "0"): 1, ("0", "0", "1"): 1,
+                                         ("1", "0", "1"): 1, ("1", "1", "1"): 0})
+             .restrict({"x", "y"}), want),
+            (zeros.support(), flat),
+            (zeros.weak_flattening(), flat),
+            (Multiteam(("x", "y"), {("0", "0"): 1, ("1", "1"): 0}).disjoint_union(
+                Multiteam(("x", "y"), {("0", "0"): 1, ("0", "1"): 0, ("1", "0"): 1})),
+             want),
+            (Multiteam._from_counts(("x", "y"), [("0", "0"), ("0", "1"), ("1", "0")],
+                                    [2, 0, 1]), want),
+        ]
+        for got, expected in made:
+            assert 0 not in got._rows.values()
+            assert got == expected and hash(got) == hash(expected)
+            assert repr(got) == repr(expected) and got.size == expected.size
+            assert dump_multiteam(got) == dump_multiteam(expected)
 
 
 class TestMultistructure:

@@ -365,7 +365,7 @@ def test_checking_an_encoding_builds_no_multiteam_per_candidate(monkeypatch):
     built.clear()
     assert not reference_witness(inst.structure, inst.team, inst.formula, STRICT_MULTI,
                                  use_cache=False).holds
-    assert len(built) > 495  # the reference builds one per candidate part
+    assert len(built) >= 495  # the reference builds one per candidate part
 
 
 # --- prefix pruning: the row-by-row walk ---
