@@ -100,10 +100,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_props(args) -> int:
-    runner = SUITES.get(args.suite)
-    if runner is None:
-        raise InputError(f"unknown suite {args.suite!r}")
-    accepted = set(inspect.signature(runner).parameters)
+    accepted = set(inspect.signature(SUITES[args.suite]).parameters)
     bounds = {name: value for name in BOUND_FLAGS
               if (value := getattr(args, name)) is not None
               and name in accepted}

@@ -7,15 +7,19 @@ a call per level, so a formula of any height prints.  Negation appears only on
 relational and equality atoms, so there is no negation node: the negated
 forms `x != y` and `~R(...)` are atoms of their own.
 
-Atom group order follows the text syntax: `ind(xs ; ys ; zs)` conditions on
-the first group, i.e. it asserts that ys and zs are independent once xs is
-fixed, and likewise for `pind`.
+The six dependency atoms share one base, `_Atom`: each declares its fields,
+which are its variable groups in text order, its keyword and whether its
+sides must be equally long, and `ATOMS` maps each keyword to its class for
+the parser and the generator.  `ind(xs ; ys ; zs)` conditions on the first
+group, i.e. it asserts that ys and zs are independent once xs is fixed, and
+likewise for `pind`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, Sequence, Union
 
 from .errors import InputError
@@ -23,7 +27,7 @@ from .errors import InputError
 __all__ = [
     "Threshold", "Formula", "Eq", "Neq", "Rel", "NegRel", "And", "Or",
     "Exists", "Forall", "Dep", "Inc", "Excl", "CI", "PInc", "PCI",
-    "ExistsFrac", "ForallFrac", "ImplFrac", "TRUE",
+    "ExistsFrac", "ForallFrac", "ImplFrac", "TRUE", "ATOMS",
     "free_vars", "subformulas", "height",
 ]
 
@@ -188,108 +192,92 @@ class Forall(_Compound):
         return ("(A ", self.var, ". ", self.body, ")")
 
 
-def _group_text(*groups: Sequence[str]) -> str:
-    return " ; ".join(",".join(g) for g in groups).strip()
+class _Atom(Formula):
+    """A dependency atom: `keyword` names it in the text form, its fields are
+    its variable groups in text order (`groups`, see ATOMS), and
+    `same_length` says that its two sides must be equally long.  The checks
+    and the printed form are shared."""
+
+    __slots__ = ()
+    keyword = ""
+    same_length = False
+    groups: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self):
+        for name in self.__match_args__:
+            object.__setattr__(self, name, _check_vars(self.keyword, getattr(self, name)))
+        if self.same_length and len(self.xs) != len(self.ys):
+            raise InputError(f"{self.keyword} needs equally long sides, "
+                             f"got {len(self.xs)} and {len(self.ys)}")
+
+    def __str__(self) -> str:
+        text = " ; ".join(",".join(g) for g in self.groups).strip()
+        return f"{self.keyword}({text})"
 
 
 @dataclass(frozen=True, slots=True)
-class Dep(Formula):
+class Dep(_Atom):
     """Functional dependence: xs determines ys.  dep(; ys) asserts constancy."""
 
     xs: tuple[str, ...]
     ys: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "xs", _check_vars("dep", self.xs))
-        object.__setattr__(self, "ys", _check_vars("dep", self.ys))
-
-    def __str__(self) -> str:
-        return f"dep({_group_text(self.xs, self.ys)})"
+    keyword = "dep"
 
 
 @dataclass(frozen=True, slots=True)
-class Inc(Formula):
+class Inc(_Atom):
     """Inclusion: every value of xs occurs as a value of ys."""
 
     xs: tuple[str, ...]
     ys: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "xs", _check_vars("inc", self.xs))
-        object.__setattr__(self, "ys", _check_vars("inc", self.ys))
-        if len(self.xs) != len(self.ys):
-            raise InputError(f"inc needs equally long sides, got {len(self.xs)} and {len(self.ys)}")
-
-    def __str__(self) -> str:
-        return f"inc({_group_text(self.xs, self.ys)})"
+    keyword, same_length = "inc", True
 
 
 @dataclass(frozen=True, slots=True)
-class Excl(Formula):
+class Excl(_Atom):
     """Exclusion: xs and ys share no value tuple."""
 
     xs: tuple[str, ...]
     ys: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "xs", _check_vars("excl", self.xs))
-        object.__setattr__(self, "ys", _check_vars("excl", self.ys))
-        if len(self.xs) != len(self.ys):
-            raise InputError(f"excl needs equally long sides, got {len(self.xs)} and {len(self.ys)}")
-
-    def __str__(self) -> str:
-        return f"excl({_group_text(self.xs, self.ys)})"
+    keyword, same_length = "excl", True
 
 
 @dataclass(frozen=True, slots=True)
-class CI(Formula):
+class CI(_Atom):
     """Conditional independence of ys and zs given xs (combinability of rows)."""
 
     xs: tuple[str, ...]
     ys: tuple[str, ...]
     zs: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "xs", _check_vars("ind", self.xs))
-        object.__setattr__(self, "ys", _check_vars("ind", self.ys))
-        object.__setattr__(self, "zs", _check_vars("ind", self.zs))
-
-    def __str__(self) -> str:
-        return f"ind({_group_text(self.xs, self.ys, self.zs)})"
+    keyword = "ind"
 
 
 @dataclass(frozen=True, slots=True)
-class PInc(Formula):
+class PInc(_Atom):
     """Probabilistic inclusion: each xs value tuple occurs at most as often as ys takes it."""
 
     xs: tuple[str, ...]
     ys: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "xs", _check_vars("pinc", self.xs))
-        object.__setattr__(self, "ys", _check_vars("pinc", self.ys))
-        if len(self.xs) != len(self.ys):
-            raise InputError(f"pinc needs equally long sides, got {len(self.xs)} and {len(self.ys)}")
-
-    def __str__(self) -> str:
-        return f"pinc({_group_text(self.xs, self.ys)})"
+    keyword, same_length = "pinc", True
 
 
 @dataclass(frozen=True, slots=True)
-class PCI(Formula):
+class PCI(_Atom):
     """Probabilistic conditional independence given xs: the exact count product equation."""
 
     xs: tuple[str, ...]
     ys: tuple[str, ...]
     zs: tuple[str, ...]
+    keyword = "pind"
 
-    def __post_init__(self):
-        object.__setattr__(self, "xs", _check_vars("pind", self.xs))
-        object.__setattr__(self, "ys", _check_vars("pind", self.ys))
-        object.__setattr__(self, "zs", _check_vars("pind", self.zs))
 
-    def __str__(self) -> str:
-        return f"pind({_group_text(self.xs, self.ys, self.zs)})"
+#: The dependency atoms by keyword: the one place a keyword names a class.
+ATOMS = {cls.keyword: cls for cls in (Dep, Inc, Excl, CI, PInc, PCI)}
+
+# An atom's fields in order, read in one call: `free_vars` and the search's
+# projections read them on every check.
+for _cls in ATOMS.values():
+    _cls.groups = property(attrgetter(*_cls.__match_args__))
 
 
 @dataclass(frozen=True, slots=True)
@@ -421,10 +409,8 @@ def free_vars(f: Formula) -> frozenset[str]:
         return free_vars(f.left) | free_vars(f.right)
     if isinstance(f, (Exists, Forall)):
         return free_vars(f.body) - {f.var}
-    if isinstance(f, (Dep, Inc, Excl, PInc)):
-        return frozenset(f.xs) | frozenset(f.ys)
-    if isinstance(f, (CI, PCI)):
-        return frozenset(f.xs) | frozenset(f.ys) | frozenset(f.zs)
+    if isinstance(f, _Atom):
+        return frozenset().union(*f.groups)
     if isinstance(f, (ExistsFrac, ForallFrac)):
         return free_vars(f.body)
     if isinstance(f, ImplFrac):

@@ -12,9 +12,8 @@ import random
 from fractions import Fraction
 
 from .errors import InputError
-from .formula import (CI, PCI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
-                      ForallFrac, ImplFrac, Inc, Neq, NegRel, Or, PInc, Rel,
-                      Threshold)
+from .formula import (ATOMS, And, Eq, Exists, ExistsFrac, Forall, ForallFrac,
+                      ImplFrac, Neq, NegRel, Or, Rel, Threshold)
 from .model import Multiteam, Multistructure
 from .semantics import SemanticsConfig
 
@@ -94,15 +93,9 @@ def random_formula(rng: random.Random, variables, *, fragment: str = "fo",
             name, arity = rng.choice(relations)
             args = tuple(rng.choice(scope) for _ in range(arity))
             return Rel(name, args) if kind == "rel" else NegRel(name, args)
-        if kind == "dep":
-            xs, ys = random_groups(rng, scope, 2)
-            return Dep(xs, ys)
-        if kind in ("inc", "excl", "pinc"):
-            xs, ys = random_groups(rng, scope, 2, max_len=2, equal=True)
-            node = {"inc": Inc, "excl": Excl, "pinc": PInc}[kind]
-            return node(xs, ys)
-        xs, ys, zs = random_groups(rng, scope, 3)
-        return (CI if kind == "ci" else PCI)(xs, ys, zs)
+        cls = ATOMS[{"ci": "ind", "pci": "pind"}.get(kind, kind)]
+        return cls(*random_groups(rng, scope, len(cls.__match_args__),
+                                  equal=cls.same_length))
 
     def fresh(scope):
         i = 0

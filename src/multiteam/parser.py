@@ -38,13 +38,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError
-from .formula import (CI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
-                      Formula, ForallFrac, ImplFrac, Inc, Neq, NegRel, Or,
-                      PCI, PInc, Rel, Threshold, height)
+from .formula import (ATOMS, And, Eq, Exists, ExistsFrac, Forall, Formula,
+                      ForallFrac, ImplFrac, Neq, NegRel, Or, Rel, Threshold,
+                      height)
 
 __all__ = ["parse", "KEYWORDS", "MAX_DEPTH"]
 
-KEYWORDS = frozenset({"E", "A", "dep", "inc", "excl", "ind", "pinc", "pind"})
+KEYWORDS = frozenset({"E", "A", *ATOMS})
 
 #: Highest formula tree accepted.  Its text may nest parentheses, quantifier
 #: scopes and arrows up to twice as deep, which covers what the printer writes
@@ -209,8 +209,8 @@ class _Parser:
         if tok.kind != "ident":
             self.fail(f"expected a formula, found {tok.text!r}" if tok.kind != "end"
                       else "expected a formula, found end of input")
-        if tok.text in ("dep", "inc", "excl", "ind", "pinc", "pind"):
-            return self.atom(tok.text)
+        if tok.text in ATOMS:
+            return self.atom(ATOMS[tok.text])
         name = self.next().text
         if self.at("("):
             self.next()
@@ -225,7 +225,7 @@ class _Parser:
             return Neq(name, self.variable())
         self.fail(f"expected '(', '=' or '!=' after {name!r}")
 
-    def atom(self, kw: str) -> Formula:
+    def atom(self, cls) -> Formula:
         tok = self.next()
         self.expect("(")
         groups = [self.var_list()]
@@ -233,27 +233,17 @@ class _Parser:
             self.next()
             groups.append(self.var_list())
         self.expect(")")
-
-        def need(*counts):
-            if len(groups) not in counts:
-                want = " or ".join(str(c) for c in counts)
-                self.fail(f"{kw} takes {want} ';'-separated groups, got {len(groups)}", tok)
-
-        if kw == "dep":
-            need(1, 2)
-            return Dep((), groups[0]) if len(groups) == 1 else Dep(groups[0], groups[1])
-        if kw in ("inc", "excl", "pinc"):
-            need(2)
-            cls = {"inc": Inc, "excl": Excl, "pinc": PInc}[kw]
-            if len(groups[0]) != len(groups[1]):
-                self.fail(f"{kw} needs equally long groups, got "
-                          f"{len(groups[0])} and {len(groups[1])} variables", tok)
-            return cls(groups[0], groups[1])
-        need(2, 3)  # ind / pind; two groups mean marginal independence
-        if len(groups) == 2:
-            groups.insert(0, ())
-        cls = CI if kw == "ind" else PCI
-        return cls(groups[0], groups[1], groups[2])
+        # an atom whose sides need not match may leave out its first group,
+        # which is then empty: dep(ys) is dep(; ys), ind(ys ; zs) is marginal
+        n = len(cls.__match_args__)
+        counts = (n,) if cls.same_length else (n - 1, n)
+        if len(groups) not in counts:
+            want = " or ".join(str(c) for c in counts)
+            self.fail(f"{cls.keyword} takes {want} ';'-separated groups, got {len(groups)}", tok)
+        if cls.same_length and len(groups[0]) != len(groups[1]):
+            self.fail(f"{cls.keyword} needs equally long groups, got "
+                      f"{len(groups[0])} and {len(groups[1])} variables", tok)
+        return cls(*[()] * (n - len(groups)), *groups)
 
     def threshold(self) -> Threshold:
         if self.at("#"):

@@ -471,14 +471,16 @@ def _none_counted(failing: list[int], counts: Counts) -> bool:
 
 class _Node:
     """One subformula over one row space.  `test` maps a count vector to the
-    node's answer; it is worked out on the node's first use."""
+    node's answer; it is worked out on the node's first use.  `rows` holds a
+    dependency atom's projection of the space, once it is needed."""
 
-    __slots__ = ("f", "space", "test")
+    __slots__ = ("f", "space", "test", "rows")
 
     def __init__(self, f: Formula, space: _Space):
         self.f = f
         self.space = space
         self.test = None
+        self.rows: Optional[atoms.Rows] = None
 
 
 class _Eval:
@@ -486,7 +488,7 @@ class _Eval:
     A node that fails returns False; one that holds returns True, or in a run
     for `witness` (explain set) the Witness of its first successful choice."""
 
-    __slots__ = ("structure", "cfg", "cache", "explain", "closed", "nodes", "projections")
+    __slots__ = ("structure", "cfg", "cache", "explain", "nodes")
 
     def __init__(self, structure: Multistructure, cfg: SemanticsConfig, use_cache: bool,
                  explain: bool = False):
@@ -494,9 +496,7 @@ class _Eval:
         self.cfg = cfg
         self.cache: Optional[dict] = {} if use_cache else None
         self.explain = explain
-        self.closed: dict[int, tuple[Formula, bool]] = {}
         self.nodes: dict[tuple[int, _Space], _Node] = {}
-        self.projections: dict[tuple[int, _Space], tuple[Formula, atoms.Rows]] = {}
 
     def search(self, f: Formula, team: Multiteam):
         """Run f on team; also return the team's space and vector."""
@@ -505,7 +505,6 @@ class _Eval:
             return self.run(self.node(f, space), counts), space, counts
         finally:  # the nodes' tests call back into this run: drop them
             self.nodes.clear()
-            self.projections.clear()
             if self.cache is not None:
                 self.cache.clear()
 
@@ -535,19 +534,12 @@ class _Eval:
 
     def _closed(self, f: Formula) -> bool:
         """Whether f is known to be downward closed: true on every
-        submultiteam of a multiteam it holds on.  Conservative; memoized by
-        node identity, holding the node so that its id is not reused."""
-        known = self.closed.get(id(f))
-        if known is not None:
-            return known[1]
+        submultiteam of a multiteam it holds on.  Conservative."""
         if isinstance(f, (And, Or)):
-            got = self._closed(f.left) and self._closed(f.right)
-        elif isinstance(f, (Exists, Forall)):
-            got = self._closed(f.body)
-        else:
-            got = isinstance(f, _CLOSED_ATOMS)
-        self.closed[id(f)] = (f, got)
-        return got
+            return self._closed(f.left) and self._closed(f.right)
+        if isinstance(f, (Exists, Forall)):
+            return self._closed(f.body)
+        return isinstance(f, _CLOSED_ATOMS)
 
     def _holds(self, f: Formula, space: _Space, counts: Counts, choice: str, *parts):
         if self.explain:
@@ -568,16 +560,13 @@ class _Eval:
 
     def _project(self, f: Formula, space: _Space) -> atoms.Rows:
         """The rows of space projected onto the dependency atom f's groups,
-        once per run for each pair: an atom that is both a node and a
-        condition of the walks above it is projected once.  Memoized by
-        node identity, holding the node so that its id is not reused."""
-        key = (id(f), space)
-        got = self.projections.get(key)
-        if got is None:
-            groups = (f.xs, f.ys, f.zs) if isinstance(f, (CI, PCI)) else (f.xs, f.ys)
-            got = self.projections[key] = (f, atoms.project(
-                space.keys, [[space.index[x] for x in g] for g in groups]))
-        return got[1]
+        kept on f's node: an atom that is both a node and a condition of the
+        walks above it is projected once per run."""
+        node = self.node(f, space)
+        if node.rows is None:
+            node.rows = atoms.project(space.keys,
+                                      [[space.index[x] for x in g] for g in f.groups])
+        return node.rows
 
     def _prune(self, space: _Space, y_side: Formula,
                z_side: Optional[Formula] = None) -> Optional[_Prune]:

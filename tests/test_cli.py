@@ -1,14 +1,22 @@
 """Tests for the command-line front end."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multiteam import cli
 from multiteam.cli import main
+from multiteam.formula import (ATOMS, And, Eq, Exists, ExistsFrac, Forall,
+                               ForallFrac, ImplFrac, Neq, NegRel, Or, Rel,
+                               Threshold)
 
 FIG1_TEAM = "x,y,#count\n0,0,2\n0,1,1\n1,0,1\n1,1,1\n"
 FIG2_TEAM = "x,y,z,#count\n0,0,1,2\n1,2,0,1\n2,1,0,1\n"
@@ -226,3 +234,101 @@ def test_one_parser_serves_every_call_in_a_process(workspace, capsys, monkeypatc
         assert (code, out) == fresh_process(argv, env), argv
         codes.append(code)
     assert codes == [0, 0, 0, 2, 1, 1, 0]
+
+
+# --- exit-code fuzz: every input ends in 0, 1 or 2 ---------------------
+#
+# Formulas are at most two levels high with at most one quantifier, and
+# teams have at most three rows counted at most twice, so no draw can
+# start a search that runs for long.
+
+fuzz_vars = st.sampled_from(["x", "y"] * 8 + ["z"])  # z is seldom bound
+fuzz_groups = st.lists(fuzz_vars, max_size=2).map(tuple)
+fuzz_thresholds = st.one_of(
+    st.integers(0, 3).map(lambda n: Threshold(Fraction(n, 3))),
+    st.integers(0, 4).map(lambda n: Threshold(n, absolute=True)))
+fuzz_leaves = st.one_of(
+    st.builds(Eq, fuzz_vars, fuzz_vars),
+    st.builds(Neq, fuzz_vars, fuzz_vars),
+    st.builds(Rel, st.just("R"), st.lists(fuzz_vars, min_size=1, max_size=2).map(tuple)),
+    st.builds(NegRel, st.just("R"), st.lists(fuzz_vars, min_size=1, max_size=2).map(tuple)),
+    st.sampled_from(sorted(ATOMS.values(), key=lambda cls: cls.keyword)).flatmap(
+        lambda cls: st.tuples(*[fuzz_groups] * len(cls.__match_args__))
+        .filter(lambda g: not cls.same_length or len(g[0]) == len(g[1]))
+        .map(lambda g: cls(*g))))
+fuzz_formulas = st.one_of(
+    fuzz_leaves,
+    st.builds(And, fuzz_leaves, fuzz_leaves),
+    st.builds(Or, fuzz_leaves, fuzz_leaves),
+    st.builds(Exists, fuzz_vars, fuzz_leaves),
+    st.builds(Forall, fuzz_vars, fuzz_leaves),
+    st.builds(ExistsFrac, fuzz_thresholds, fuzz_leaves),
+    st.builds(ForallFrac, fuzz_thresholds, fuzz_leaves),
+    st.builds(ImplFrac, fuzz_thresholds, fuzz_leaves, fuzz_leaves))
+
+
+@st.composite
+def formula_texts(draw):
+    """A printed formula, sometimes with one character cut, inserted or
+    replaced, or with its tail cut off."""
+    text = str(draw(fuzz_formulas))
+    edit = draw(st.sampled_from(["keep"] * 4 + ["cut", "insert", "replace", "truncate"]))
+    if edit == "keep" or not text:
+        return text
+    i = draw(st.integers(0, len(text) - 1))
+    c = draw(st.sampled_from(list("()[]{}<>,;.=&|~#/!E A x0-")))
+    return {"cut": text[:i] + text[i + 1:], "insert": text[:i] + c + text[i:],
+            "replace": text[:i] + c + text[i + 1:], "truncate": text[:i]}[edit]
+
+
+values = st.sampled_from(["0", "1"] * 8 + ["2"])
+
+
+@st.composite
+def team_csvs(draw):
+    """A CSV team of at most three rows over x and y, values maybe outside
+    the domain, counts 0 to 2, sometimes without the count column."""
+    header = draw(st.sampled_from([["x", "y"], ["y", "x"]] * 3 + [["x"], []]))
+    counted = draw(st.booleans())
+    lines = [",".join(header + (["#count"] if counted else []))]
+    for _ in range(draw(st.integers(0, 3))):
+        row = [draw(values) for _ in header]
+        lines.append(",".join(row + ([str(draw(st.integers(0, 2)))] if counted else [])))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def structure_texts(draw):
+    domain = draw(st.sampled_from([["0", "1"]] * 4 + [["0"], ["1", "2"]]))
+    unary = draw(st.lists(st.sampled_from(domain), max_size=2, unique=True))
+    return f"domain: {' '.join(domain)}\nrel R/1: {' '.join(f'({v})' for v in unary)}\n"
+
+
+options = st.lists(st.sampled_from([
+    ["--team-kind", "set"], ["--team-kind", "multi"], ["--strictness", "lax"],
+    ["--strictness", "strict"], ["--approx", "ratio"], ["--approx", "absolute"],
+    ["--witness"], ["--witness"], ["--team-kind", "multi"], ["--strictness", "strict"],
+    ["--team-kind", "bogus"], ["--frac"]]), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(structure_texts(), team_csvs(), formula_texts(), options,
+       st.sampled_from([True] * 4 + [False]))
+def test_check_exits_zero_one_or_two_on_any_input(structure, team, formula, opts, with_team):
+    with tempfile.TemporaryDirectory() as tmp:
+        s_path, t_path = Path(tmp, "s.txt"), Path(tmp, "t.csv")
+        s_path.write_text(structure)
+        t_path.write_text(team)
+        argv = ["check", str(s_path), formula] + (["--team", str(t_path)] if with_team else [])
+        argv += [word for opt in opts for word in opt]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    if code in (0, 1):
+        assert out.getvalue().endswith(("true\n", "false\n")[code])
+    else:
+        assert err.getvalue().startswith(("error: ", "usage: "))

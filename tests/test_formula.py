@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiteam.errors import InputError, ParseError
-from multiteam.formula import (CI, TRUE, And, Dep, Eq, Excl, Exists,
+from multiteam.formula import (ATOMS, CI, TRUE, And, Dep, Eq, Excl, Exists,
                                ExistsFrac, Forall, ForallFrac, Formula,
                                ImplFrac, Inc, Neq, NegRel, Or, PCI, PInc,
                                Rel, Threshold, free_vars)
@@ -217,6 +217,43 @@ class TestFreeVars:
     def test_operators(self):
         assert free_vars(parse("<1/2> dep(x ; y)")) == {"x", "y"}
         assert free_vars(parse("(x=y ->{1} u=v)")) == {"x", "y", "u", "v"}
+
+
+# --- the six dependency atoms ---------------------------------------------
+
+def test_each_keyword_names_one_atom_class():
+    assert {kw: cls.__name__ for kw, cls in ATOMS.items()} == {
+        "dep": "Dep", "inc": "Inc", "excl": "Excl", "ind": "CI", "pinc": "PInc", "pind": "PCI"}
+    assert {kw for kw, cls in ATOMS.items() if cls.same_length} == {"inc", "excl", "pinc"}
+
+
+@pytest.mark.parametrize("kw", sorted(ATOMS))
+def test_atom_constructors_check_their_groups(kw):
+    # every group must hold nonempty names, checked in field order; the
+    # sides of inc, excl and pinc must be equally long; a valid atom prints
+    # to text that parses back to it, and its free variables are its groups'
+    cls = ATOMS[kw]
+    good = [("x", "u"), ("y", "y"), ("z",)][:len(cls.__match_args__)]
+    atom = cls(*good)
+    assert atom.groups == tuple(good) and atom.keyword == kw
+    assert cls(*map(list, good)) == atom == cls(**dict(zip(cls.__match_args__, good)))
+    assert hash(atom) == hash(atom.groups)  # the dataclass's field-tuple hash
+    assert parse(str(atom)) == atom
+    assert free_vars(atom) == frozenset().union(*atom.groups)
+    for k in range(len(good)):
+        for bad in (1, "", None):
+            groups = list(good)
+            groups[k] = (groups[k][0], bad)
+            with pytest.raises(InputError) as err:
+                cls(*groups)
+            assert str(err.value) == f"{kw} expects variable names, got {bad!r}"
+    if cls.same_length:
+        for xs, ys in ((("a",), ("b", "c")), ((), ("b",)), (("a", "b"), ())):
+            with pytest.raises(InputError) as err:
+                cls(xs, ys)
+            assert str(err.value) == f"{kw} needs equally long sides, got {len(xs)} and {len(ys)}"
+    else:
+        assert str(cls((), *good[1:])) == f"{kw}(; {' ; '.join(','.join(g) for g in good[1:])})"
 
 
 # --- parse/print round trip over random ASTs ---------------------------

@@ -509,7 +509,7 @@ def test_each_atom_is_projected_once_per_run(monkeypatch):
         assert not run.search(inst.formula, inst.team)[0]
         pairs = {(id(f), space) for f, space in looked_up}
         assert len(projected) == len(pairs) < len(looked_up)
-        assert not run.projections  # dropped with the nodes
+        assert not run.nodes  # the projections are dropped with the nodes
 
 
 def test_two_thousand_rows_are_walked_without_recursion(tmp_path, capsys):
