@@ -43,10 +43,12 @@ print("[2/3]pinc on each half:",
 print("[2/3]pinc on the union:",
       evaluate(small, first.disjoint_union(second), g, cfg))
 
-# thresholds can also be absolute row counts: #k inside the brackets
-abs_cfg = SemanticsConfig(approx_kind="absolute")
+# thresholds can also be absolute row counts: #k inside the brackets, in
+# any mode and mixed with ratios in one formula
 print("<#2> dep(x ; y):",
-      evaluate(small, first, parse("<#2> dep(x ; y)"), abs_cfg))
+      evaluate(small, first, parse("<#2> dep(x ; y)"), cfg))
+print("<1/2> <#1> x=y:",
+      evaluate(small, first.disjoint_union(second), parse("<1/2> <#1> x=y"), cfg))
 
 # approximate dependence: dep up to deleting a third of the rows
 mostly = Multiteam(("x", "y"), {("0", "0"): 2, ("0", "1"): 1})

@@ -2,8 +2,9 @@
 
 Exit codes are a contract: 0 for true / pass, 1 for false / violations,
 2 for unusable input of any kind.  Mode flags fall back to the environment
-variables MULTITEAM_TEAM_KIND, MULTITEAM_STRICTNESS and MULTITEAM_APPROX
-before the built-in multi/lax/ratio defaults.
+variables MULTITEAM_TEAM_KIND and MULTITEAM_STRICTNESS before the built-in
+multi/lax defaults.  A size bound is a ratio `<p>` or a row count `<#k>` in
+the formula itself, in every mode.
 """
 
 import argparse
@@ -22,16 +23,16 @@ from .reductions import encode_3sat, encode_maxsat, parse_dimacs
 from .semantics import SemanticsConfig, Witness, evaluate, witness
 from .suites import SUITES, run_suite
 
-BOUND_FLAGS = ("trials", "max_rows", "max_dom", "max_depth", "max_mult",
-               "max_vars", "max_clauses", "max_clauses2", "jobs")
+# each `props` bound and its least value; `--jobs 0` means the default
+BOUND_FLAGS = {"trials": 0, "max_rows": 0, "max_dom": 1, "max_depth": 0, "max_mult": 1,
+               "max_vars": 1, "max_clauses": 0, "max_clauses2": 0, "jobs": 0}
 
 
 def _cfg_from(args) -> SemanticsConfig:
     env = os.environ
     return SemanticsConfig(
         team_kind=args.team_kind or env.get("MULTITEAM_TEAM_KIND", "multi"),
-        strictness=args.strictness or env.get("MULTITEAM_STRICTNESS", "lax"),
-        approx_kind=args.approx or env.get("MULTITEAM_APPROX", "ratio"))
+        strictness=args.strictness or env.get("MULTITEAM_STRICTNESS", "lax"))
 
 
 def _formula_from(arg: str):
@@ -109,6 +110,17 @@ def cmd_props(args) -> int:
     return 0 if report.passed else 1
 
 
+def _at_least(least: int):
+    """An argparse type: an int of at least `least`, else a usage error."""
+    def bound(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    bound.__name__ = "int"  # argparse names the type in "invalid int value"
+    return bound
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="multiteam",
@@ -124,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "one-row team of the empty assignment")
     c.add_argument("--team-kind", choices=("set", "multi"))
     c.add_argument("--strictness", choices=("lax", "strict"))
-    c.add_argument("--approx", choices=("ratio", "absolute"))
     c.add_argument("--witness", action="store_true",
                    help="print the first witnessing choices on success")
     c.set_defaults(run=cmd_check)
@@ -139,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("props", help="run one law suite")
     r.add_argument("suite", choices=sorted(SUITES))
     r.add_argument("--seed", type=int, default=0)
-    for name in BOUND_FLAGS:
-        r.add_argument("--" + name.replace("_", "-"), type=int)
+    for name, least in BOUND_FLAGS.items():
+        r.add_argument("--" + name.replace("_", "-"), type=_at_least(least))
     r.set_defaults(run=cmd_props)
     return p
 

@@ -30,39 +30,42 @@ FRAGMENTS = {
 FRACTIONS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
              Fraction(1))
 
+# the signature: structures interpret it, formulas use it
+RELATIONS = (("R", 1),)
+
 _COST_CAP = 10 ** 9
+_TRIES = 40  # draws per depth before budgeted_formula goes one level lower
 
 
-def random_structure(rng: random.Random, *, max_dom: int = 3,
-                     relations: tuple[str, ...] = ("R",)) -> Multistructure:
+def random_structure(rng: random.Random, *, max_dom: int = 3) -> Multistructure:
     """Draw a structure with domain {0..k-1} and random unary relations."""
     k = rng.randint(1, max_dom)
     dom = [str(i) for i in range(k)]
-    rels = {name: (1, frozenset((v,) for v in dom if rng.random() < 0.5))
-            for name in relations}
+    rels = {name: (arity, frozenset((v,) for v in dom if rng.random() < 0.5))
+            for name, arity in RELATIONS}
     return Multistructure(dom, rels)
 
 
 def random_team(rng: random.Random, variables, structure: Multistructure, *,
-                max_rows: int = 4, max_mult: int = 1,
-                min_rows: int = 0) -> Multiteam:
+                max_rows: int = 4, max_mult: int = 1) -> Multiteam:
     """Draw a multiteam over the given variables with values from the domain."""
     dom = structure.domain.support
     if not dom:
         raise InputError("cannot draw team values from an empty domain")
     variables = tuple(variables)
     table: dict[tuple[str, ...], int] = {}
-    for _ in range(rng.randint(min_rows, max_rows)):
+    for _ in range(rng.randint(0, max_rows)):
         row = tuple(rng.choice(dom) for _ in variables)
         table[row] = min(table.get(row, 0) + rng.randint(1, max_mult), max_mult)
     return Multiteam(variables, table)
 
 
 def random_groups(rng: random.Random, variables, count: int, *,
-                  max_len: int = 2, equal: bool = False):
-    """Draw variable tuples for atom arguments, optionally all the same length."""
+                  equal: bool = False):
+    """Draw variable tuples of up to two names for atom arguments,
+    optionally all the same length."""
     variables = tuple(variables)
-    lengths = [rng.randint(0, max_len) for _ in range(count)]
+    lengths = [rng.randint(0, 2) for _ in range(count)]
     if equal:
         lengths = [lengths[0]] * count
     return tuple(tuple(rng.choice(variables) for _ in range(n))
@@ -70,8 +73,7 @@ def random_groups(rng: random.Random, variables, count: int, *,
 
 
 def random_formula(rng: random.Random, variables, *, fragment: str = "fo",
-                   max_depth: int = 3, relations=(("R", 1),),
-                   fractions=FRACTIONS):
+                   max_depth: int = 3):
     """Draw a random formula whose free variables come from the given pool."""
     if fragment not in FRAGMENTS:
         raise InputError(f"unknown fragment {fragment!r}")
@@ -79,18 +81,16 @@ def random_formula(rng: random.Random, variables, *, fragment: str = "fo",
     variables = tuple(variables)
     if not variables:
         raise InputError("formula generation needs at least one variable")
-    relations = tuple(relations)
 
     def leaf(scope):
-        kinds = ["eq", "neq"] + (["rel", "negrel"] if relations else [])
-        kinds += sorted(allowed - {"frac"})
+        kinds = ["eq", "neq", "rel", "negrel"] + sorted(allowed - {"frac"})
         kind = rng.choice(kinds)
         if kind == "eq":
             return Eq(rng.choice(scope), rng.choice(scope))
         if kind == "neq":
             return Neq(rng.choice(scope), rng.choice(scope))
         if kind in ("rel", "negrel"):
-            name, arity = rng.choice(relations)
+            name, arity = rng.choice(RELATIONS)  # a draw even with one relation
             args = tuple(rng.choice(scope) for _ in range(arity))
             return Rel(name, args) if kind == "rel" else NegRel(name, args)
         cls = ATOMS[{"ci": "ind", "pci": "pind"}.get(kind, kind)]
@@ -119,7 +119,7 @@ def random_formula(rng: random.Random, variables, *, fragment: str = "fo",
             inner = scope if var in scope else scope + (var,)
             node = Exists if op == "exists" else Forall
             return node(var, build(inner, depth - 1))
-        p = Threshold(Fraction(rng.choice(fractions)))
+        p = Threshold(rng.choice(FRACTIONS))
         if op == "efrac":
             return ExistsFrac(p, build(scope, depth - 1))
         if op == "afrac":
@@ -130,8 +130,7 @@ def random_formula(rng: random.Random, variables, *, fragment: str = "fo",
 
 
 def estimate_cost(f, *, rows: int, mult: int, dom_size: int,
-                  cfg: SemanticsConfig | None = None,
-                  dom_mult: int = 1) -> int:
+                  cfg: SemanticsConfig | None = None) -> int:
     """Rough upper bound on evaluator work for a team of the given shape."""
     cfg = cfg or SemanticsConfig()
     multi = cfg.team_kind == "multi"
@@ -153,18 +152,16 @@ def estimate_cost(f, *, rows: int, mult: int, dom_size: int,
                        _COST_CAP)
         if isinstance(f, Exists):
             if multi and lax:
-                per = (mult * dom_mult + 1) ** dom_size
+                per = (mult + 1) ** dom_size
             elif multi:
                 per = math.comb(mult + dom_size - 1, dom_size - 1)
             else:
                 per = 2 ** dom_size - 1 if lax else dom_size
             supp = min(per ** rows, _COST_CAP)
-            body = go(f.body, min(rows * dom_size, _COST_CAP),
-                      mult * dom_mult)
+            body = go(f.body, min(rows * dom_size, _COST_CAP), mult)
             return min(supp * (rows + body), _COST_CAP)
         if isinstance(f, Forall):
-            return rows + go(f.body, min(rows * dom_size, _COST_CAP),
-                             mult * dom_mult)
+            return rows + go(f.body, min(rows * dom_size, _COST_CAP), mult)
         if isinstance(f, (ExistsFrac, ForallFrac)):
             parts = min((mult + 1) ** rows, _COST_CAP)
             return min(parts * (rows + go(f.body, rows, mult)), _COST_CAP)
@@ -178,21 +175,16 @@ def estimate_cost(f, *, rows: int, mult: int, dom_size: int,
 
 
 def budgeted_formula(rng: random.Random, variables, *, fragment: str = "fo",
-                     max_depth: int = 3, relations=(("R", 1),),
-                     fractions=FRACTIONS, rows: int = 4, mult: int = 1,
-                     dom_size: int = 3, dom_mult: int = 1,
-                     cfgs=(), budget: int = 200_000, tries: int = 40):
+                     max_depth: int = 3, rows: int = 4, mult: int = 1,
+                     dom_size: int = 3, cfgs=(), budget: int = 200_000):
     """Resample until the cost estimate fits the budget under every config."""
     cfgs = tuple(cfgs) or (SemanticsConfig(),)
     f = None
     for depth in range(max_depth, -1, -1):
-        for _ in range(tries):
-            f = random_formula(rng, variables, fragment=fragment,
-                               max_depth=depth, relations=relations,
-                               fractions=fractions)
+        for _ in range(_TRIES):
+            f = random_formula(rng, variables, fragment=fragment, max_depth=depth)
             worst = max(estimate_cost(f, rows=rows, mult=mult,
-                                      dom_size=dom_size, dom_mult=dom_mult,
-                                      cfg=cfg) for cfg in cfgs)
+                                      dom_size=dom_size, cfg=cfg) for cfg in cfgs)
             if worst <= budget:
                 return f
     return f  # a depth-0 atom; nothing cheaper exists

@@ -95,7 +95,7 @@ from .approx import part_vectors
 from .errors import InputError
 from .formula import (CI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
                       ForallFrac, Formula, ImplFrac, Inc, Neq, NegRel, Or,
-                      PCI, PInc, Rel, Threshold, free_vars, height, subformulas)
+                      PCI, PInc, Rel, free_vars, height, subformulas)
 from .model import Assignment, Multiset, Multiteam, Multistructure
 from .parser import MAX_DEPTH
 
@@ -105,24 +105,20 @@ __all__ = ["SemanticsConfig", "Instance", "evaluate", "evaluate_classical",
 
 TEAM_KINDS = ("set", "multi")
 STRICTNESS = ("lax", "strict")
-APPROX_KINDS = ("ratio", "absolute")
 
 
 @dataclass(frozen=True)
 class SemanticsConfig:
-    """Selects one of the four semantics and the size-bound flavor."""
+    """Selects one of the four semantics; a bound's flavor is its Threshold's."""
 
     team_kind: str = "multi"
     strictness: str = "lax"
-    approx_kind: str = "ratio"
 
     def __post_init__(self):
         if self.team_kind not in TEAM_KINDS:
             raise InputError(f"team_kind must be one of {TEAM_KINDS}, got {self.team_kind!r}")
         if self.strictness not in STRICTNESS:
             raise InputError(f"strictness must be one of {STRICTNESS}, got {self.strictness!r}")
-        if self.approx_kind not in APPROX_KINDS:
-            raise InputError(f"approx_kind must be one of {APPROX_KINDS}, got {self.approx_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -161,12 +157,6 @@ def _validate(structure: Multistructure, team: Multiteam, f: Formula,
                 raise InputError(
                     f"relation {sub.name} has arity {structure.arity(sub.name)}, "
                     f"used with {len(sub.args)} arguments")
-        p = getattr(sub, "p", None)
-        if isinstance(p, Threshold):
-            if p.absolute and cfg.approx_kind != "absolute":
-                raise InputError("absolute bound #k requires approx_kind='absolute'")
-            if not p.absolute and cfg.approx_kind != "ratio":
-                raise InputError("fractional bound requires approx_kind='ratio'")
 
 
 Counts = tuple[int, ...]  # one multiplicity per row of a row space
@@ -390,28 +380,25 @@ def _copy_choices(m: int, dom_mults: list[int], strict: bool) -> list[Counts]:
     return [v for v in itertools.product(*axes) if sum(v) >= m]
 
 
-def enum_or_splits(t: Multiteam, cfg: SemanticsConfig | None = None, *, exact: bool = False
+def enum_or_splits(t: Multiteam, cfg: SemanticsConfig | None = None
                    ) -> Iterator[tuple[Multiteam, Iterator[Multiteam]]]:
     """Each left part Y a disjunction may split t into, in row-vector order,
-    with a lazy iterator over the right parts Z that complete the split.
-    With exact set, Z is only t - Y, as in strict mode."""
+    with a lazy iterator over the right parts Z that complete the split."""
     cfg = cfg or SemanticsConfig()
     space, counts = _Space.rooted(t)
-    for y, zs in _split_vectors(counts, exact or cfg.strictness == "strict"):
+    for y, zs in _split_vectors(counts, cfg.strictness == "strict"):
         yield space.team(y), map(space.team, zs)
 
 
 def enum_supplements(t: Multiteam, x: str, dom: Multiset,
-                     cfg: SemanticsConfig | None = None, *,
-                     single: bool = False) -> Iterator[Multiteam]:
-    """All distinct multiteams obtainable by supplementing t at x from dom.
-    With single set, every copy takes one value, as in strict mode."""
+                     cfg: SemanticsConfig | None = None) -> Iterator[Multiteam]:
+    """All distinct multiteams obtainable by supplementing t at x from dom."""
     cfg = cfg or SemanticsConfig()
     if dom.size == 0:
         raise InputError("cannot supplement from an empty domain")
     space, counts = _Space.rooted(t)
     ext = space.extended(x, dom)
-    for sup in ext.supplements(counts, single or cfg.strictness == "strict",
+    for sup in ext.supplements(counts, cfg.strictness == "strict",
                                cfg.team_kind == "set"):
         yield ext.space.team(sup)
 

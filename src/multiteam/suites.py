@@ -168,8 +168,7 @@ def run_locality(seed=0, *, trials=300, max_rows=4, max_dom=3, max_depth=3,
         team = generate.random_team(rng, team_vars, structure,
                                     max_rows=max_rows, max_mult=max_mult)
         f = generate.budgeted_formula(
-            rng, pool, fragment="full", max_depth=max_depth,
-            fractions=generate.FRACTIONS, rows=max(team.size, 1),
+            rng, pool, fragment="full", max_depth=max_depth, rows=max(team.size, 1),
             mult=max_mult, dom_size=structure.domain.size,
             cfgs=(LAX_MULTI, STRICT_MULTI), budget=100_000)
         spare = tuple(v for v in team_vars if v not in free_vars(f))

@@ -19,7 +19,8 @@ from multiteam.semantics import SemanticsConfig, evaluate
 STRUCT012 = Multistructure({"0": 1, "1": 1, "2": 1})
 STRUCT01 = Multistructure({"0": 1, "1": 1})
 LAX_MULTI = SemanticsConfig("multi", "lax")
-ABS_MULTI = SemanticsConfig("multi", "lax", "absolute")
+ALL_CFGS = [SemanticsConfig(kind, strictness)
+            for kind in ("set", "multi") for strictness in ("lax", "strict")]
 
 # three unit rows over x, y, z; only the first has x=y, only the second x=z
 X3 = Multiteam(("x", "y", "z"), [("0", "0", "1"), ("0", "1", "0"), ("0", "1", "2")])
@@ -135,20 +136,18 @@ def test_functional_entry_points():
     assert evaluate(STRUCT012, X3, ImplFrac(two_thirds, parse("x!=x"), parse("x=y")))
     with pytest.raises(InputError):
         evaluate(STRUCT012, X3, ExistsFrac(Threshold(Fraction(3, 2)), parse("x=y")))
-    with pytest.raises(InputError):
-        evaluate(STRUCT012, X3, ExistsFrac(Threshold(Fraction(1, 2)), parse("x=y")), ABS_MULTI)
 
 
 def test_absolute_bounds_count_rows():
     t = Multiteam(("x", "y"), [("0", "0"), ("1", "1"), ("0", "1")])
-    assert evaluate(STRUCT01, t, parse("<#2> x=y"), ABS_MULTI)
-    assert not evaluate(STRUCT01, t, parse("<#3> x=y"), ABS_MULTI)
-    assert evaluate(STRUCT01, t, ExistsFrac(Threshold(2, absolute=True), parse("x=y")),
-                    ABS_MULTI)
-    # an absolute bound above zero is unattainable on the empty multiteam
     empty = Multiteam.empty(("x", "y"))
-    assert not evaluate(STRUCT01, empty, parse("<#1> x=y"), ABS_MULTI)
-    assert evaluate(STRUCT01, empty, parse("<#0> x=y"), ABS_MULTI)
+    for cfg in ALL_CFGS:
+        assert evaluate(STRUCT01, t, parse("<#2> x=y"), cfg)
+        assert not evaluate(STRUCT01, t, parse("<#3> x=y"), cfg)
+        assert evaluate(STRUCT01, t, ExistsFrac(Threshold(2, absolute=True), parse("x=y")), cfg)
+        # an absolute bound above zero is unattainable on the empty multiteam
+        assert not evaluate(STRUCT01, empty, parse("<#1> x=y"), cfg)
+        assert evaluate(STRUCT01, empty, parse("<#0> x=y"), cfg)
 
 
 # --- approximate dependence: delete at most a (1-p) fraction of the rows ---

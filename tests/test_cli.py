@@ -17,6 +17,7 @@ from multiteam.cli import main
 from multiteam.formula import (ATOMS, And, Eq, Exists, ExistsFrac, Forall,
                                ForallFrac, ImplFrac, Neq, NegRel, Or, Rel,
                                Threshold)
+from multiteam.suites import SUITES
 
 FIG1_TEAM = "x,y,#count\n0,0,2\n0,1,1\n1,0,1\n1,1,1\n"
 FIG2_TEAM = "x,y,z,#count\n0,0,1,2\n1,2,0,1\n2,1,0,1\n"
@@ -306,9 +307,8 @@ def structure_texts(draw):
 
 options = st.lists(st.sampled_from([
     ["--team-kind", "set"], ["--team-kind", "multi"], ["--strictness", "lax"],
-    ["--strictness", "strict"], ["--approx", "ratio"], ["--approx", "absolute"],
-    ["--witness"], ["--witness"], ["--team-kind", "multi"], ["--strictness", "strict"],
-    ["--team-kind", "bogus"], ["--frac"]]), max_size=3)
+    ["--strictness", "strict"], ["--witness"], ["--witness"], ["--team-kind", "multi"],
+    ["--strictness", "strict"], ["--team-kind", "bogus"], ["--frac"]]), max_size=3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -332,3 +332,44 @@ def test_check_exits_zero_one_or_two_on_any_input(structure, team, formula, opts
         assert out.getvalue().endswith(("true\n", "false\n")[code])
     else:
         assert err.getvalue().startswith(("error: ", "usage: "))
+
+
+# --- props fuzz: every bound ends in 0, 1 or 2 --------------------------
+#
+# Each bound flag, its least value and the largest value drawn.  --trials,
+# --max-dom and --max-vars are always passed and at most 2, and --jobs is
+# always passed and never 0 (the default) or above 1, so no draw runs long
+# or starts a process pool.
+
+PROPS_BOUNDS = {"trials": (0, 2), "max_dom": (1, 2), "max_vars": (1, 2), "jobs": (0, 1),
+                "max_rows": (0, 3), "max_depth": (0, 3), "max_mult": (1, 3),
+                "max_clauses": (0, 3), "max_clauses2": (0, 3)}
+ALWAYS_PASSED = ("trials", "max_dom", "max_vars", "jobs")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(SUITES)),
+       st.one_of(st.none(), st.sampled_from(sorted(PROPS_BOUNDS))), st.data())
+def test_props_exits_zero_one_or_two_on_any_bound(suite, below, data):
+    """At most one flag, `below`, is drawn from -2 up to under its least
+    value, and the props command then exits 2 with a usage message."""
+    bounds = {}
+    for name, (least, most) in PROPS_BOUNDS.items():
+        if name == below:
+            bounds[name] = data.draw(st.integers(-2, least - 1), label=name)
+        elif name in ALWAYS_PASSED or data.draw(st.booleans(), label=f"pass {name}"):
+            low = 1 if name == "jobs" else least
+            bounds[name] = data.draw(st.integers(low, most), label=name)
+    argv = ["props", suite] + [word for name, value in bounds.items()
+                               for word in ("--" + name.replace("_", "-"), str(value))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    if below:
+        assert code == 2 and err.getvalue().startswith("usage: "), (argv, code)
+    else:
+        assert code in (0, 1), (argv, code)
+        assert out.getvalue().startswith(f"{suite}: " + ("pass", "FAIL")[code])

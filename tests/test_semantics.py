@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from multiteam import atoms, cli
 from multiteam.approx import part_vectors
@@ -588,7 +588,7 @@ def test_closed_part_quantifiers_take_parts_of_the_bound_size():
     assert evaluate(STRUCT01, t, parse("[3/4] dep(; x)"), LAX_MULTI) is False
     assert evaluate(STRUCT01, t.select(("x",), ("0",)), parse("[3/4] dep(; x)"), LAX_MULTI)
     assert evaluate(STRUCT01, t, ForallFrac(Threshold(5, absolute=True), parse("x=y")),
-                    SemanticsConfig("multi", "lax", "absolute"))
+                    LAX_MULTI)
 
 
 def test_lax_supplements_still_give_a_copy_several_values():
@@ -674,12 +674,31 @@ def test_formulas_built_too_deep_are_rejected_before_the_search(kind):
     assert witness(STRUCT01, t, highest, LAX_MULTI, use_cache=False).holds
 
 
-def test_threshold_flavor_must_match_the_configuration():
-    t = Multiteam(("x",), [("0",)])
-    with pytest.raises(InputError):
-        evaluate(STRUCT01, t, parse("<#1> x=x"), LAX_MULTI)
-    with pytest.raises(InputError):
-        evaluate(STRUCT01, t, parse("<1/2> x=x"),
-                 SemanticsConfig("multi", "lax", "absolute"))
-    assert evaluate(STRUCT01, t, parse("<#1> x=x"),
-                    SemanticsConfig("multi", "lax", "absolute"))
+BOUND_BODIES = ["x=y", "R(x)", "dep(x ; y)", "inc(x ; y)", "pinc(x ; y)",
+                "(x=y | inc(y ; x))", "E u. (dep(u ; x) & u=y)"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_multiteams(), st.sampled_from(BOUND_BODIES), st.sampled_from(ALL_CFGS))
+def test_a_row_count_bound_is_the_ratio_of_that_count(t, body, cfg):
+    # on a team of n > 0 rows, <#k> f is <k/n> f and [#k] f is [k/n] f
+    if cfg.team_kind == "set":
+        t = t.support()
+    n, f = t.size, parse(body)
+    assume(n > 0)
+    for k in range(n + 1):
+        for node in (ExistsFrac, ForallFrac):
+            assert (evaluate(STRUCT01, t, node(Threshold(k, absolute=True), f), cfg)
+                    == evaluate(STRUCT01, t, node(Threshold(Fraction(k, n)), f), cfg)), (node, k)
+
+
+@pytest.mark.parametrize("cfg", ALL_CFGS, ids=lambda c: f"{c.team_kind}-{c.strictness}")
+def test_one_formula_mixes_ratio_and_row_count_bounds(cfg):
+    # one row of two has x=y: some half holds a row with x=y, not every half
+    t = Multiteam(("x", "y"), [("0", "0"), ("0", "1")])
+    assert str(parse("<1/2> <#1> x=y")) == "<1/2> <#1> x = y"
+    assert evaluate(STRUCT01, t, parse("<1/2> <#1> x=y"), cfg)
+    assert not evaluate(STRUCT01, t, parse("[1/2] <#1> x=y"), cfg)
+    assert evaluate(STRUCT01, t, parse("[#2] <1/2> x=y"), cfg)
+    w = witness(STRUCT01, t, parse("<#1> <1/2> x=y"), cfg)
+    assert w.holds and w.parts[0].team.size == 1
