@@ -101,10 +101,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_props(args) -> int:
-    accepted = set(inspect.signature(SUITES[args.suite]).parameters)
-    bounds = {name: value for name in BOUND_FLAGS
-              if (value := getattr(args, name)) is not None
-              and name in accepted}
+    reads = inspect.signature(SUITES[args.suite]).parameters
+    bounds = {name: value for name in BOUND_FLAGS if (value := getattr(args, name)) is not None}
+    unread = ["--" + name.replace("_", "-") for name in bounds if name not in reads]
+    if unread:
+        raise InputError(f"suite {args.suite} does not read {', '.join(unread)}")
     report = run_suite(args.suite, seed=args.seed, **bounds)
     print(report.render())
     return 0 if report.passed else 1

@@ -12,15 +12,16 @@ which are its variable groups in text order, its keyword and whether its
 sides must be equally long, and `ATOMS` maps each keyword to its class for
 the parser and the generator.  `ind(xs ; ys ; zs)` conditions on the first
 group, i.e. it asserts that ys and zs are independent once xs is fixed, and
-likewise for `pind`.
+likewise for `pind`.  `scan` reads height, free variables and relation atoms
+in one walk; no walk here recurses, and only printing repeats a shared node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
-from typing import Iterator, Sequence, Union
+from operator import attrgetter, methodcaller
+from typing import Optional, Sequence, Union
 
 from .errors import InputError
 
@@ -28,7 +29,7 @@ __all__ = [
     "Threshold", "Formula", "Eq", "Neq", "Rel", "NegRel", "And", "Or",
     "Exists", "Forall", "Dep", "Inc", "Excl", "CI", "PInc", "PCI",
     "ExistsFrac", "ForallFrac", "ImplFrac", "TRUE", "ATOMS",
-    "free_vars", "subformulas", "height",
+    "free_vars", "scan",
 ]
 
 
@@ -75,34 +76,31 @@ class Formula:
     __slots__ = ()
 
 
-class _Compound(Formula):
-    """A node built from subformulas.  `_pieces` lists its text in order:
-    strings and thresholds as printed, subformulas to be printed in turn, so
-    one loop prints a formula of any height (see `_render`)."""
-
-    __slots__ = ()
-
-    def _pieces(self) -> tuple:
-        raise NotImplementedError
-
-    def children(self) -> list[Formula]:
-        return [x for x in self._pieces() if isinstance(x, Formula)]
-
-    def __str__(self) -> str:
-        return _render(self)
-
-
-def _render(f: Formula) -> str:
-    """The text of f, printed without recursion."""
+def _render(f: Formula, pieces=methodcaller("_pieces")) -> str:
+    """The text of f, printed without recursion as its compounds' pieces."""
     out: list[str] = []
     stack: list = [f]
     while stack:
         item = stack.pop()
         if isinstance(item, _Compound):
-            stack.extend(reversed(item._pieces()))
+            stack.extend(reversed(pieces(item)))
         else:
             out.append(item if isinstance(item, str) else str(item))
     return "".join(out)
+
+
+class _Compound(Formula):
+    """A node built from subformulas.  `_form` is its text in order: strings
+    as printed, and the index of each field printed in its place, so one loop
+    prints a formula of any height from its compounds' pieces (see `_render`)."""
+
+    __slots__ = ()
+    _form: tuple
+    __str__ = _render
+
+    def _pieces(self) -> list:
+        return [p if p.__class__ is str else getattr(self, self.__match_args__[p])
+                for p in self._form]
 
 
 def _check_vars(node: str, variables: Sequence[str]) -> tuple[str, ...]:
@@ -159,37 +157,29 @@ class NegRel(Formula):
 class And(_Compound):
     left: Formula
     right: Formula
-
-    def _pieces(self) -> tuple:
-        return ("(", self.left, " & ", self.right, ")")
+    _form = ("(", 0, " & ", 1, ")")
 
 
 @dataclass(frozen=True, slots=True)
 class Or(_Compound):
     left: Formula
     right: Formula
-
-    def _pieces(self) -> tuple:
-        return ("(", self.left, " | ", self.right, ")")
+    _form = ("(", 0, " | ", 1, ")")
 
 
 @dataclass(frozen=True, slots=True)
 class Exists(_Compound):
     var: str
     body: Formula
-
     # parenthesized because the quantifier scope extends maximally to the right
-    def _pieces(self) -> tuple:
-        return ("(E ", self.var, ". ", self.body, ")")
+    _form = ("(E ", 0, ". ", 1, ")")
 
 
 @dataclass(frozen=True, slots=True)
 class Forall(_Compound):
     var: str
     body: Formula
-
-    def _pieces(self) -> tuple:
-        return ("(A ", self.var, ". ", self.body, ")")
+    _form = ("(A ", 0, ". ", 1, ")")
 
 
 class _Atom(Formula):
@@ -274,7 +264,7 @@ class PCI(_Atom):
 #: The dependency atoms by keyword: the one place a keyword names a class.
 ATOMS = {cls.keyword: cls for cls in (Dep, Inc, Excl, CI, PInc, PCI)}
 
-# An atom's fields in order, read in one call: `free_vars` and the search's
+# An atom's fields in order, read in one call: `scan` and the search's
 # projections read them on every check.
 for _cls in ATOMS.values():
     _cls.groups = property(attrgetter(*_cls.__match_args__))
@@ -286,9 +276,7 @@ class ExistsFrac(_Compound):
 
     p: Threshold
     body: Formula
-
-    def _pieces(self) -> tuple:
-        return ("<", self.p, "> ", self.body)
+    _form = ("<", 0, "> ", 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,9 +285,7 @@ class ForallFrac(_Compound):
 
     p: Threshold
     body: Formula
-
-    def _pieces(self) -> tuple:
-        return ("[", self.p, "] ", self.body)
+    _form = ("[", 0, "] ", 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,9 +296,7 @@ class ImplFrac(_Compound):
     p: Threshold
     left: Formula
     right: Formula
-
-    def _pieces(self) -> tuple:
-        return ("(", self.left, " ->{", self.p, "} ", self.right, ")")
+    _form = ("(", 1, " ->{", 0, "} ", 2, ")")
 
 
 class _HashOf:
@@ -350,48 +334,41 @@ def _hash(f: _Compound) -> int:
 
 def _eq(f: _Compound, other) -> bool:
     """f == other as the dataclass defines it, field by field, compared
-    without recursion."""
+    without recursion and each pair of compounds once."""
     if other.__class__ is not f.__class__:
         return NotImplemented
-    stack = [(f, other)]
+    stack, seen = [(f, other)], set()
     while stack:
         a, b = stack.pop()
-        if a is b:
+        if a is b or (id(a), id(b)) in seen:
             continue
         if a.__class__ is not b.__class__:
             return False
         if isinstance(a, _Compound):
+            seen.add((id(a), id(b)))
             stack += [(getattr(a, name), getattr(b, name)) for name in a.__match_args__]
         elif a != b:
             return False
     return True
 
 
-def _repr(f: _Compound) -> str:
-    """repr(f) as the dataclass writes it, printed without recursion."""
-    out: list[str] = []
-    stack: list = [f]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        pieces = [type(item).__qualname__, "("]
-        for k, name in enumerate(item.__match_args__):
-            value = getattr(item, name)
-            pieces += [", " if k else "", name, "=",
-                       value if isinstance(value, _Compound) else repr(value)]
-        pieces.append(")")
-        stack.extend(reversed(pieces))
-    return "".join(out)
+def _repr_pieces(f: _Compound) -> list:
+    """The pieces of repr(f) as the dataclass writes it, for `_render`."""
+    pieces = [type(f).__qualname__, "("]
+    for k, name in enumerate(f.__match_args__):
+        value = getattr(f, name)
+        pieces += [", " if k else "", name, "=",
+                   value if isinstance(value, _Compound) else repr(value)]
+    return pieces + [")"]
 
 
 # The dataclass decorator writes a recursive __eq__, __hash__ and __repr__
 # into each class; these give the same answers for a formula of any height.
-for _cls in (And, Or, Exists, Forall, ExistsFrac, ForallFrac, ImplFrac):
+_COMPOUNDS = frozenset({And, Or, Exists, Forall, ExistsFrac, ForallFrac, ImplFrac})
+for _cls in _COMPOUNDS:
     _cls.__eq__ = _eq
     _cls.__hash__ = _hash
-    _cls.__repr__ = _repr
+    _cls.__repr__ = lambda self: _render(self, _repr_pieces)
 
 
 #: `dep(;)` requires nothing of any row, so it is satisfied by every
@@ -399,42 +376,56 @@ for _cls in (And, Or, Exists, Forall, ExistsFrac, ForallFrac, ImplFrac):
 TRUE = Dep((), ())
 
 
+def scan(f: Formula, limit: Optional[int] = None
+         ) -> tuple[int, set[str], list[Formula], Optional[str]]:
+    """Read f in one walk without recursion: its height, free variables,
+    relation atoms in the order met from the top, left to right, and a message
+    naming the first value in a subformula's place that is not a formula node
+    (else None).  With limit, stop at a node deeper than limit.  A compound is
+    walked again only deeper or under fewer bound variables, then at the
+    greater depth under the variables bound on both paths: each walk lowers
+    (limit - depth) + (bound variables), so at most limit + 1 walks a node."""
+    height, free, uses, problem, walked = 0, set(), [], None, {}
+    stack = [(f, 1, frozenset())]
+    while stack:
+        g, depth, bound = stack.pop()
+        cls = g.__class__
+        if cls in _COMPOUNDS:
+            last, shared = walked.get(id(g), (0, bound))
+            if depth <= last and bound >= shared:
+                continue
+            depth, bound = max(depth, last), bound & shared
+            walked[id(g)] = depth, bound
+            if cls is Exists or cls is Forall:
+                stack.append((g.body, depth + 1, bound | {g.var}))
+            elif cls is ExistsFrac or cls is ForallFrac:
+                stack.append((g.body, depth + 1, bound))
+            else:
+                stack += ((g.right, depth + 1, bound), (g.left, depth + 1, bound))
+        else:
+            if cls is Eq or cls is Neq:
+                names = (g.x, g.y)
+            elif cls is Rel or cls is NegRel:
+                names = g.args
+                uses.append(g)
+            elif isinstance(g, _Atom):
+                names = [x for group in g.groups for x in group]
+            else:
+                problem = problem or f"not a formula node: {g!r}"
+                if not isinstance(g, Formula):
+                    continue
+                names = ()
+            free.update([x for x in names if x not in bound] if bound else names)
+        if depth > height:
+            height = depth
+            if limit is not None and height > limit:
+                break
+    return height, free, uses, problem
+
+
 def free_vars(f: Formula) -> frozenset[str]:
     """The free variables of a formula; quantifiers bind their variable."""
-    if isinstance(f, (Eq, Neq)):
-        return frozenset((f.x, f.y))
-    if isinstance(f, (Rel, NegRel)):
-        return frozenset(f.args)
-    if isinstance(f, (And, Or)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    if isinstance(f, _Atom):
-        return frozenset().union(*f.groups)
-    if isinstance(f, (ExistsFrac, ForallFrac)):
-        return free_vars(f.body)
-    if isinstance(f, ImplFrac):
-        return free_vars(f.left) | free_vars(f.right)
-    raise InputError(f"not a formula node: {f!r}")
-
-
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """The formula and all its subformulas, outermost first."""
-    yield f
-    if isinstance(f, (And, Or)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Exists, Forall, ExistsFrac, ForallFrac)):
-        yield from subformulas(f.body)
-    elif isinstance(f, ImplFrac):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-
-
-def height(f: Formula) -> int:
-    """Levels of the formula tree, counted without recursion."""
-    height, level = 0, [f]
-    while level:
-        height += 1
-        level = [c for node in level if isinstance(node, _Compound) for c in node.children()]
-    return height
+    _, free, _, problem = scan(f)
+    if problem:
+        raise InputError(problem)
+    return frozenset(free)

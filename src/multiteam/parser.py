@@ -40,7 +40,7 @@ from typing import NamedTuple
 from .errors import ParseError
 from .formula import (ATOMS, And, Eq, Exists, ExistsFrac, Forall, Formula,
                       ForallFrac, ImplFrac, Neq, NegRel, Or, Rel, Threshold,
-                      height)
+                      scan)
 
 __all__ = ["parse", "KEYWORDS", "MAX_DEPTH"]
 
@@ -298,6 +298,6 @@ def parse(text: str) -> Formula:
     tail = parser.peek()
     if tail.kind != "end":
         parser.fail(f"unexpected trailing input {tail.text!r}", tail)
-    if height(f) > MAX_DEPTH:
+    if scan(f, MAX_DEPTH)[0] > MAX_DEPTH:
         raise ParseError(f"formula nests too deeply: more than {MAX_DEPTH} levels")
     return f

@@ -95,7 +95,7 @@ from .approx import part_vectors
 from .errors import InputError
 from .formula import (CI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
                       ForallFrac, Formula, ImplFrac, Inc, Neq, NegRel, Or,
-                      PCI, PInc, Rel, free_vars, height, subformulas)
+                      PCI, PInc, Rel, scan)
 from .model import Assignment, Multiset, Multiteam, Multistructure
 from .parser import MAX_DEPTH
 
@@ -137,13 +137,15 @@ class Instance:
 
 def _validate(structure: Multistructure, team: Multiteam, f: Formula,
               cfg: SemanticsConfig) -> None:
-    if height(f) > MAX_DEPTH:  # before anything below recurses into f
+    height, free, uses, problem = scan(f, MAX_DEPTH)
+    if height > MAX_DEPTH:  # before anything below recurses into f
         raise InputError(f"formula nests too deeply: more than {MAX_DEPTH} levels")
-    missing = sorted(free_vars(f) - set(team.variables))
+    if problem:
+        raise InputError(problem)
+    missing = sorted(free.difference(team.variables))
     if missing:
         raise InputError(f"free variables {missing} are not bound by the multiteam")
-    support = set(structure.domain.support)
-    stray = sorted(v for v in team.values_used() if v not in support)
+    stray = sorted(team.values_used().difference(structure.domain.support))
     if stray:
         raise InputError(f"multiteam values {stray} lie outside the structure domain")
     if cfg.team_kind == "set":
@@ -151,12 +153,10 @@ def _validate(structure: Multistructure, team: Multiteam, f: Formula,
             raise InputError("set semantics requires team multiplicities at most 1")
         if any(n > 1 for _, n in structure.domain.items()):
             raise InputError("set semantics requires domain multiplicities at most 1")
-    for sub in subformulas(f):
-        if isinstance(sub, (Rel, NegRel)):
-            if structure.arity(sub.name) != len(sub.args):
-                raise InputError(
-                    f"relation {sub.name} has arity {structure.arity(sub.name)}, "
-                    f"used with {len(sub.args)} arguments")
+    for sub in uses:
+        if structure.arity(sub.name) != len(sub.args):
+            raise InputError(f"relation {sub.name} has arity {structure.arity(sub.name)}, "
+                             f"used with {len(sub.args)} arguments")
 
 
 Counts = tuple[int, ...]  # one multiplicity per row of a row space
@@ -425,7 +425,7 @@ class Witness:
 
 
 #: Atoms that hold on every submultiteam of a multiteam they hold on.
-_CLOSED_ATOMS = (Eq, Neq, Rel, NegRel, Dep, Excl)
+_CLOSED_ATOMS = frozenset({Eq, Neq, Rel, NegRel, Dep, Excl})
 
 #: Each dependency atom's test over a count vector (see `atoms`).
 _ATOM_TESTS = {Dep: atoms.dep_holds, Inc: atoms.inc_holds, Excl: atoms.excl_holds,
@@ -434,19 +434,28 @@ _ATOM_TESTS = {Dep: atoms.dep_holds, Inc: atoms.inc_holds, Excl: atoms.excl_hold
 
 #: Literals: each row passes or fails them on its own.
 _LITERALS = (Eq, Neq, Rel, NegRel)
+_CONDITIONS = frozenset({*_LITERALS, Dep})
+
+
+def _reach(f: Formula, through: tuple) -> list[Formula]:
+    """The nodes f reaches through the connectives in `through` (some of `&`,
+    `|`, `E`, `A`), other than those, left to right; each node object once."""
+    out, seen, stack = [], set(), [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in seen:
+            seen.add(id(g))
+            if g.__class__ not in through:
+                out.append(g)
+            else:
+                stack += (g.body,) if g.__class__ in (Exists, Forall) else (g.right, g.left)
+    return out
 
 
 def _conditions(f: Optional[Formula]) -> list[Formula]:
     """The literal and `dep` conjuncts of f, reached through `&` alone: each
     is downward closed and holds wherever f does."""
-    out, stack = [], [f] if f is not None else []
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack += (g.right, g.left)
-        elif isinstance(g, _LITERALS + (Dep,)):
-            out.append(g)
-    return out
+    return [g for g in _reach(f, (And,)) if g.__class__ in _CONDITIONS]
 
 
 def _none_counted(failing: list[int], counts: Counts) -> bool:
@@ -522,11 +531,7 @@ class _Eval:
     def _closed(self, f: Formula) -> bool:
         """Whether f is known to be downward closed: true on every
         submultiteam of a multiteam it holds on.  Conservative."""
-        if isinstance(f, (And, Or)):
-            return self._closed(f.left) and self._closed(f.right)
-        if isinstance(f, (Exists, Forall)):
-            return self._closed(f.body)
-        return isinstance(f, _CLOSED_ATOMS)
+        return {g.__class__ for g in _reach(f, (And, Or, Exists, Forall))} <= _CLOSED_ATOMS
 
     def _holds(self, f: Formula, space: _Space, counts: Counts, choice: str, *parts):
         if self.explain:
@@ -682,7 +687,7 @@ def evaluate(structure: Multistructure, team: Multiteam, f: Formula,
 
 def evaluate_classical(structure: Multistructure, s: Assignment, f: Formula) -> bool:
     """Ordinary single-assignment first-order satisfaction."""
-    if height(f) > MAX_DEPTH:  # before the recursion below
+    if scan(f, MAX_DEPTH)[0] > MAX_DEPTH:  # before the recursion below
         raise InputError(f"formula nests too deeply: more than {MAX_DEPTH} levels")
     return _classical(structure, s, f)
 

@@ -297,7 +297,8 @@ def run_pci_ci(seed=0, *, trials=200, max_rows=3, max_dom=2, max_vars=3,
                max_mult=3):
     """Exact product independence equals row combinability on flat teams, and
     implies it on every multiteam; conditioning on a context value matches a
-    guarded split formula."""
+    guarded split formula.  max_rows, max_dom and max_vars bound the
+    exhaustive part only: the random part always draws teams of up to 4 rows."""
     variables = tuple(f"x{i}" for i in range(max_vars))
     dom = tuple(str(i) for i in range(max_dom))
     checks, violations = 0, []

@@ -7,7 +7,10 @@ vectors: every candidate split, supplement and part is built as a
 order, so it finds the same witness trees; `reference_witness` is its
 counterpart of `semantics.witness`.  `reference_extension` is the
 sort-based construction of an extended row space that `semantics._Extension`
-replaced.
+replaced.  The formula walks `formula.scan`, `semantics._reach` and the
+functions built on them replaced are kept too: `height`, the recursive
+`free_vars`, `subformulas`, `closed` and `conditions`, and
+`reference_validate`, the entry check that read them.
 """
 
 from __future__ import annotations
@@ -18,12 +21,104 @@ from bisect import bisect_left
 from multiteam.approx import _bound_as_threshold
 from multiteam.errors import InputError
 from multiteam.formula import (CI, PCI, And, Dep, Eq, Excl, Exists, ExistsFrac,
-                               Forall, ForallFrac, ImplFrac, Inc, Neq, NegRel,
-                               Or, PInc, Rel)
+                               Forall, ForallFrac, Formula, ImplFrac, Inc, Neq,
+                               NegRel, Or, PInc, Rel, _Atom, _Compound)
 from multiteam.model import Multiteam
+from multiteam.parser import MAX_DEPTH
 from multiteam.semantics import SemanticsConfig, Witness, _validate
 
 _CLOSED_ATOMS = (Eq, Neq, Rel, NegRel, Dep, Excl)
+
+
+# --- formula walks, one per question ---
+
+def height(f):
+    """Levels of the formula tree, counted without recursion; a value in a
+    subformula's place that is not a formula adds no level."""
+    height, level = 0, [f]
+    while level:
+        height += 1
+        level = [c for node in level if isinstance(node, _Compound)
+                 for c in map(node.__getattribute__, node.__match_args__)
+                 if isinstance(c, Formula)]
+    return height
+
+
+def free_vars(f):
+    """The free variables of a formula; quantifiers bind their variable."""
+    if isinstance(f, (Eq, Neq)):
+        return frozenset((f.x, f.y))
+    if isinstance(f, (Rel, NegRel)):
+        return frozenset(f.args)
+    if isinstance(f, (And, Or)):
+        return free_vars(f.left) | free_vars(f.right)
+    if isinstance(f, (Exists, Forall)):
+        return free_vars(f.body) - {f.var}
+    if isinstance(f, _Atom):
+        return frozenset().union(*f.groups)
+    if isinstance(f, (ExistsFrac, ForallFrac)):
+        return free_vars(f.body)
+    if isinstance(f, ImplFrac):
+        return free_vars(f.left) | free_vars(f.right)
+    raise InputError(f"not a formula node: {f!r}")
+
+
+def subformulas(f):
+    """The formula and all its subformulas, outermost first."""
+    yield f
+    if isinstance(f, (And, Or)):
+        yield from subformulas(f.left)
+        yield from subformulas(f.right)
+    elif isinstance(f, (Exists, Forall, ExistsFrac, ForallFrac)):
+        yield from subformulas(f.body)
+    elif isinstance(f, ImplFrac):
+        yield from subformulas(f.left)
+        yield from subformulas(f.right)
+
+
+def closed(f):
+    """Whether f is known to be downward closed (see `semantics._Eval._closed`)."""
+    if isinstance(f, (And, Or)):
+        return closed(f.left) and closed(f.right)
+    if isinstance(f, (Exists, Forall)):
+        return closed(f.body)
+    return isinstance(f, _CLOSED_ATOMS)
+
+
+def conditions(f):
+    """The literal and `dep` conjuncts of f, reached through `&` alone."""
+    out, stack = [], [f] if f is not None else []
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.right, g.left)
+        elif isinstance(g, (Eq, Neq, Rel, NegRel, Dep)):
+            out.append(g)
+    return out
+
+
+def reference_validate(structure, team, f, cfg):
+    """`semantics._validate` as it read the three walks above."""
+    if height(f) > MAX_DEPTH:
+        raise InputError(f"formula nests too deeply: more than {MAX_DEPTH} levels")
+    missing = sorted(free_vars(f) - set(team.variables))
+    if missing:
+        raise InputError(f"free variables {missing} are not bound by the multiteam")
+    support = set(structure.domain.support)
+    stray = sorted(v for v in team.values_used() if v not in support)
+    if stray:
+        raise InputError(f"multiteam values {stray} lie outside the structure domain")
+    if cfg.team_kind == "set":
+        if not team.is_flat():
+            raise InputError("set semantics requires team multiplicities at most 1")
+        if any(n > 1 for _, n in structure.domain.items()):
+            raise InputError("set semantics requires domain multiplicities at most 1")
+    for sub in subformulas(f):
+        if isinstance(sub, (Rel, NegRel)):
+            if structure.arity(sub.name) != len(sub.args):
+                raise InputError(
+                    f"relation {sub.name} has arity {structure.arity(sub.name)}, "
+                    f"used with {len(sub.args)} arguments")
 
 
 # --- extending rows by a variable ---
@@ -213,13 +308,6 @@ class ReferenceEval:
             return Witness(f, team, True, "", ())
         return got
 
-    def closed(self, f):
-        if isinstance(f, (And, Or)):
-            return self.closed(f.left) and self.closed(f.right)
-        if isinstance(f, (Exists, Forall)):
-            return self.closed(f.body)
-        return isinstance(f, _CLOSED_ATOMS)
-
     def _holds(self, f, team, choice, *parts):
         return Witness(f, team, True, choice, parts) if self.explain else True
 
@@ -242,7 +330,7 @@ class ReferenceEval:
                                          left, right)
         if isinstance(f, Or):
             strict = (self.cfg.strictness == "strict"
-                      or self.closed(f.left) or self.closed(f.right))
+                      or closed(f.left) or closed(f.right))
             for y, zs in or_splits(team, strict):
                 left = self.run(f.left, y)
                 if left:
@@ -252,7 +340,7 @@ class ReferenceEval:
                             return self._holds(f, team, "split", left, right)
             return False
         if isinstance(f, Exists):
-            strict = self.cfg.strictness == "strict" or self.closed(f.body)
+            strict = self.cfg.strictness == "strict" or closed(f.body)
             for sup in supplements(team, f.var, self.structure.domain, strict,
                                    self.cfg.team_kind == "set"):
                 body = self.run(f.body, sup)
@@ -278,14 +366,14 @@ class ReferenceEval:
         if isinstance(f, PCI):
             return pci(team, f.xs, f.ys, f.zs)
         if isinstance(f, ExistsFrac):
-            for y in bounded_parts(team, f.p, exact=self.closed(f.body)):
+            for y in bounded_parts(team, f.p, exact=closed(f.body)):
                 body = self.run(f.body, y)
                 if body:
                     return self._holds(
                         f, team, f"submultiteam of size {y.size} out of {team.size}", body)
             return False
         if isinstance(f, ForallFrac):
-            if self.closed(f.body):
+            if closed(f.body):
                 held = f.p.min_size(team.size) > team.size or self.run(f.body, team)
             else:
                 held = all(self.run(f.body, y) for y in bounded_parts(team, f.p))

@@ -337,14 +337,27 @@ def test_check_exits_zero_one_or_two_on_any_input(structure, team, formula, opts
 # --- props fuzz: every bound ends in 0, 1 or 2 --------------------------
 #
 # Each bound flag, its least value and the largest value drawn.  --trials,
-# --max-dom and --max-vars are always passed and at most 2, and --jobs is
-# always passed and never 0 (the default) or above 1, so no draw runs long
-# or starts a process pool.
+# --max-dom and --max-vars are always passed to a suite that reads them and
+# are at most 2, and --jobs is always passed to `reductions` and never 0
+# (the default) or above 1, so no draw runs long or starts a process pool.
 
 PROPS_BOUNDS = {"trials": (0, 2), "max_dom": (1, 2), "max_vars": (1, 2), "jobs": (0, 1),
                 "max_rows": (0, 3), "max_depth": (0, 3), "max_mult": (1, 3),
                 "max_clauses": (0, 3), "max_clauses2": (0, 3)}
 ALWAYS_PASSED = ("trials", "max_dom", "max_vars", "jobs")
+# the bound flags each suite reads, as the README lists them
+SUITE_READS = {
+    "flatness": {"trials", "max_rows", "max_dom", "max_depth"},
+    **dict.fromkeys(("locality", "weakflat", "unionclosure", "approx-laws"),
+                    {"trials", "max_rows", "max_dom", "max_depth", "max_mult"}),
+    **dict.fromkeys(("pci-ci", "lemma-rules"),
+                    {"trials", "max_rows", "max_dom", "max_vars", "max_mult"}),
+    "reductions": {"max_vars", "max_clauses", "max_clauses2", "jobs"},
+}
+
+
+def flag(name):
+    return "--" + name.replace("_", "-")
 
 
 @settings(max_examples=300, deadline=None)
@@ -352,16 +365,25 @@ ALWAYS_PASSED = ("trials", "max_dom", "max_vars", "jobs")
        st.one_of(st.none(), st.sampled_from(sorted(PROPS_BOUNDS))), st.data())
 def test_props_exits_zero_one_or_two_on_any_bound(suite, below, data):
     """At most one flag, `below`, is drawn from -2 up to under its least
-    value, and the props command then exits 2 with a usage message."""
+    value, and the props command then exits 2 with a usage message.  Else at
+    most one flag the suite does not read, `stray`, is passed, and it exits 2
+    naming the suite and the flag.  The other flags are ones the suite reads,
+    and it runs and exits 0 or 1."""
+    reads = SUITE_READS[suite]
+    # none in two of three branches, so that most draws run the suite
+    stray = None if below else data.draw(
+        st.one_of(st.none(), st.none(), st.sampled_from(sorted(set(PROPS_BOUNDS) - reads))),
+        label="stray")
     bounds = {}
     for name, (least, most) in PROPS_BOUNDS.items():
         if name == below:
             bounds[name] = data.draw(st.integers(-2, least - 1), label=name)
-        elif name in ALWAYS_PASSED or data.draw(st.booleans(), label=f"pass {name}"):
+        elif name == stray or name in reads and (
+                name in ALWAYS_PASSED or data.draw(st.booleans(), label=f"pass {name}")):
             low = 1 if name == "jobs" else least
             bounds[name] = data.draw(st.integers(low, most), label=name)
     argv = ["props", suite] + [word for name, value in bounds.items()
-                               for word in ("--" + name.replace("_", "-"), str(value))]
+                               for word in (flag(name), str(value))]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -370,6 +392,27 @@ def test_props_exits_zero_one_or_two_on_any_bound(suite, below, data):
             code = exc.code
     if below:
         assert code == 2 and err.getvalue().startswith("usage: "), (argv, code)
+    elif stray:
+        assert code == 2 and out.getvalue() == "", (argv, code)
+        assert err.getvalue() == f"error: suite {suite} does not read {flag(stray)}\n"
     else:
         assert code in (0, 1), (argv, code)
         assert out.getvalue().startswith(f"{suite}: " + ("pass", "FAIL")[code])
+
+
+def test_a_flag_the_suite_does_not_read_is_refused(capsys):
+    code, out, err = run(["props", "reductions", "--trials", "5", "--max-rows", "3"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: suite reductions does not read --trials, --max-rows\n"
+    for suite, reads in SUITE_READS.items():
+        unread = sorted(set(PROPS_BOUNDS) - reads)
+        code, _, err = run(["props", suite, flag(unread[0]), "1"], capsys)
+        assert code == 2 and f"suite {suite} does not read {flag(unread[0])}" in err
+
+
+def test_the_readme_lists_the_flags_each_suite_reads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for suite, reads in SUITE_READS.items():
+        row = next(line for line in readme.splitlines() if line.startswith(f"| `{suite}` |"))
+        listed = row.split("|")[2]
+        assert set(listed.replace("`", "").replace(",", " ").split()) == {flag(n) for n in reads}, suite

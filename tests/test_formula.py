@@ -1,6 +1,7 @@
-"""Parser, printer, hash, repr and free-variable tests."""
+"""Parser, printer, hash, repr, free-variable and formula-walk tests."""
 
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,14 @@ from multiteam.errors import InputError, ParseError
 from multiteam.formula import (ATOMS, CI, TRUE, And, Dep, Eq, Excl, Exists,
                                ExistsFrac, Forall, ForallFrac, Formula,
                                ImplFrac, Inc, Neq, NegRel, Or, PCI, PInc,
-                               Rel, Threshold, free_vars)
-from multiteam.model import Multiteam, Multistructure
+                               Rel, Threshold, free_vars, scan)
+from multiteam.generate import FRAGMENTS, random_formula
+from multiteam.model import Assignment, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
-from multiteam.semantics import evaluate, witness
+from multiteam.semantics import (SemanticsConfig, _conditions, _Eval, _validate, evaluate,
+                                 evaluate_classical, witness)
+
+import reference_eval
 
 
 half = Threshold(Fraction(1, 2))
@@ -387,3 +392,194 @@ def test_hash_and_repr_of_formulas_built_deep(cls):
     for _ in range(3):
         f = wrap(f)
     assert repr(f) == repr(mirrored(f)) and hash(f) == hash(mirrored(f))
+
+
+# --- one walk reads a formula, checked against the walks it replaced -------
+
+WALK_TEXTS = [
+    "x = y", "R(x) & ~S(x,y)", "E x. (S(x,y) | A y. ~R(y))", "A x. E x. x = y",
+    "<1/2> (S(u,v) ->{#1} R(u))", "[2/3] (dep(x ; y) & E z. ind(z ; x ; y))",
+    "((S(x,y,z) & R()) | Q(x)) & E q. ~Q(q,q)", "E u. E v. (pinc(u ; v) | pind(u ; v ; w))",
+    "(R(a) ->{1/3} (E a. R(a) & ~R(b))) | [#2] <1> excl(a, b ; c, d)",
+]
+
+
+def random_dag(rng, steps):
+    """A formula built bottom-up from a pool whose later nodes take earlier
+    ones as subformulas, so that subformulas are often shared objects: every
+    node kind, variables u, v, x, y, relations R/1, S/2 and T/0."""
+    names = ("u", "v", "x", "y")
+
+    def pick(k):
+        return tuple(rng.choice(names) for _ in range(k))
+
+    pool = [Eq(*pick(2)), Neq(*pick(2)), Rel("R", pick(1)), NegRel("S", pick(2)),
+            Rel("T", ()), Dep(pick(1), pick(1)), Inc(pick(2), pick(2)), Excl(pick(1), pick(1)),
+            CI(pick(1), pick(1), pick(2)), PInc(pick(1), pick(1)), PCI((), pick(1), pick(1))]
+    for _ in range(steps):
+        recent = pool[-6:]
+        a, b, var = rng.choice(recent), rng.choice(pool), rng.choice(names)
+        pool.append(rng.choice([And(a, b), Or(b, a), Exists(var, a), Forall(var, a),
+                                ExistsFrac(half, a), ForallFrac(two_thirds, a),
+                                ImplFrac(half, a, b)]))
+    return pool[-1]
+
+
+def deep_chains():
+    """For each compound kind, chains around MAX_DEPTH levels and far above."""
+    leaf = Rel("S", ("x", "u"))
+    wrap = {And: lambda g: And(leaf, g), Or: lambda g: Or(g, NegRel("R", ("y",))),
+            Exists: lambda g: Exists("u", g), Forall: lambda g: Forall("x", g),
+            ExistsFrac: lambda g: ExistsFrac(half, g), ForallFrac: lambda g: ForallFrac(half, g),
+            ImplFrac: lambda g: ImplFrac(half, leaf, g)}
+    for cls, step in wrap.items():
+        f, built = leaf, 1
+        for levels in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, MAX_DEPTH + 2, 300):
+            while built < levels:
+                f, built = step(f), built + 1
+            yield f
+
+
+def first_seen(nodes):
+    return list(dict.fromkeys(id(g) for g in nodes))
+
+
+def assert_scan_is_the_old_walks(f, tree):
+    height, free, uses, problem = scan(f)
+    assert problem is None
+    assert height == reference_eval.height(f)
+    assert free == reference_eval.free_vars(f) == free_vars(f)
+    used = [g for g in reference_eval.subformulas(f) if isinstance(g, (Rel, NegRel))]
+    if tree:  # every relation atom once, in the order subformulas listed them
+        assert [id(g) for g in uses] == [id(g) for g in used]
+    else:  # a shared atom may be met more than once, first in that order
+        assert first_seen(uses) == first_seen(used)
+    for limit in (0, 1, height - 1, height, MAX_DEPTH):
+        assert scan(f, limit)[0] == min(height, limit + 1)
+
+
+def test_one_walk_reads_what_the_three_walks_read():
+    rng = random.Random("one walk")
+    for fragment in sorted(FRAGMENTS):
+        for depth in range(6):
+            for _ in range(40):
+                f = random_formula(rng, ("x", "y", "z"), fragment=fragment, max_depth=depth)
+                assert_scan_is_the_old_walks(f, tree=True)
+    for text in WALK_TEXTS:
+        assert_scan_is_the_old_walks(parse(text), tree=True)
+    for f in deep_chains():
+        assert_scan_is_the_old_walks(f, tree=True)
+    for steps in range(1, 12):
+        for _ in range(60):
+            assert_scan_is_the_old_walks(random_dag(rng, steps), tree=False)
+
+
+BAD_FIELDS = ["s", None, 5, ("x",), Formula()]
+
+
+def not_formulas():
+    """Compounds with a value that is not a formula node in a subformula's
+    place, alone, twice, and under chains at and around the height limit."""
+    eq = Eq("x", "y")
+    for bad in BAD_FIELDS:
+        yield bad
+        yield And(eq, bad)
+        yield Or(bad, Eq("u", "v"))
+        yield Exists("x", bad)
+        yield ImplFrac(half, And(eq, Rel("R", ("x",))), bad)
+        yield And(Or(eq, bad), ForallFrac(half, 7))
+        for levels in (MAX_DEPTH - 2, MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 3):
+            f = And(eq, bad)
+            for _ in range(levels - 1):
+                f = ExistsFrac(half, f)
+            yield f
+
+
+def message(call, *args):
+    try:
+        call(*args)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_values_that_are_not_formulas_are_named_as_before():
+    for f in not_formulas():
+        want = message(reference_eval.free_vars, f)
+        assert want is not None and want == message(free_vars, f)
+        if isinstance(f, Formula):  # a value that is no formula has no height
+            assert scan(f, MAX_DEPTH)[0] == min(reference_eval.height(f), MAX_DEPTH + 1)
+        if reference_eval.height(f) <= MAX_DEPTH:
+            assert scan(f, MAX_DEPTH)[3] == want[1]
+
+
+def test_closure_and_conditions_are_read_as_before():
+    closed = _Eval(Multistructure({"0": 1}), SemanticsConfig(), False)._closed
+    rng = random.Random("closure")
+    cases = [(random_formula(rng, ("x", "y"), fragment=fragment, max_depth=depth), True)
+             for fragment in sorted(FRAGMENTS) for depth in range(6) for _ in range(30)]
+    cases += [(parse(text), True) for text in WALK_TEXTS]
+    cases += [(f, False) for f in deep_chains()]  # their leaves are shared
+    cases += [(random_dag(rng, steps), False) for steps in range(1, 12) for _ in range(40)]
+    kinds = set()
+    for f, tree in cases:
+        for g in {id(g): g for g in reference_eval.subformulas(f)}.values():
+            assert closed(g) == reference_eval.closed(g)
+            kinds.add((type(g), closed(g)))
+            got, want = _conditions(g), reference_eval.conditions(g)
+            if tree:
+                assert [id(c) for c in got] == [id(c) for c in want]
+            else:  # a shared conjunct is listed once, where first met
+                assert [id(c) for c in got] == first_seen(want)
+    assert {(cls, verdict) for cls in (And, Or, Exists, Forall) for verdict in (True, False)} <= kinds
+    assert _conditions(None) == reference_eval.conditions(None) == []
+
+
+def invalid_inputs():
+    """(structure, team, formula, config) that the entry check refuses, with
+    several faults at once, so that which one is named first matters."""
+    s = Multistructure({"0": 1, "1": 1}, {"R": (1, [("0",)]), "S": (2, [])})
+    flat = Multiteam(("x", "y"), [("0", "1")])
+    stray = Multiteam(("x", "y"), [("0", "7")])
+    doubled = Multiteam(("x", "y"), {("0", "1"): 2})
+    lax, set_lax = SemanticsConfig(), SemanticsConfig("set", "lax")
+    bad_arity, unknown = Rel("R", ("x", "y")), NegRel("Q", ("x",))
+    for f in not_formulas():
+        yield s, flat, f, lax
+        yield s, flat, And(Eq("z", "z"), f) if isinstance(f, Formula) else f, lax
+    texts = ["R(x,y) & ~Q(x)", "~Q(x) | R(x,y)", "E z. (S(z) & R(z,z))", "A x. ~S(x) & Q()",
+             "<1/2> (R(x) ->{#1} (S(x,y) | R(x,y)))", "R(x,y) & w = w", "E w. (Q(w) & u = v)"]
+    deep, scoped = bad_arity, Eq("v", "v")
+    for _ in range(MAX_DEPTH):
+        deep, scoped = And(deep, Neq("w", "x")), Forall("v", scoped)
+    for f in [parse(text) for text in texts] + [deep, scoped]:
+        for team in (flat, stray, doubled):
+            for cfg in (lax, set_lax):
+                yield s, team, f, cfg
+    yield Multistructure({"0": 2}), flat, Eq("x", "y"), set_lax
+    yield s, flat, And(bad_arity, unknown), lax
+    yield s, flat, And(unknown, bad_arity), lax
+    shared = And(bad_arity, unknown)
+    yield s, flat, Or(Exists("q", shared), And(unknown, shared)), lax
+
+
+def test_the_entry_check_names_the_same_fault_first():
+    refused = 0
+    for structure, team, f, cfg in invalid_inputs():
+        want = message(reference_eval.reference_validate, structure, team, f, cfg)
+        assert message(_validate, structure, team, f, cfg) == want
+        refused += want is not None
+    assert refused > 150
+
+
+def test_classical_evaluation_reports_what_it_reported():
+    # the height check reads the one walk; what is not first-order, or not a
+    # formula at all, is still found by the evaluation
+    s = Multistructure({"0": 1, "1": 1}, {"R": (1, [("0",)])})
+    a = Assignment({"x": "0", "y": "1"})
+    for f, want in [(And(Eq("x", "x"), "s"), "str is not first-order"),
+                    (Or(Neq("x", "y"), None), None),
+                    (And(Rel("R", ("x",)), Dep(("x",), ("y",))), "Dep is not first-order"),
+                    (Exists("u", 5), "int is not first-order")]:
+        got = message(evaluate_classical, s, a, f)
+        assert got == (None if want is None else (InputError, want))

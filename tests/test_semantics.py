@@ -2,6 +2,7 @@
 single-assignment oracle, brute-force enumerations of splits and
 supplement functions, and the kept reference search (`reference_eval`)."""
 
+import collections
 import contextlib
 import itertools
 import random
@@ -14,16 +15,16 @@ from multiteam import atoms, cli
 from multiteam.approx import part_vectors
 from multiteam.errors import InputError
 from multiteam.formula import (And, Dep, Eq, Exists, ExistsFrac, Forall,
-                               ForallFrac, Inc, Neq, NegRel, Or, PInc, Rel,
-                               Threshold)
+                               ForallFrac, ImplFrac, Inc, Neq, NegRel, Or, PInc, Rel,
+                               Threshold, free_vars, scan)
 from multiteam.generate import budgeted_formula, random_structure, random_team
 from multiteam.io import dump_multiteam, dump_structure
 from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
 from multiteam.reductions import (CnfFormula, encode_3sat, encode_maxsat,
                                   maxsat_oracle, sat_oracle)
-from multiteam.semantics import (SemanticsConfig, _Eval, _Extension, _Prune, _Space,
-                                 _split_vectors, _walk, enum_or_splits,
+from multiteam.semantics import (SemanticsConfig, _conditions, _Eval, _Extension, _Prune,
+                                 _Space, _split_vectors, _walk, enum_or_splits,
                                  enum_supplements, evaluate,
                                  evaluate_classical, extend_universal, witness)
 from reference_eval import _extender, reference_extension, reference_witness
@@ -702,3 +703,98 @@ def test_one_formula_mixes_ratio_and_row_count_bounds(cfg):
     assert evaluate(STRUCT01, t, parse("[#2] <1/2> x=y"), cfg)
     w = witness(STRUCT01, t, parse("<#1> <1/2> x=y"), cfg)
     assert w.holds and w.parts[0].team.size == 1
+
+
+# --- shared subformulas cost their distinct nodes -------------------------
+
+SUBFORMULA_FIELDS = {And: ("left", "right"), Or: ("left", "right"),
+                     ImplFrac: ("left", "right"), Exists: ("body",), Forall: ("body",),
+                     ExistsFrac: ("body",), ForallFrac: ("body",)}
+
+
+@contextlib.contextmanager
+def field_reads():
+    """Inside, every read of a compound's subformula field counts one visit
+    of that node object, by id; it yields the counter.  Build formulas
+    before entering: inside, those fields cannot be set."""
+    visits = collections.Counter()
+    with pytest.MonkeyPatch.context() as m:
+        for cls, names in SUBFORMULA_FIELDS.items():
+            for name in names:
+                slot = cls.__dict__[name]
+                m.setattr(cls, name, property(
+                    lambda node, slot=slot: (visits.update((id(node),)), slot.__get__(node))[1]))
+        yield visits
+
+
+def doubled_chain(levels):
+    """A formula of the given height, each level And(d, d) of one object d."""
+    d = Eq("x", "x")
+    for _ in range(levels - 1):
+        d = And(d, d)
+    return d
+
+
+def outcome(call, *args):
+    """call(*args), or the type and message of what it raised.  A failure is
+    never reported with the frames that hold a shared formula: their
+    arguments would be printed, at a length of one copy per path."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+CHECKS = {"evaluate": evaluate, "witness": lambda *args: witness(*args).holds}
+TOO_DEEP = f"InputError: formula nests too deeply: more than {MAX_DEPTH} levels"
+
+
+def test_shared_subformulas_cost_their_distinct_nodes():
+    # 2 ** 49 paths but 50 node objects: every walk and the search visit
+    # each object a bounded number of times, so each case answers at once
+    t = Multiteam(("x",), [("0",)])
+    half, one = doubled_chain(MAX_DEPTH - 1), Threshold(1, absolute=True)
+    cases = {"d": doubled_chain(MAX_DEPTH), "d | x = x": Or(half, Eq("x", "x")),
+             "E u. d": Exists("u", half), "<#1> d": ExistsFrac(one, half),
+             "[#1] d": ForallFrac(one, half)}
+    for label, f in cases.items():
+        for cfg, name in itertools.product((LAX_MULTI, STRICT_SET), CHECKS):
+            with field_reads() as visits:
+                got = outcome(CHECKS[name], STRUCT01, t, f, cfg)
+            assert got is True, (label, name, got)
+            assert max(visits.values()) <= 10 and sum(visits.values()) <= 10 * MAX_DEPTH, label
+        with field_reads() as visits:
+            got = (outcome(scan, f, MAX_DEPTH)[:2],
+                   outcome(_Eval(STRUCT01, LAX_MULTI, False)._closed, f),
+                   len(outcome(_conditions, f)))
+        assert got == ((MAX_DEPTH, {"x"}), "#" not in label, label == "d"), label
+        assert max(visits.values()) <= 6, label
+    for f in (doubled_chain(MAX_DEPTH + 1), And(half, cases["d"]),
+              Exists("u", cases["d"]), ForallFrac(one, cases["d"])):
+        for name, check in CHECKS.items():
+            assert outcome(check, STRUCT01, t, f, LAX_MULTI) == TOO_DEEP, name
+    # formulas built apart compare and hash equal, each pair of nodes once
+    twin = doubled_chain(MAX_DEPTH)
+    assert outcome(lambda: twin == cases["d"] and hash(twin) == hash(cases["d"])) is True
+
+
+def test_the_walk_is_bounded_however_the_bound_variables_vary():
+    # n_i = And(E v_i. n_(i+1), n_(i+1)): n_(i+1) lies under 2 ** i sets of
+    # bound variables, on paths of several lengths; the walk takes a node
+    # again only deeper or under fewer bound variables
+    levels = (MAX_DEPTH - 1) // 2
+    names = [f"v{i}" for i in range(levels)]
+    f = Rel("R", tuple(names))
+    for var in reversed(names):
+        f = And(Exists(var, f), f)
+    wrapped = Exists("v0", f)
+    with field_reads() as visits:
+        height, free, uses, problem = outcome(scan, wrapped, MAX_DEPTH)
+    assert (height, free, problem) == (2 * levels + 2, set(names[1:]), None)
+    assert len(visits) == 2 * levels + 1
+    assert max(visits.values()) <= 2 * (MAX_DEPTH + 1)
+    assert len(uses) <= 2 * (MAX_DEPTH + 1)
+    with field_reads() as visits:
+        got = outcome(scan, f, MAX_DEPTH)[1], outcome(free_vars, f)
+    assert got == (set(names), set(names))
+    assert max(visits.values()) <= 4 * (MAX_DEPTH + 1)
