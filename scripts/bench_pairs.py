@@ -14,8 +14,10 @@ output file is rewritten after every pair and trace, so an interrupted
 session keeps what it measured: per workload
 and end-to-end metric the runs, medians, inclusive quartiles and the pairs
 the change won (ties count for neither side), plus failed and attempted
-calls and `src_lines` per side.  Metric names, units and directions come
-from BENCHMARK.json.  Only the standard library is used.
+calls and `src_lines` per side, and `src_lines_by_module`, each
+`src/multiteam` module's lines counted as `bench/run.py` counts `src_lines`.
+Metric names, units and directions come from BENCHMARK.json.  Only the
+standard library is used.
 """
 
 import argparse
@@ -50,6 +52,12 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {done.returncode} "
                          f"without a result")
     return {"meta": json.loads(lines[-2])["meta"], "result": json.loads(lines[-1])}
+
+
+def module_lines(checkout: Path) -> dict:
+    """Lines per `src/multiteam` module, by `splitlines()` as in `bench/run.py`."""
+    return {p.name: len(p.read_text(encoding="utf-8").splitlines())
+            for p in sorted((checkout / "src" / "multiteam").glob("*.py"))}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -111,6 +119,7 @@ def report(args, state: dict, metrics: dict) -> dict:
         "host": {"nproc": metas[0]["nproc"] if metas else None,
                  "python": metas[0]["python"] if metas else None},
         "src_lines": {s: by_side[s][0]["src_lines"] if by_side[s] else None for s in SIDES},
+        "src_lines_by_module": state["modules"],
         "commits": {"parent": state["parent"], "change": "working tree of " + state["head"]},
         "method": ("alternating pairs, the side run first swapping each pair (the parent "
                    "first in the first pair); one seed per pair; quartiles inclusive"),
@@ -156,7 +165,8 @@ def main(argv=None) -> int:
         git("checkout", "--quiet", args.parent, cwd=parent_dir)
         checkouts = {"parent": parent_dir, "change": ROOT}
         state = {"parent": git("rev-parse", args.parent), "head": git("rev-parse", "HEAD"),
-                 "runs": {}, "traces": {}}
+                 "runs": {}, "traces": {},
+                 "modules": {s: module_lines(checkouts[s]) for s in SIDES}}
         for spec in args.pairs:
             workload, seeds = parse_seeds(spec)
             state["runs"][workload] = {"seeds": seeds, "parent": [], "change": []}

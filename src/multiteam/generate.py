@@ -131,16 +131,22 @@ def random_formula(rng: random.Random, variables, *, fragment: str = "fo",
 
 def estimate_cost(f, *, rows: int, mult: int, dom_size: int,
                   cfg: SemanticsConfig | None = None) -> int:
-    """Rough upper bound on evaluator work for a team of the given shape."""
+    """Rough upper bound on evaluator work for a team of the given shape.
+    Each subformula object is costed once per shape, however many paths
+    share it."""
     cfg = cfg or SemanticsConfig()
     multi = cfg.team_kind == "multi"
     lax = cfg.strictness == "lax"
+    memo: dict[tuple[int, int, int], int] = {}
 
     def go(f, rows, mult):
+        key = (id(f), rows, mult)  # the tree holds f, so the id is not reused
+        if key in memo:
+            return memo[key]
         rows, mult = max(rows, 1), max(mult, 1)
         if isinstance(f, And):
-            return 1 + go(f.left, rows, mult) + go(f.right, rows, mult)
-        if isinstance(f, Or):
+            got = 1 + go(f.left, rows, mult) + go(f.right, rows, mult)
+        elif isinstance(f, Or):
             if multi:
                 per = (mult + 1) * (mult + 2) // 2 if lax else mult + 1
                 parts = (mult + 1) ** rows
@@ -148,9 +154,8 @@ def estimate_cost(f, *, rows: int, mult: int, dom_size: int,
                 per, parts = (3, 2 ** rows) if lax else (2, 2 ** rows)
             pairs = min(per ** rows, _COST_CAP)
             halves = go(f.left, rows, mult) + go(f.right, rows, mult)
-            return min(pairs * rows + min(parts, _COST_CAP) * halves,
-                       _COST_CAP)
-        if isinstance(f, Exists):
+            got = min(pairs * rows + min(parts, _COST_CAP) * halves, _COST_CAP)
+        elif isinstance(f, Exists):
             if multi and lax:
                 per = (mult + 1) ** dom_size
             elif multi:
@@ -159,17 +164,20 @@ def estimate_cost(f, *, rows: int, mult: int, dom_size: int,
                 per = 2 ** dom_size - 1 if lax else dom_size
             supp = min(per ** rows, _COST_CAP)
             body = go(f.body, min(rows * dom_size, _COST_CAP), mult)
-            return min(supp * (rows + body), _COST_CAP)
-        if isinstance(f, Forall):
-            return rows + go(f.body, min(rows * dom_size, _COST_CAP), mult)
-        if isinstance(f, (ExistsFrac, ForallFrac)):
+            got = min(supp * (rows + body), _COST_CAP)
+        elif isinstance(f, Forall):
+            got = rows + go(f.body, min(rows * dom_size, _COST_CAP), mult)
+        elif isinstance(f, (ExistsFrac, ForallFrac)):
             parts = min((mult + 1) ** rows, _COST_CAP)
-            return min(parts * (rows + go(f.body, rows, mult)), _COST_CAP)
-        if isinstance(f, ImplFrac):
+            got = min(parts * (rows + go(f.body, rows, mult)), _COST_CAP)
+        elif isinstance(f, ImplFrac):
             parts = min((mult + 1) ** rows, _COST_CAP)
             halves = go(f.left, rows, mult) + go(f.right, rows, mult)
-            return min(parts * (rows + halves), _COST_CAP)
-        return rows + 1
+            got = min(parts * (rows + halves), _COST_CAP)
+        else:
+            got = rows + 1
+        memo[key] = got
+        return got
 
     return go(f, rows, mult)
 

@@ -31,6 +31,13 @@ optional memo cache keyed by (node, vector), that is by (subformula
 identity, row space, vector), is on by default and is semantics-transparent;
 pass use_cache=False for the plain recursion.
 
+One walk, `_walk`, lists the count vectors below a vector in row-vector
+order, all of them or those of one size.  The parts that `<p>`, `[p]` and
+`->{p}` try are its slices from the bound size up (`part_vectors`), and a
+row's strict copy choices are its slice at the row's count.  Only a split's
+unpruned left parts come from `itertools.product`: the same vectors, in one
+C call.
+
 The search skips candidates that cannot be the first success.  A formula
 is downward closed when it holds on every submultiteam of a multiteam it
 holds on; the evaluator treats as such the literals, `dep` and `excl`, and
@@ -91,7 +98,6 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from . import atoms
-from .approx import part_vectors
 from .errors import InputError
 from .formula import (CI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
                       ForallFrac, Formula, ImplFrac, Inc, Neq, NegRel, Or,
@@ -297,29 +303,34 @@ class _Prune:
         self.slots = 0
 
 
-def _walk(counts: Counts, prune: _Prune, size: Optional[int] = None) -> Iterator[Counts]:
+def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
+          ) -> Iterator[Counts]:
     """The count vectors below counts, or with size those summing to it, in
-    row-vector order (as `_split_vectors` and `part_vectors` give them),
-    less every vector with a prefix on which a condition of prune fails.
-    One row is fixed at a time, each value tested in O(1) per condition and
-    undone on backtrack, in a loop rather than a call per row."""
+    row-vector order (the order of `_split_vectors`' left parts), less every
+    vector with a prefix on which a condition of prune fails; with prune
+    None, every such vector.  One row is fixed at a time, each value tested
+    in O(1) per condition and undone on backtrack, in a loop rather than a
+    call per row."""
     n = len(counts)
-    y_entries, z_entries, yz_entries = prune.y, prune.z, prune.yz
     # per row, its smallest and largest value before the size bound
-    low = [m if barred else 0 for m, barred in zip(counts, prune.z_barred)]
-    high = [0 if barred else m for m, barred in zip(counts, prune.y_barred)]
-    room = [0] * (n + 1)  # room[i]: copies the rows from i on may take
-    for i in range(n - 1, -1, -1):
-        room[i] = room[i + 1] + high[i]
+    if prune is None:
+        y_entries = z_entries = yz_entries = [()] * n
+        low, high, slots = [0] * n, counts, 0
+    else:
+        y_entries, z_entries, yz_entries, slots = prune.y, prune.z, prune.yz, prune.slots
+        low = [m if barred else 0 for m, barred in zip(counts, prune.z_barred)]
+        high = [0 if barred else m for m, barred in zip(counts, prune.y_barred)]
+    # room[i]: copies the rows from i on may take
+    room = list(itertools.accumulate(reversed(high), initial=0))[::-1]
     if size is not None and size > room[0]:
         return
     if n == 0:
         yield ()
         return
-    table = [None] * prune.slots
+    table = [None] * slots
     vec = [0] * n
-    top = high[:]  # per row, the largest value it may take after this prefix
-    filled: list[list[int]] = [[]] * n  # per row, the table slots its value filled
+    top = list(high)  # per row, the largest value it may take after this prefix
+    filled: list = [()] * n  # per row, the table slots its value filled
     rest = size  # with size, the copies the rows from i on must take
     i, c = 0, low[0]
     if size is not None:
@@ -329,6 +340,9 @@ def _walk(counts: Counts, prune: _Prune, size: Optional[int] = None) -> Iterator
         while c <= top[i]:  # the smallest value from c on that no condition refutes
             entries = (yz_entries[i] if c < m else y_entries[i]) if c else (
                 z_entries[i] if m else ())
+            if not entries:  # nothing to test, and nothing to undo on backtrack
+                added = ()
+                break
             added = []
             for slot, value in entries:
                 held = table[slot]
@@ -370,12 +384,19 @@ def _walk(counts: Counts, prune: _Prune, size: Optional[int] = None) -> Iterator
         c += 1
 
 
+def part_vectors(counts: Counts, needed: int) -> Iterator[Counts]:
+    """Every count vector below counts whose sum is at least needed, smallest
+    sum first and in row-vector order within equal sums."""
+    for size in range(needed, sum(counts) + 1):
+        yield from _walk(counts, None, size)
+
+
 def _copy_choices(m: int, dom_mults: list[int], strict: bool) -> list[Counts]:
     """Per-row value count vectors reachable by giving each of the m copies a
-    nonempty submultiset (lax) or a single element (strict) of the domain."""
+    nonempty submultiset (lax) or a single element (strict) of the domain,
+    in row-vector order."""
     if strict:
-        axes = [range(m + 1)] * len(dom_mults)
-        return [v for v in itertools.product(*axes) if sum(v) == m]
+        return list(_walk((m,) * len(dom_mults), None, m))
     axes = [range(m * n + 1) for n in dom_mults]
     return [v for v in itertools.product(*axes) if sum(v) >= m]
 
@@ -650,8 +671,7 @@ class _Eval:
     def _exists_part(self, f, space, body_node, closed, prune, counts):
         size = sum(counts)
         needed = f.p.min_size(size)
-        parts = (part_vectors(counts, needed, exact=closed) if prune is None
-                 else _walk(counts, prune, needed))
+        parts = _walk(counts, prune, needed) if closed else part_vectors(counts, needed)
         for y in parts:
             body = self.run(body_node, y)
             if body:
@@ -686,13 +706,22 @@ def evaluate(structure: Multistructure, team: Multiteam, f: Formula,
 
 
 def evaluate_classical(structure: Multistructure, s: Assignment, f: Formula) -> bool:
-    """Ordinary single-assignment first-order satisfaction."""
+    """Ordinary single-assignment first-order satisfaction.  Each subformula
+    object is evaluated once per assignment, however many paths share it."""
     if scan(f, MAX_DEPTH)[0] > MAX_DEPTH:  # before the recursion below
         raise InputError(f"formula nests too deeply: more than {MAX_DEPTH} levels")
-    return _classical(structure, s, f)
+    memo: dict[tuple[int, Assignment], bool] = {}
+
+    def holds(g: Formula, s: Assignment) -> bool:
+        key = (id(g), s)  # f holds g, so the id is not reused
+        if key not in memo:
+            memo[key] = _classical(structure, s, g, holds)
+        return memo[key]
+
+    return holds(f, s)
 
 
-def _classical(structure: Multistructure, s: Assignment, f: Formula) -> bool:
+def _classical(structure: Multistructure, s: Assignment, f: Formula, holds) -> bool:
     if isinstance(f, Eq):
         return s[f.x] == s[f.y]
     if isinstance(f, Neq):
@@ -702,15 +731,13 @@ def _classical(structure: Multistructure, s: Assignment, f: Formula) -> bool:
     if isinstance(f, NegRel):
         return not structure.has(f.name, s.project(f.args))
     if isinstance(f, And):
-        return _classical(structure, s, f.left) and _classical(structure, s, f.right)
+        return holds(f.left, s) and holds(f.right, s)
     if isinstance(f, Or):
-        return _classical(structure, s, f.left) or _classical(structure, s, f.right)
+        return holds(f.left, s) or holds(f.right, s)
     if isinstance(f, Exists):
-        return any(_classical(structure, s.extended(f.var, a), f.body)
-                   for a in structure.domain.support)
+        return any(holds(f.body, s.extended(f.var, a)) for a in structure.domain.support)
     if isinstance(f, Forall):
-        return all(_classical(structure, s.extended(f.var, a), f.body)
-                   for a in structure.domain.support)
+        return all(holds(f.body, s.extended(f.var, a)) for a in structure.domain.support)
     raise InputError(f"{type(f).__name__} is not first-order")
 
 

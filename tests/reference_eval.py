@@ -10,12 +10,16 @@ sort-based construction of an extended row space that `semantics._Extension`
 replaced.  The formula walks `formula.scan`, `semantics._reach` and the
 functions built on them replaced are kept too: `height`, the recursive
 `free_vars`, `subformulas`, `closed` and `conditions`, and
-`reference_validate`, the entry check that read them.
+`reference_validate`, the entry check that read them.  So are the
+recursive count-vector enumerators `semantics._walk` replaced, and
+`reference_estimate_cost`, `generate.estimate_cost` as it was before it
+costed each shared subformula object once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 
 from multiteam.approx import _bound_as_threshold
@@ -23,6 +27,7 @@ from multiteam.errors import InputError
 from multiteam.formula import (CI, PCI, And, Dep, Eq, Excl, Exists, ExistsFrac,
                                Forall, ForallFrac, Formula, ImplFrac, Inc, Neq,
                                NegRel, Or, PInc, Rel, _Atom, _Compound)
+from multiteam.generate import _COST_CAP
 from multiteam.model import Multiteam
 from multiteam.parser import MAX_DEPTH
 from multiteam.semantics import SemanticsConfig, Witness, _validate
@@ -393,3 +398,47 @@ def reference_witness(structure, team, f, cfg=None, *, use_cache=True):
     _validate(structure, team, f, cfg)
     return (ReferenceEval(structure, cfg, use_cache, explain=True).run(f, team)
             or Witness(f, team, False, "", ()))
+
+
+def reference_estimate_cost(f, *, rows, mult, dom_size, cfg=None):
+    """`generate.estimate_cost` by plain recursion, once per path."""
+    cfg = cfg or SemanticsConfig()
+    multi = cfg.team_kind == "multi"
+    lax = cfg.strictness == "lax"
+
+    def go(f, rows, mult):
+        rows, mult = max(rows, 1), max(mult, 1)
+        if isinstance(f, And):
+            return 1 + go(f.left, rows, mult) + go(f.right, rows, mult)
+        if isinstance(f, Or):
+            if multi:
+                per = (mult + 1) * (mult + 2) // 2 if lax else mult + 1
+                parts = (mult + 1) ** rows
+            else:
+                per, parts = (3, 2 ** rows) if lax else (2, 2 ** rows)
+            pairs = min(per ** rows, _COST_CAP)
+            halves = go(f.left, rows, mult) + go(f.right, rows, mult)
+            return min(pairs * rows + min(parts, _COST_CAP) * halves,
+                       _COST_CAP)
+        if isinstance(f, Exists):
+            if multi and lax:
+                per = (mult + 1) ** dom_size
+            elif multi:
+                per = math.comb(mult + dom_size - 1, dom_size - 1)
+            else:
+                per = 2 ** dom_size - 1 if lax else dom_size
+            supp = min(per ** rows, _COST_CAP)
+            body = go(f.body, min(rows * dom_size, _COST_CAP), mult)
+            return min(supp * (rows + body), _COST_CAP)
+        if isinstance(f, Forall):
+            return rows + go(f.body, min(rows * dom_size, _COST_CAP), mult)
+        if isinstance(f, (ExistsFrac, ForallFrac)):
+            parts = min((mult + 1) ** rows, _COST_CAP)
+            return min(parts * (rows + go(f.body, rows, mult)), _COST_CAP)
+        if isinstance(f, ImplFrac):
+            parts = min((mult + 1) ** rows, _COST_CAP)
+            halves = go(f.left, rows, mult) + go(f.right, rows, mult)
+            return min(parts * (rows + halves), _COST_CAP)
+        return rows + 1
+
+    return go(f, rows, mult)

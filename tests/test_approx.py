@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiteam.approx import enum_bounded_submultisets
+from multiteam.approx import _bound_as_threshold, enum_bounded_submultisets
 from multiteam.atoms import eval_dep
 from multiteam.errors import InputError
 from multiteam.formula import TRUE, ExistsFrac, ForallFrac, ImplFrac, Threshold
 from multiteam.model import Multiset, Multiteam, Multistructure
 from multiteam.parser import parse
-from multiteam.semantics import SemanticsConfig, evaluate
+from multiteam.semantics import SemanticsConfig, _Space, _walk, evaluate
+from reference_eval import bounded_parts
 
 STRUCT012 = Multistructure({"0": 1, "1": 1, "2": 1})
 STRUCT01 = Multistructure({"0": 1, "1": 1})
@@ -91,18 +92,31 @@ def test_bounded_submultiset_enumeration():
     assert [y.size for y in enum_bounded_submultisets(weighted, 2)] == [2, 2, 3]
 
 
+def exact_parts(t, threshold):
+    """The parts of t of the smallest size meeting the bound: the
+    unconditioned walk at that size."""
+    space, counts = _Space.rooted(t)
+    size = _bound_as_threshold(threshold).min_size(t.size)
+    return [space.team(y) for y in _walk(counts, None, size)]
+
+
 def test_exact_size_parts_are_the_bound_size_slice_of_all_parts():
+    # the parts of the bound size, and all parts from that size on, are the
+    # recursive reference's, and the first are the slice of all parts at
+    # that size
     rng = random.Random(4)
     for _ in range(300):
         rows = {(str(i),): rng.randint(1, 3) for i in range(rng.randint(0, 5))}
         t = Multiteam(("x",), rows)
         everything = list(enum_bounded_submultisets(t, 0))
+        assert everything == list(bounded_parts(t, 0))
         for needed in {0, t.size, t.size + 1, rng.randint(0, t.size)}:
-            exact = list(enum_bounded_submultisets(t, needed, exact=True))
+            exact = exact_parts(t, needed)
+            assert exact == list(bounded_parts(t, needed, exact=True))
             assert exact == [y for y in everything if y.size == needed]
-            assert list(enum_bounded_submultisets(t, needed)) == [
-                y for y in everything if y.size >= needed]
-    assert list(enum_bounded_submultisets(X3, Fraction(2, 3), exact=True)) == [
+            assert list(enum_bounded_submultisets(t, needed)) == list(
+                bounded_parts(t, needed)) == [y for y in everything if y.size >= needed]
+    assert exact_parts(X3, Fraction(2, 3)) == [
         Multiteam(X3.variables, rows) for rows in
         ([X3.row_items()[1][0], X3.row_items()[2][0]],
          [X3.row_items()[0][0], X3.row_items()[2][0]],
@@ -112,12 +126,15 @@ def test_exact_size_parts_are_the_bound_size_slice_of_all_parts():
 def test_parts_come_one_at_a_time_without_recursion():
     # 2^64 parts: only a lazy enumerator reaches the first one
     wide = Multiteam(("x",), [(str(i),) for i in range(64)])
-    for exact in (True, False):
-        first = next(enum_bounded_submultisets(wide, 1, exact=exact))
-        assert first == Multiteam(("x",), [("9",)])  # the last row in sorted order
+    first = next(enum_bounded_submultisets(wide, 1))
+    assert first == Multiteam(("x",), [("9",)])  # the last row in sorted order
+    space, counts = _Space.rooted(wide)
+    assert space.team(next(_walk(counts, None, 1))) == first
     tall = Multiteam(("x",), [(str(i),) for i in range(2000)])
-    assert next(enum_bounded_submultisets(tall, 1, exact=True)).size == 1
-    assert next(enum_bounded_submultisets(tall, 1999, exact=True)).size == 1999
+    assert next(enum_bounded_submultisets(tall, 1)).size == 1
+    assert next(enum_bounded_submultisets(tall, 1999)).size == 1999
+    space, counts = _Space.rooted(tall)
+    assert sum(next(_walk(counts, None, 1999))) == 1999
 
 
 def test_enumeration_accepts_threshold_objects():

@@ -103,6 +103,42 @@ def test_cost_grows_with_team_size_and_connectives():
     assert estimate_cost(Eq("x", "y"), rows=2, mult=1, dom_size=2) < small
 
 
+def test_cost_estimates_are_the_recursive_ones():
+    # the memo by node object and shape changes no value: budgeted_formula
+    # resamples by these values, so every seeded draw depends on them
+    rng = random.Random(15)
+    cfgs = [SemanticsConfig(kind, strictness)
+            for kind in ("set", "multi") for strictness in ("lax", "strict")]
+    for _ in range(300):
+        f = random_formula(rng, ("x", "y"), fragment=rng.choice(sorted(FRAGMENTS)),
+                           max_depth=rng.randint(0, 5))
+        for (rows, mult, dom_size), cfg in zip(
+                [(1, 1, 2), (4, 3, 3), (6, 1, 3), (3, 2, 1)], rng.sample(cfgs, 4)):
+            assert estimate_cost(f, rows=rows, mult=mult, dom_size=dom_size, cfg=cfg) == (
+                reference_eval.reference_estimate_cost(
+                    f, rows=rows, mult=mult, dom_size=dom_size, cfg=cfg)), f
+
+
+def test_a_shared_subformula_is_costed_once():
+    # 50 levels of And(d, d): 2 ** 49 paths, 50 node objects
+    d = Eq("x", "y")
+    for level in range(2, 51):
+        d = And(d, d)
+        if level == 12:
+            assert estimate_cost(d, rows=2, mult=1, dom_size=2) == (
+                reference_eval.reference_estimate_cost(d, rows=2, mult=1, dom_size=2))
+    # a leaf on 2 rows costs 3, and each level 1 plus twice the one below
+    assert estimate_cost(d, rows=2, mult=1, dom_size=2) == 2 ** 51 - 1
+    # one object beside a quantifier and under it, so costed at several shapes
+    e = Eq("x", "y")
+    for _ in range(8):
+        e = And(Forall("u", e), Or(e, Exists("v", e)))
+        for cfg in (SemanticsConfig("set", "lax"), SemanticsConfig("multi", "strict")):
+            assert estimate_cost(e, rows=1, mult=1, dom_size=2, cfg=cfg) == (
+                reference_eval.reference_estimate_cost(e, rows=1, mult=1, dom_size=2, cfg=cfg))
+    assert estimate_cost(Exists("u", Or(d, d)), rows=2, mult=1, dom_size=2) == 10 ** 9
+
+
 def test_budgeted_formulas_respect_the_estimate():
     rng = random.Random(5)
     cfgs = (SemanticsConfig(), SemanticsConfig(strictness="strict"))

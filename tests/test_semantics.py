@@ -11,8 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from multiteam import atoms, cli
-from multiteam.approx import part_vectors
+from multiteam import atoms, cli, semantics
 from multiteam.errors import InputError
 from multiteam.formula import (And, Dep, Eq, Exists, ExistsFrac, Forall,
                                ForallFrac, ImplFrac, Inc, Neq, NegRel, Or, PInc, Rel,
@@ -23,11 +22,14 @@ from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
 from multiteam.reductions import (CnfFormula, encode_3sat, encode_maxsat,
                                   maxsat_oracle, sat_oracle)
-from multiteam.semantics import (SemanticsConfig, _conditions, _Eval, _Extension, _Prune,
-                                 _Space, _split_vectors, _walk, enum_or_splits,
-                                 enum_supplements, evaluate,
-                                 evaluate_classical, extend_universal, witness)
-from reference_eval import _extender, reference_extension, reference_witness
+from multiteam.semantics import (SemanticsConfig, _conditions, _copy_choices, _Eval,
+                                 _Extension, _Space, _split_vectors, _walk,
+                                 enum_or_splits, enum_supplements, evaluate,
+                                 evaluate_classical, extend_universal, part_vectors,
+                                 witness)
+from reference_eval import (_copy_choices as reference_copy_choices, _extender,
+                            _vectors_of_size as reference_vectors_of_size,
+                            reference_extension, reference_witness)
 
 STRUCT01 = Multistructure({"0": 1, "1": 1}, {"R": (1, [("0",)])})
 STRUCT012 = Multistructure({"0": 1, "1": 1, "2": 1})
@@ -372,12 +374,29 @@ def test_checking_an_encoding_builds_no_multiteam_per_candidate(monkeypatch):
 # --- prefix pruning: the row-by-row walk ---
 
 def test_a_walk_without_conditions_is_the_plain_enumeration():
-    for counts in [(), (0,), (2,), (1, 0, 2), (2, 1, 1, 3), (0, 0), (1,) * 6]:
-        free = _Prune(len(counts))
-        assert list(_walk(counts, free)) == [y for y, _ in _split_vectors(counts, False)]
-        for size in range(sum(counts) + 2):
-            assert list(_walk(counts, free, size)) == list(
-                part_vectors(counts, size, exact=True)), (counts, size)
+    # unconditioned, the walk is the one enumerator of count vectors: every
+    # vector below counts in row-vector order, with a size the recursive
+    # reference's vectors of that size, from size needed on the bounded
+    # parts, and at size m over d values the strict copy choices
+    rng = random.Random(15)
+    shapes = [(), (0,), (0, 0), (2,), (1, 0, 2), (2, 1, 1, 3), (1,) * 6] + [
+        tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 5))) for _ in range(80)]
+    for counts in shapes:
+        total = sum(counts)
+        assert list(_walk(counts, None)) == list(
+            itertools.product(*[range(m + 1) for m in counts])), counts
+        by_size = {size: list(reference_vectors_of_size(counts, size))
+                   for size in range(total + 2)}
+        assert by_size[total + 1] == []
+        for size in {0, total, total + 1, rng.randint(0, total)}:
+            assert list(_walk(counts, None, size)) == by_size[size], (counts, size)
+            assert list(part_vectors(counts, size)) == [
+                y for k in range(size, total + 1) for y in by_size[k]], (counts, size)
+    for m, d in itertools.product(range(5), range(1, 5)):
+        dom_mults = [rng.randint(1, 3) for _ in range(d)]
+        for strict in (True, False):
+            assert _copy_choices(m, dom_mults, strict) == reference_copy_choices(
+                m, dom_mults, strict), (m, dom_mults, strict)
 
 
 def test_the_walk_keeps_exactly_the_vectors_its_conditions_hold_on():
@@ -414,7 +433,7 @@ def test_the_walk_keeps_exactly_the_vectors_its_conditions_hold_on():
         if z_side is None:
             for size in range(sum(counts) + 1):
                 assert list(_walk(counts, prune, size)) == [
-                    y for y in part_vectors(counts, size, exact=True) if kept(y)]
+                    y for y in reference_vectors_of_size(counts, size) if kept(y)]
     assert walked > 100
 
 
@@ -776,6 +795,30 @@ def test_shared_subformulas_cost_their_distinct_nodes():
     # formulas built apart compare and hash equal, each pair of nodes once
     twin = doubled_chain(MAX_DEPTH)
     assert outcome(lambda: twin == cases["d"] and hash(twin) == hash(cases["d"])) is True
+
+
+def test_classical_evaluation_takes_each_node_once_per_assignment(monkeypatch):
+    # 2 ** 49 paths: each (node object, assignment) pair is evaluated once,
+    # here under one assignment and under the quantifiers' extensions of it
+    s = Assignment({"x": "0"})
+    d, lower = doubled_chain(MAX_DEPTH), doubled_chain(MAX_DEPTH - 4)
+    cases = [(doubled_chain(6), True), (d, True),
+             (Or(And(Neq("x", "x"), lower), lower), True),
+             (Forall("u", Exists("v", And(Eq("u", "v"), lower))), True),
+             (Exists("u", And(lower, Neq("u", "u"))), False)]
+    visits = collections.Counter()
+    original = semantics._classical
+
+    def counting(structure, s, f, holds):
+        visits[id(f), s] += 1
+        return original(structure, s, f, holds)
+
+    monkeypatch.setattr(semantics, "_classical", counting)
+    for f, expected in cases:
+        visits.clear()
+        assert evaluate_classical(STRUCT01, s, f) is expected
+        assert max(visits.values()) == 1
+        assert len(visits) <= 7 * MAX_DEPTH
 
 
 def test_the_walk_is_bounded_however_the_bound_variables_vary():
