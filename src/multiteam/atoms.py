@@ -72,11 +72,16 @@ def dep_entries(rows: Rows, first_slot: int = 0) -> tuple[list[tuple[int, int]],
     them map one xs-value to different ys-values, so a walk that adds rows one
     at a time keeps one table slot per xs-value, fails at the first row whose
     slot holds another ys-value, and frees on backtrack the slots a row
-    filled.  Returned: per row its (slot, value) pair, xs- and ys-values
-    numbered as small ints with slots from first_slot, and the next free slot."""
-    slot = {a: k for k, a in enumerate(dict.fromkeys([a for a, _ in rows]), first_slot)}
-    value = {b: k for k, b in enumerate(dict.fromkeys([b for _, b in rows]))}
-    return [(slot[a], value[b]) for a, b in rows], first_slot + len(slot)
+    filled.  Returned: per row its (slot, value) pair, numbered in one pass
+    as small ints, and the next free slot.  Slots count from first_slot, one
+    per xs-value; values count from 0, one per (xs-value, ys-value) pair, so
+    two rows of one slot share a value iff they share the ys-value, and
+    every value is below len(rows)."""
+    slot: dict = {}
+    value: dict = {}
+    entries = [(slot.setdefault(row[0], first_slot + len(slot)),
+                value.setdefault(row, len(value))) for row in rows]
+    return entries, first_slot + len(slot)
 
 
 def _included(rows: Rows, counts, wanted: bool) -> bool:

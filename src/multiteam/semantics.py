@@ -72,7 +72,11 @@ alone: it is downward closed and holds wherever the formula does.
    its completions.  The conditions are those of f on Y and those of g on
    Z = t - Y, whose prefix is fixed with Y's.  A literal bars rows; `dep`
    keeps a table of the values fixed so far, undone on backtrack, so each
-   row step costs O(1).
+   row step costs O(1).  An exact-size walk also drops every prefix whose
+   rest cannot reach the size: the rows from i on may add at most their
+   own count and, per `dep(xs ; ys)` condition on Y, at most their g3 (the
+   sum over xs-values of the count of the most common ys-value; Kivinen
+   and Mannila, TCS 1995), found for every i by one backward pass.
 
 Rule 5 drops only candidates that fail, in a walk that keeps the order of
 the rest, so the first success is the same.  Row-vector order is
@@ -84,8 +88,27 @@ t - Y at least its own prefix.  A downward-closed condition failing on a
 prefix fails on all of these, and then f fails on Y, g on every right part
 of Y, or the body on the part.  The search would try that candidate, see
 it fail and go on, so dropping it changes neither the verdict nor the
-first success.  `E` supplements, `excl`, and closed conjuncts built with
-`|`, `E` or `A` give no condition.
+first success.  The g3 bound drops only failures too: `dep` is downward
+closed, so in any completion on which it holds it holds on the rows from i
+on, and a part on which it holds takes at most g3 copies of those rows.  A
+prefix that needs more fails in every completion.  `E` supplements,
+`excl`, and closed conjuncts built with `|`, `E` or `A` give no condition.
+
+What the walk checked is not tested again.  Every part it yields meets the
+conditions of f, and with a strict split (strict mode or rule 1) Z = t - Y
+meets those of g; so only the conjuncts of that side that are not
+conditions are run on it, and none when every conjunct is one (the 3SAT
+body).  A lax right part lies above t - Y and is run whole.  A run for
+`witness` runs each side's own node, so its trees are unchanged.
+
+Conditions are also lifted out of `E`.  A literal or `dep` conjunct of the
+body of `E x`, reached through `&` and nested `E`, that mentions no
+variable bound on the way holds on every supplement iff it holds on the
+team: every supplement keeps each counted row, extended, with at least one
+copy, so on the conjunct's variables its rows are the team's.  So these
+conjuncts are tested on the team's vector before any supplement is built;
+if one fails, `E` fails, as it would after trying every supplement, and a
+failure names no witness.  If all hold, the search runs as before.
 """
 
 from __future__ import annotations
@@ -101,7 +124,7 @@ from . import atoms
 from .errors import InputError
 from .formula import (CI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
                       ForallFrac, Formula, ImplFrac, Inc, Neq, NegRel, Or,
-                      PCI, PInc, Rel, scan)
+                      PCI, PInc, Rel, free_vars, scan)
 from .model import Assignment, Multiset, Multiteam, Multistructure
 from .parser import MAX_DEPTH
 
@@ -242,9 +265,9 @@ class _Extension:
         """Each distinct supplement of the team counted by counts, in the
         order of the copies' choices; with flat, counts clipped to 1."""
         rows = [i for i, m in enumerate(counts) if m]
+        choices = {m: _copy_choices(m, self.mults, strict) for m in set(counts) if m}
         seen: set[Counts] = set()
-        for choice in itertools.product(*[_copy_choices(counts[i], self.mults, strict)
-                                          for i in rows]):
+        for choice in itertools.product(*[choices[counts[i]] for i in rows]):
             out = [0] * len(self.space.keys)
             for i, per_value in zip(rows, choice):
                 for j, c in zip(self.targets[i], per_value):
@@ -290,9 +313,10 @@ class _Prune:
     bar rows from Y (y_barred) or from Z (z_barred).  Each `dep` gives every
     row one (slot, value) entry for a table of `slots` slots (see
     `atoms.dep_entries`); per row, `y`, `z` and `yz` list the entries it adds
-    when Y counts it, when Z does, and when both do."""
+    when Y counts it, when Z does, and when both do.  `bounds` holds, per
+    `dep` on Y with ys, its entries row by row, for the walk's g3 bound."""
 
-    __slots__ = ("y_barred", "z_barred", "y", "z", "yz", "slots")
+    __slots__ = ("y_barred", "z_barred", "y", "z", "yz", "slots", "bounds")
 
     def __init__(self, n: int):
         self.y_barred = [False] * n
@@ -301,6 +325,7 @@ class _Prune:
         self.z: list[tuple] = [()] * n
         self.yz: list[tuple] = [()] * n
         self.slots = 0
+        self.bounds: list[list[tuple[int, int]]] = []
 
 
 def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
@@ -310,7 +335,9 @@ def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
     vector with a prefix on which a condition of prune fails; with prune
     None, every such vector.  One row is fixed at a time, each value tested
     in O(1) per condition and undone on backtrack, in a loop rather than a
-    call per row."""
+    call per row.  With a size, a prefix is dropped once the rows after it
+    cannot add the copies still missing, by their count or by their g3
+    under a `dep` on Y (see rule 5)."""
     n = len(counts)
     # per row, its smallest and largest value before the size bound
     if prune is None:
@@ -322,6 +349,17 @@ def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
         high = [0 if barred else m for m, barred in zip(counts, prune.y_barred)]
     # room[i]: copies the rows from i on may take
     room = list(itertools.accumulate(reversed(high), initial=0))[::-1]
+    if size is not None and prune is not None:
+        for entries in prune.bounds:  # and at most g3 of them, per dep on Y
+            best, weight, g3 = [0] * slots, [0] * n, 0
+            for i in range(n - 1, -1, -1):
+                slot, value = entries[i]
+                w = weight[value] = weight[value] + high[i]
+                if w > best[slot]:
+                    g3 += w - best[slot]
+                    best[slot] = w
+                if g3 < room[i]:
+                    room[i] = g3
     if size is not None and size > room[0]:
         return
     if n == 0:
@@ -479,6 +517,28 @@ def _conditions(f: Optional[Formula]) -> list[Formula]:
     return [g for g in _reach(f, (And,)) if g.__class__ in _CONDITIONS]
 
 
+def _lifted(f: Exists) -> list[Formula]:
+    """The literal and `dep` conjuncts of f's body, reached through `&` and
+    `E`, that mention no variable bound on the way (f's own included); each
+    node object is met once per set of bound variables."""
+    out: dict[int, Formula] = {}
+    seen: set = set()
+    stack = [(f.body, frozenset((f.var,)))]
+    while stack:
+        g, bound = stack.pop()
+        if (id(g), bound) in seen:
+            continue
+        seen.add((id(g), bound))
+        cls = g.__class__
+        if cls is And:
+            stack += ((g.right, bound), (g.left, bound))
+        elif cls is Exists:
+            stack.append((g.body, bound | {g.var}))
+        elif cls in _CONDITIONS and bound.isdisjoint(free_vars(g)):
+            out[id(g)] = g
+    return list(out.values())
+
+
 def _none_counted(failing: list[int], counts: Counts) -> bool:
     for i in failing:
         if counts[i]:
@@ -588,19 +648,39 @@ class _Eval:
         when no condition can fail, so the plain enumeration runs."""
         prune = _Prune(len(space.keys))
         useful = False
-        for f, barred, deps in ((y_side, prune.y_barred, prune.y),
-                                (z_side, prune.z_barred, prune.z)):
+        for f, barred, deps, bounds in ((y_side, prune.y_barred, prune.y, prune.bounds),
+                                        (z_side, prune.z_barred, prune.z, [])):
             for g in _conditions(f):
                 if isinstance(g, Dep):
                     entries, prune.slots = atoms.dep_entries(self._project(g, space),
                                                              prune.slots)
                     deps[:] = [d + (e,) for d, e in zip(deps, entries)]
-                    useful = useful or len(g.ys) > 0
+                    if g.ys:
+                        useful = True
+                        bounds.append(entries)
                 else:
                     for i in self._failing(g, space):
                         barred[i] = useful = True
         prune.yz = [y + z for y, z in zip(prune.y, prune.z)]
         return prune if useful else None
+
+    def _deciders(self, f: Formula, space: _Space, checked: bool) -> list[_Node]:
+        """The nodes that decide f on the parts a walk yields: f's conjuncts
+        through `&` that are not conditions, when the walk checked f's
+        conditions on those parts; else, or in a run for `witness`, f's own
+        node."""
+        if self.explain or not checked:
+            return [self.node(f, space)]
+        return [self.node(g, space) for g in _reach(f, (And,)) if g.__class__ not in _CONDITIONS]
+
+    def _all(self, nodes: list[_Node], counts: Counts):
+        """Run nodes on counts while they hold: the last answer, True if none."""
+        got = True
+        for node in nodes:
+            got = self.run(node, counts)
+            if not got:
+                break
+        return got
 
     def _test(self, f: Formula, space: _Space):
         """The test of f's node over space: what f reads of the rows, worked
@@ -619,20 +699,24 @@ class _Eval:
             return partial(self._and, f, space, self.node(f.left, space),
                            self.node(f.right, space))
         if isinstance(f, Or):
-            return partial(self._or, f, space, self.node(f.left, space),
-                           self.node(f.right, space),
-                           strict or self._closed(f.left) or self._closed(f.right),
-                           self._prune(space, f.left, f.right))
+            strict = strict or self._closed(f.left) or self._closed(f.right)
+            prune = self._prune(space, f.left, f.right)
+            return partial(self._or, f, space,
+                           self._deciders(f.left, space, prune is not None),
+                           self._deciders(f.right, space, prune is not None and strict),
+                           strict, prune)
         if isinstance(f, (Exists, Forall)):
             ext = space.extended(f.var, self.structure.domain)
             body = self.node(f.body, ext.space)
             if isinstance(f, Forall):
                 return partial(self._forall, f, space, ext, body)
-            return partial(self._exists, f, space, ext, body, strict or self._closed(f.body))
+            return partial(self._exists, f, space, ext, body, strict or self._closed(f.body),
+                           [self.node(g, space) for g in _lifted(f)])
         if isinstance(f, ExistsFrac):
             closed = self._closed(f.body)
-            return partial(self._exists_part, f, space, self.node(f.body, space), closed,
-                           self._prune(space, f.body) if closed else None)
+            prune = self._prune(space, f.body) if closed else None
+            return partial(self._exists_part, f, space,
+                           self._deciders(f.body, space, prune is not None), closed, prune)
         if isinstance(f, ForallFrac):
             return partial(self._forall_part, f, space, self.node(f.body, space),
                            self._closed(f.body))
@@ -647,17 +731,19 @@ class _Eval:
         return right and self._holds(f, space, counts, "both conjuncts on the same multiteam",
                                      left, right)
 
-    def _or(self, f, space, left_node, right_node, strict, prune, counts):
+    def _or(self, f, space, left_nodes, right_nodes, strict, prune, counts):
         for y, zs in _split_vectors(counts, strict, prune):
-            left = self.run(left_node, y)
+            left = self._all(left_nodes, y)
             if left:
                 for z in zs:
-                    right = self.run(right_node, z)
+                    right = self._all(right_nodes, z)
                     if right:
                         return self._holds(f, space, counts, "split", left, right)
         return False
 
-    def _exists(self, f, space, ext, body_node, strict, counts):
+    def _exists(self, f, space, ext, body_node, strict, lifted, counts):
+        if not self._all(lifted, counts):  # then it fails on every supplement
+            return False
         for sup in ext.supplements(counts, strict, self.cfg.team_kind == "set"):
             body = self.run(body_node, sup)
             if body:
@@ -668,12 +754,12 @@ class _Eval:
         body = self.run(body_node, ext.universal(counts, self.cfg.team_kind == "set"))
         return body and self._holds(f, space, counts, f"universal extension of {f.var}", body)
 
-    def _exists_part(self, f, space, body_node, closed, prune, counts):
+    def _exists_part(self, f, space, body_nodes, closed, prune, counts):
         size = sum(counts)
         needed = f.p.min_size(size)
         parts = _walk(counts, prune, needed) if closed else part_vectors(counts, needed)
         for y in parts:
-            body = self.run(body_node, y)
+            body = self._all(body_nodes, y)
             if body:
                 return self._holds(
                     f, space, counts, f"submultiteam of size {sum(y)} out of {size}", body)

@@ -4,6 +4,7 @@ supplement functions, and the kept reference search (`reference_eval`)."""
 
 import collections
 import contextlib
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -310,6 +311,7 @@ def unpruned(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(_Eval, "_closed", lambda self, f: False)
         m.setattr(_Eval, "_prune", lambda self, *sides: None)
+        m.setattr(semantics, "_lifted", lambda f: [])
         yield
 
 
@@ -402,39 +404,44 @@ def test_a_walk_without_conditions_is_the_plain_enumeration():
 def test_the_walk_keeps_exactly_the_vectors_its_conditions_hold_on():
     # conditions on Y alone (a part) and on Y and Z = t - Y (a split), each
     # side listed with its literal and dep conjuncts reached through & alone;
-    # the expected vectors are checked by evaluate
+    # the expected vectors are checked by evaluate.  Sized, two dep
+    # conditions shaped like the 3SAT body and counts up to 3 put the g3
+    # bound where two bounds meet and where one row holds several copies
     structure = Multistructure({"0": 1, "1": 1, "2": 1}, {"R": (1, [("0",), ("2",)])})
-    sides = [(parse(text), [parse(c) for c in conditions]) for text, conditions in (
+    sides = [(parse(text), tuple(map(parse, conditions))) for text, conditions in (
         ("x = y", ["x = y"]), ("x != y", ["x != y"]), ("dep(x ; y)", ["dep(x ; y)"]),
         ("(dep(y ; x) & x != y)", ["dep(y ; x)", "x != y"]),
         ("(dep(; x) & (~R(y) & inc(x ; y)))", ["dep(; x)", "~R(y)"]),
-        ("(dep(y ; x) & E u. (x=u & dep(x ; y)))", ["dep(y ; x)"]))]
+        ("(dep(y ; x) & E u. (x=u & dep(x ; y)))", ["dep(y ; x)"]),
+        ("(dep(x ; y) & dep(y ; x))", ["dep(x ; y)", "dep(y ; x)"]))]
     rng = random.Random(9)
-    walked = 0
+    walked = sized = 0
     for _ in range(150):
-        t = random_team(rng, ("x", "y"), structure, max_rows=5, max_mult=2)
+        t = random_team(rng, ("x", "y"), structure, max_rows=5, max_mult=3)
         space, counts = _Space.rooted(t)
         (y_side, y_conditions), (z_side, z_conditions) = rng.choice(sides), rng.choice(
-            sides + [(None, [])])
-        prune = _Eval(structure, LAX_MULTI, False)._prune(space, y_side, z_side)
-        if prune is None:
-            continue
-        walked += 1
+            sides + [(None, ())])
+        run = _Eval(structure, LAX_MULTI, False)
 
+        @functools.cache
         def holds(conditions, vec):
             return all(evaluate(structure, space.team(vec), g, LAX_MULTI) for g in conditions)
 
-        def kept(vec):
-            return holds(y_conditions, vec) and holds(
-                z_conditions, tuple(m - c for m, c in zip(counts, vec)))
-
-        assert list(_walk(counts, prune)) == [
-            y for y, _ in _split_vectors(counts, False) if kept(y)], (t, y_side, z_side)
-        if z_side is None:
+        part = run._prune(space, y_side)
+        if part is not None:
+            sized += 1
             for size in range(sum(counts) + 1):
-                assert list(_walk(counts, prune, size)) == [
-                    y for y in reference_vectors_of_size(counts, size) if kept(y)]
-    assert walked > 100
+                assert list(_walk(counts, part, size)) == [
+                    y for y in reference_vectors_of_size(counts, size)
+                    if holds(y_conditions, y)], (t, y_side, size)
+        prune = run._prune(space, y_side, z_side)
+        if prune is None:
+            continue
+        walked += 1
+        assert list(_walk(counts, prune)) == [
+            y for y, _ in _split_vectors(counts, False) if holds(y_conditions, y) and holds(
+                z_conditions, tuple(m - c for m, c in zip(counts, y)))], (t, y_side, z_side)
+    assert walked > 100 and sized > 100
 
 
 def random_cnf(rng, clauses, width, accept):
@@ -503,6 +510,67 @@ def test_prefix_pruning_bounds_the_work_on_unsatisfiable_encodings(monkeypatch):
             calls.clear()
             assert not evaluate(inst.structure, inst.team, inst.formula, cfg)
             assert 0 < len(calls) <= 3 ** 7, (str(inst.formula), cfg, len(calls))
+
+
+def test_what_the_walk_checked_is_not_tested_again(monkeypatch):
+    # every part the walk yields meets the conditions it checked: the 3SAT
+    # body is all conditions, and so is the MAX-2SAT split's left side and,
+    # the split being strict, the right side's first conjunct; evaluate
+    # runs no dep node, and witness runs each side's own node for its tree
+    rng = random.Random("checked")
+    two = random_cnf(rng, 4, 2, lambda phi: maxsat_oracle(phi) == 3)
+    instances = [encode_3sat(random_cnf(rng, 4, 3, sat_oracle)),
+                 encode_maxsat(two, Fraction(3, 4)), encode_maxsat(two, Fraction(4, 4)),
+                 *unsatisfiable_encodings()]
+    ran = []
+    original = _Eval.run
+
+    def recording(self, node, counts):
+        ran.append(node.f.__class__)
+        return original(self, node, counts)
+
+    monkeypatch.setattr(_Eval, "run", recording)
+    verdicts = []
+    for inst in instances:
+        for cfg in (LAX_MULTI, STRICT_MULTI):
+            ran.clear()
+            held = evaluate(inst.structure, inst.team, inst.formula, cfg)
+            assert Dep not in ran, (str(inst.formula), cfg)
+            ran.clear()
+            assert witness(inst.structure, inst.team, inst.formula, cfg).holds is held
+            assert Dep in ran or not held, (str(inst.formula), cfg)
+            verdicts.append(held)
+    assert verdicts == [True] * 4 + [False] * 6
+
+
+def test_conditions_no_supplement_changes_are_tested_on_the_team(monkeypatch):
+    # R(x) is a conjunct of the body under E u and E w and mentions neither,
+    # so it holds on every supplement iff it holds on the team; it fails on
+    # the third row, and the formula is false with no supplement built
+    # (without the lift, multi lax tries every supplement, for minutes)
+    t = Multiteam(("x", "y", "u", "w"), {("0", "0", "0", "0"): 2, ("0", "1", "0", "1"): 2,
+                                         ("1", "0", "1", "0"): 2})
+    built = []
+    original = _Extension.supplements
+
+    def counting(self, counts, strict, flat):
+        assert not lifted, "a supplement was built"  # at once, not after the search
+        built.append(counts)
+        return original(self, counts, strict, flat)
+
+    monkeypatch.setattr(_Extension, "supplements", counting)
+    # a conjunct on a variable bound on the way (x rebound, w) or reached
+    # through | is not lifted, and only the supplements decide
+    for text, holds, lifted in (("E u. E w. ((pinc(x;u) | pinc(w;y)) & R(x))", False, True),
+                                ("E u. E w. (R(w) & (u = u & R(x)))", False, True),
+                                ("E x. R(x)", True, False), ("E u. E w. (R(w) & x = x)", True, False),
+                                ("E u. (R(x) | R(u))", True, False)):
+        for cfg in ALL_CFGS:
+            team = t.support() if cfg.team_kind == "set" else t
+            built.clear()
+            assert evaluate(STRUCT01, team, parse(text), cfg) is holds, (text, cfg)
+            assert witness(STRUCT01, team, parse(text), cfg).holds is holds, (text, cfg)
+            assert built or lifted, (text, cfg)
 
 
 def test_each_atom_is_projected_once_per_run(monkeypatch):
