@@ -1,10 +1,10 @@
 """Command-line front end: check instances, encode CNF files, run law suites.
 
 Exit codes are a contract: 0 for true / pass, 1 for false / violations,
-2 for unusable input of any kind.  Mode flags fall back to the environment
-variables MULTITEAM_TEAM_KIND and MULTITEAM_STRICTNESS before the built-in
-multi/lax defaults.  A size bound is a ratio `<p>` or a row count `<#k>` in
-the formula itself, in every mode.
+2 for unusable input of any kind.  The mode flags default to multi/lax.  A
+size bound is a ratio `<p>` or a row count `<#k>` in the formula itself, in
+every mode.  `check` reads FORMULA as formula text, and as the path of a
+file holding it only when the text does not parse and that file exists.
 """
 
 import argparse
@@ -28,17 +28,13 @@ BOUND_FLAGS = {"trials": 0, "max_rows": 0, "max_dom": 1, "max_depth": 0, "max_mu
                "max_vars": 1, "max_clauses": 0, "max_clauses2": 0, "jobs": 0}
 
 
-def _cfg_from(args) -> SemanticsConfig:
-    env = os.environ
-    return SemanticsConfig(
-        team_kind=args.team_kind or env.get("MULTITEAM_TEAM_KIND", "multi"),
-        strictness=args.strictness or env.get("MULTITEAM_STRICTNESS", "lax"))
-
-
 def _formula_from(arg: str):
-    if os.path.exists(arg):
-        return parse(Path(arg).read_text(encoding="utf-8"))
-    return parse(arg)
+    try:
+        return parse(arg)
+    except ParseError:
+        if not os.path.exists(arg):
+            raise
+    return parse(Path(arg).read_text(encoding="utf-8"))
 
 
 def _team_line(t: Multiteam) -> str:
@@ -59,7 +55,7 @@ def _print_witness(w: Witness, indent: int = 0) -> None:
 
 
 def cmd_check(args) -> int:
-    cfg = _cfg_from(args)
+    cfg = SemanticsConfig(team_kind=args.team_kind, strictness=args.strictness)
     structure = load_structure(Path(args.structure).read_text(encoding="utf-8"))
     if args.team:
         team = load_multiteam(Path(args.team).read_text(encoding="utf-8"))
@@ -131,12 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser(
         "check", help="evaluate a formula over a structure and multiteam")
     c.add_argument("structure", help="structure file")
-    c.add_argument("formula",
-                   help="formula text, or a path to a file holding it")
+    c.add_argument("formula", help="formula text, or a path to a file "
+                                   "holding it if the text does not parse")
     c.add_argument("--team", help="multiteam CSV file; omitted: the "
                                   "one-row team of the empty assignment")
-    c.add_argument("--team-kind", choices=("set", "multi"))
-    c.add_argument("--strictness", choices=("lax", "strict"))
+    c.add_argument("--team-kind", choices=("set", "multi"), default="multi")
+    c.add_argument("--strictness", choices=("lax", "strict"), default="lax")
     c.add_argument("--witness", action="store_true",
                    help="print the first witnessing choices on success")
     c.set_defaults(run=cmd_check)
@@ -160,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first call of `main` and reused: parsing
-    leaves it unchanged, and the environment defaults are read per call."""
+    leaves it unchanged."""
     return build_parser()
 
 

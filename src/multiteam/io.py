@@ -5,14 +5,15 @@ Multiteams are CSV: a header of variable names, optionally ending in a
 Multistructures are line oriented: a `domain:` line of values with optional
 `*mult` suffixes, then one `rel NAME/ARITY:` line of parenthesized value
 tuples per relation.  Dumps are canonical - rows and values in sorted
-order - so dumps are diffable and a dump loads back as an equal multiteam or
-multistructure; what would not load back equal is refused with InputError
-(see `dump_multiteam` and `dump_structure`).
+order - so dumps are diffable.  Every value and name lies in the alphabet
+`multiteam.model` checks at construction, so both dumps always succeed and a
+dump loads back as an equal multiteam or multistructure.
 
 A CSV multiteam is read in one pass straight into the table a `Multiteam`
 keeps: each row's fields are taken in sorted-variable order as it is read,
 stripped and checked, and duplicate rows are summed, so no row is coerced a
-second time.  A row counted 0 is checked like any other and then not
+second time.  The names and each distinct value are then checked against
+the alphabet once.  A row counted 0 is checked like any other and then not
 stored, as a `Multiteam` holds only counted rows.
 """
 
@@ -22,8 +23,8 @@ import csv
 import io as _stringio
 from operator import itemgetter
 
-from .errors import InputError, ParseError
-from .model import Multiset, Multiteam, Multistructure
+from .errors import ParseError
+from .model import Multiset, Multiteam, Multistructure, _check_table
 
 __all__ = ["load_multiteam", "dump_multiteam", "load_structure", "dump_structure"]
 
@@ -79,30 +80,14 @@ def _read_multiteam(reader) -> Multiteam:
         else:
             values, count = fields, 1
         table[values] = table.get(values, 0) + count
+    _check_table(variables, svars, table)
     if 0 in table.values():  # a scan in C; rebuild only when a row sums to 0
         table = {k: c for k, c in table.items() if c}
     return Multiteam._from_table(svars, table)
 
 
-def _check_writable(text: str, what: str) -> None:
-    """Refuse a name or value the loader would not read back as itself: it
-    strips every field, and csv reads a bare carriage return as a line end."""
-    if text != text.strip() or "\r" in text:
-        raise InputError(f"{what} {text!r} cannot be written as CSV that loads back: "
-                         f"it has leading or trailing whitespace or a carriage return")
-
-
 def dump_multiteam(t: Multiteam) -> str:
-    """Canonical CSV text for a multiteam, always with a #count column.  Only
-    what loads back equal is written: a variable named #count, or a name or
-    value with leading or trailing whitespace or a carriage return, raises
-    InputError."""
-    if COUNT_COLUMN in t.variables:
-        raise InputError(f"a variable named {COUNT_COLUMN} cannot be written as CSV")
-    for x in t.variables:
-        _check_writable(x, "variable name")
-    for v in sorted(t.values_used()):
-        _check_writable(v, "value")
+    """Canonical CSV text for a multiteam, always with a #count column."""
     out = _stringio.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(t.variables) + [COUNT_COLUMN])
@@ -185,26 +170,8 @@ def load_structure(text: str) -> Multistructure:
     return Multistructure(domain, relations)
 
 
-def _refuse(what: str, text: str, why: str):
-    raise InputError(f"{what} {text!r} cannot be written as text that loads back: {why}")
-
-
 def dump_structure(a: Multistructure) -> str:
-    """Canonical text for a multistructure.  Only what loads back equal is
-    written: a domain value that is empty or has whitespace or `*`, a `,` in
-    a value some tuple holds, and a relation name that is empty or has `:`,
-    `/`, a line break or leading or trailing whitespace raise InputError."""
-    for value in a.domain.support:
-        if value.split() != [value] or "*" in value:
-            _refuse("domain value", value, "it is empty or has whitespace or '*'")
-    for name, (_, tuples) in sorted(a.relations.items()):
-        if (name.splitlines() != [name] or name != name.strip()
-                or ":" in name or "/" in name):
-            _refuse("relation name", name, "it is empty or has ':', '/', a line "
-                    "break or leading or trailing whitespace")
-        comma = min((v for tup in tuples for v in tup if "," in v), default=None)
-        if comma is not None:
-            _refuse("tuple value", comma, "it has ','")
+    """Canonical text for a multistructure."""
     entries = []
     for value, mult in a.domain.items():
         entries.append(value if mult == 1 else f"{value}*{mult}")

@@ -8,11 +8,21 @@ construction and hashable, so they can be shared between evaluators and used
 as cache keys.  Zero multiplicities may be written for notational
 convenience but are never stored: a multiset or multiteam holds only its
 counted values or rows, so it is fixed by its positive counts.
+
+Values and names (of variables and relations) share one alphabet: nonempty
+strings with no whitespace, as `str.split` sees it, and none of `, * : / #`.
+So the text formats of `multiteam.io` write and read back what the
+constructors accept (up to csv's field size limit): CSV strips fields and
+ends a line at a carriage return, structure tokens split on whitespace, `*`
+marks a domain multiplicity, `,` separates tuple values, `:` and `/` end
+relation heads, and `#` keeps out a variable named `#count`.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
@@ -20,10 +30,37 @@ from .errors import InputError
 __all__ = ["Multiset", "Assignment", "Multiteam", "Multistructure"]
 
 
-def _check_value(v) -> str:
+#: a character no value or name may hold (see the module docstring)
+_OUTSIDE = re.compile(r"[\s,*:/#]")
+
+
+def _check_str(v, what: str = "value") -> str:
     if not isinstance(v, str):
-        raise InputError(f"values must be strings, got {v!r}")
+        raise InputError(f"{what}s must be strings, got {v!r}")
     return v
+
+
+def _check_value(v, what: str = "value") -> str:
+    """A value or name in the alphabet, else InputError."""
+    if isinstance(v, str) and v and not _OUTSIDE.search(v):
+        return v
+    _check_str(v, what)
+    raise InputError(f"{what} {v!r} is empty or has whitespace or one of , * : / #")
+
+
+def _check_table(names: Sequence[str], svars: Sequence[str],
+                 keys: Iterable[tuple[str, ...]]) -> None:
+    """Check a team's variable names, then the values of its `keys` (tuples
+    in `svars` order) as the Multiteam constructor meets them: each distinct
+    value once, in C, and only on a failure key by key, in `names` order."""
+    for x in names:
+        _check_value(x, "variable name")
+    distinct = set(chain.from_iterable(keys))
+    if "" in distinct or _OUTSIDE.search("".join(distinct)):
+        order = [svars.index(x) for x in names]
+        for key in keys:
+            for i in order:
+                _check_value(key[i])
 
 
 def _check_mult(v, m) -> int:
@@ -110,8 +147,7 @@ class Assignment:
     def __init__(self, bindings: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
         pairs = dict(bindings)
         for var, v in pairs.items():
-            if not isinstance(var, str):
-                raise InputError(f"variable names must be strings, got {var!r}")
+            _check_value(var, "variable name")
             _check_value(v)
         object.__setattr__(self, "_bindings", pairs)
         object.__setattr__(self, "_hash", hash(frozenset(pairs.items())))
@@ -136,7 +172,7 @@ class Assignment:
     def extended(self, var: str, value: str) -> "Assignment":
         """The modified assignment mapping var to value and all else unchanged."""
         pairs = dict(self._bindings)
-        pairs[_check_value_var(var)] = _check_value(value)
+        pairs[var] = value
         return Assignment(pairs)
 
     def as_dict(self) -> dict[str, str]:
@@ -155,12 +191,6 @@ class Assignment:
         return f"Assignment({body})"
 
 
-def _check_value_var(var) -> str:
-    if not isinstance(var, str):
-        raise InputError(f"variable names must be strings, got {var!r}")
-    return var
-
-
 class Multiteam:
     """A multiset of assignments over a fixed variable domain.
 
@@ -173,7 +203,7 @@ class Multiteam:
 
     def __init__(self, variables: Iterable[str],
                  rows: Mapping | Iterable = ()):
-        vars_in = [_check_value_var(x) for x in variables]
+        vars_in = [_check_str(x, "variable name") for x in variables]
         if len(set(vars_in)) != len(vars_in):
             raise InputError(f"duplicate variable names in {vars_in!r}")
         svars = tuple(sorted(vars_in))
@@ -185,8 +215,7 @@ class Multiteam:
         def add(row, mult):
             key = self._coerce_row(row, vars_in, svars, perm)
             _check_mult(row, mult)
-            if mult:
-                table[key] = table.get(key, 0) + mult
+            table[key] = table.get(key, 0) + mult
 
         if isinstance(rows, Mapping):
             for row, mult in rows.items():
@@ -194,6 +223,9 @@ class Multiteam:
         else:
             for row in rows:
                 add(row, 1)
+        _check_table(vars_in, svars, table)
+        if 0 in table.values():
+            table = {k: c for k, c in table.items() if c}
         self._set(svars, table)
 
     @staticmethod
@@ -203,8 +235,8 @@ class Multiteam:
         if isinstance(row, Mapping):
             if set(row) != set(svars):
                 raise InputError(f"row {row!r} does not bind exactly the variables {svars!r}")
-            return tuple(_check_value(row[x]) for x in svars)
-        values = tuple(_check_value(v) for v in row)
+            return tuple(_check_str(row[x]) for x in svars)
+        values = tuple(_check_str(v) for v in row)
         if len(values) != len(vars_in):
             raise InputError(f"row {values!r} has {len(values)} values for {len(vars_in)} variables")
         return tuple(values[i] for i in perm)
@@ -360,17 +392,16 @@ class Multistructure:
         support = set(domain.support)
         rels: dict[str, tuple[int, frozenset[tuple[str, ...]]]] = {}
         for name, (arity, tuples) in dict(relations).items():
-            if not isinstance(name, str):
-                raise InputError(f"relation names must be strings, got {name!r}")
+            _check_value(name, "relation name")
             if not isinstance(arity, int) or arity < 0:
                 raise InputError(f"arity of {name} must be a nonnegative integer, got {arity!r}")
             fixed = set()
             for tup in tuples:
-                tup = tuple(_check_value(v) for v in tup)
+                tup = tuple(tup)
                 if len(tup) != arity:
                     raise InputError(f"tuple {tup!r} does not match arity {arity} of relation {name}")
                 for v in tup:
-                    if v not in support:
+                    if not isinstance(v, str) or v not in support:
                         raise InputError(
                             f"tuple {tup!r} of relation {name} uses {v!r}, which is outside the domain support")
                 fixed.add(tup)

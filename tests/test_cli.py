@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from multiteam import cli
 from multiteam.cli import main
+from multiteam.io import load_multiteam, load_structure
+from multiteam.parser import parse
 from multiteam.formula import (ATOMS, And, Eq, Exists, ExistsFrac, Forall,
                                ForallFrac, ImplFrac, Neq, NegRel, Or, Rel,
                                Threshold)
@@ -77,18 +79,6 @@ def test_strict_disjunction_splits_the_doubled_row(workspace, capsys):
     assert (code, out) == (1, "false\n")
 
 
-def test_environment_supplies_mode_defaults(workspace, capsys, monkeypatch):
-    argv = ["check", workspace / "structure012.txt", "inc(x;z) | inc(y;z)",
-            "--team", workspace / "fig2flat.csv"]
-    assert run(argv, capsys)[0] == 0
-    monkeypatch.setenv("MULTITEAM_STRICTNESS", "strict")
-    assert run(argv, capsys)[0] == 1
-    assert run(argv + ["--strictness", "lax"], capsys)[0] == 0
-    monkeypatch.setenv("MULTITEAM_STRICTNESS", "bogus")
-    code, _, err = run(argv, capsys)
-    assert code == 2 and "bogus" in err
-
-
 def test_witness_output_reports_the_choices(workspace, capsys):
     code, out, _ = run([
         "check", workspace / "structure01.txt", "x = y | x != y",
@@ -106,6 +96,15 @@ def test_formulas_can_come_from_files(workspace, capsys):
         "check", workspace / "structure01.txt", path,
         "--team", workspace / "empty.csv"], capsys)
     assert (code, out) == (0, "true\n")
+
+
+def test_formula_text_is_read_before_a_file_of_that_name(workspace, capsys, monkeypatch):
+    monkeypatch.chdir(workspace)
+    (workspace / "x=y").write_text("x = x\n")
+    argv = ["check", "structure01.txt", "x=y", "--team", "fig1.csv"]
+    assert run(argv, capsys)[:2] == (1, "false\n")
+    (workspace / "x=y(").write_text("x = x\n")  # the text does not parse
+    assert run(argv[:2] + ["x=y("] + argv[3:], capsys)[:2] == (0, "true\n")
 
 
 def test_missing_and_malformed_inputs_exit_two(workspace, capsys):
@@ -196,11 +195,10 @@ def test_law_suites_run_from_the_command_line(workspace, capsys):
     assert code == 0 and "reductions: pass" in out
 
 
-def fresh_process(argv, env_extra=()):
+def fresh_process(argv):
     """main in a new interpreter, as the `multiteam` command runs it."""
     src = Path(cli.__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("MULTITEAM_")}
-    env.update(env_extra, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c",
          "import sys; from multiteam.cli import main; sys.exit(main(sys.argv[1:]))",
@@ -208,31 +206,26 @@ def fresh_process(argv, env_extra=()):
     return done.returncode, done.stdout
 
 
-def test_one_parser_serves_every_call_in_a_process(workspace, capsys, monkeypatch):
-    for name in [k for k in os.environ if k.startswith("MULTITEAM_")]:
-        monkeypatch.delenv(name)
+def test_one_parser_serves_every_call_in_a_process(workspace, capsys):
     s012, fig2 = workspace / "structure012.txt", workspace / "fig2flat.csv"
     base = ["check", s012, "inc(x;z) | inc(y;z)", "--team", fig2]
     calls = [
-        (base + ["--witness"], {}),
-        (base, {}),
-        (base + ["--team-kind", "set"], {}),
-        (base + ["--team-kind", "bogus"], {}),  # a usage error: exit 2
-        (base + ["--team-kind", "multi", "--strictness", "strict"], {}),
-        (base + ["--witness"], {"MULTITEAM_STRICTNESS": "strict"}),
-        (base, {}),
+        base + ["--witness"],
+        base,
+        base + ["--team-kind", "set"],
+        base + ["--team-kind", "bogus"],  # a usage error: exit 2
+        base + ["--team-kind", "multi", "--strictness", "strict"],
+        base + ["--witness", "--strictness", "strict"],
+        base,
     ]
     codes = []
-    for argv, env in calls:
-        with monkeypatch.context() as m:
-            for name, value in env.items():
-                m.setenv(name, value)
-            try:
-                code = main([str(a) for a in argv])
-            except SystemExit as exc:
-                code = exc.code
+    for argv in calls:
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
         out = capsys.readouterr().out
-        assert (code, out) == fresh_process(argv, env), argv
+        assert (code, out) == fresh_process(argv), argv
         codes.append(code)
     assert codes == [0, 0, 0, 2, 1, 1, 0]
 
@@ -311,6 +304,25 @@ options = st.lists(st.sampled_from([
     ["--strictness", "strict"], ["--team-kind", "bogus"], ["--frac"]]), max_size=3)
 
 
+def quiet_main(argv):
+    """main on argv with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_check_contract(argv, code, out, err):
+    assert code in (0, 1, 2), (argv, code)
+    if code in (0, 1):
+        assert out.endswith(("true\n", "false\n")[code])
+    else:
+        assert err.startswith(("error: ", "usage: "))
+
+
 @settings(max_examples=200, deadline=None)
 @given(structure_texts(), team_csvs(), formula_texts(), options,
        st.sampled_from([True] * 4 + [False]))
@@ -321,17 +333,88 @@ def test_check_exits_zero_one_or_two_on_any_input(structure, team, formula, opts
         t_path.write_text(team)
         argv = ["check", str(s_path), formula] + (["--team", str(t_path)] if with_team else [])
         argv += [word for opt in opts for word in opt]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's usage errors
-                code = exc.code
-    assert code in (0, 1, 2), (argv, code)
-    if code in (0, 1):
-        assert out.getvalue().endswith(("true\n", "false\n")[code])
-    else:
-        assert err.getvalue().startswith(("error: ", "usage: "))
+        assert_check_contract(argv, *quiet_main(argv))
+
+
+# --- file-format fuzz: gen and check on seeded, mutated files -----------
+#
+# A CNF has at most four clauses over at most three variables, and a
+# mutated team at most a few rows more than `team_csvs` draws, so neither
+# `gen` nor the checks that follow can run long.
+
+ODD_CHARS = list(" \t\n,*:/#\"()-0") + ["p cnf ", "rel R/2:", "#count"]
+
+
+@st.composite
+def mutated(draw, texts):
+    """A text with one to three edits: a character cut, an odd character or
+    word inserted or put in place, a line duplicated or cut short."""
+    text = draw(texts)
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.split("\n")
+        k = draw(st.integers(0, len(lines) - 1))
+        i = draw(st.integers(0, max(len(text) - 1, 0)))
+        c = draw(st.sampled_from(ODD_CHARS))
+        text = draw(st.sampled_from([
+            text[:i] + text[i + 1:], text[:i] + c + text[i:], text[:i] + c + text[i + 1:],
+            "\n".join(lines[:k + 1] + lines[k:]),
+            "\n".join(lines[:k] + [lines[k][:len(lines[k]) // 2]] + lines[k + 1:])]))
+    return text
+
+
+@st.composite
+def gen_requests(draw):
+    """A `gen` kind, its flags and a DIMACS CNF, mostly of the clause width
+    the kind needs, a third of the time mutated."""
+    kind = draw(st.sampled_from(["3sat", "max2sat"]))
+    width = draw(st.sampled_from([{"3sat": 3, "max2sat": 2}[kind]] * 4 + [2, 3]))
+    literals = st.integers(1, 3).flatmap(lambda v: st.sampled_from([v, -v]))
+    clauses = draw(st.lists(st.lists(literals, min_size=width, max_size=width),
+                            min_size=1, max_size=4))
+    text = f"c fuzz\np cnf 3 {len(clauses)}\n" + "".join(
+        " ".join(map(str, clause)) + " 0\n" for clause in clauses)
+    if draw(st.integers(0, 2)) == 0:
+        text = draw(mutated(st.just(text)))
+    frac = draw(st.sampled_from([["--frac", "1/2"], ["--frac", "1"]] * 3 + [
+        [], ["--frac", "7/0"], ["--frac", "half"]]))
+    return kind, text, frac
+
+
+@settings(max_examples=150, deadline=None)
+@given(gen_requests(), options.filter(lambda o: ["--frac"] not in o))
+def test_gen_exits_zero_or_two_and_check_reads_what_it_writes(request, opts):
+    kind, cnf, frac = request
+    with tempfile.TemporaryDirectory() as tmp:
+        cnf_path, out_dir = Path(tmp, "f.cnf"), Path(tmp, "out")
+        cnf_path.write_text(cnf)
+        code, out, err = quiet_main(["gen", kind, cnf_path, "--out", out_dir, *frac])
+        assert code in (0, 2), (cnf, kind, frac, code)
+        if code == 2:
+            assert out == "" and err.startswith("error: ")
+            return
+        structure = load_structure((out_dir / "structure.txt").read_text())
+        team = load_multiteam((out_dir / "team.csv").read_text())
+        parse((out_dir / "formula.txt").read_text())
+        assert set(team.values_used()) <= set(structure.domain.support)
+        argv = ["check", out_dir / "structure.txt", out_dir / "formula.txt",
+                "--team", out_dir / "team.csv"] + [word for opt in opts for word in opt]
+        code, out, err = quiet_main(argv)
+        if code == 2:  # only a usage error can make a written instance unusable
+            assert err.startswith("usage: "), err
+        assert_check_contract(argv, code, out, err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(structure_texts(), mutated(structure_texts())),
+       st.one_of(team_csvs(), mutated(team_csvs())),
+       st.sampled_from(["x = y", "dep(x ; y)", "R(x) | x != y", "E z. R(z)", "inc(y ; x)"]))
+def test_check_exits_zero_one_or_two_on_mutated_files(structure, team, formula):
+    with tempfile.TemporaryDirectory() as tmp:
+        s_path, t_path = Path(tmp, "s.txt"), Path(tmp, "t.csv")
+        s_path.write_text(structure)
+        t_path.write_text(team)
+        argv = ["check", s_path, formula, "--team", t_path]
+        assert_check_contract(argv, *quiet_main(argv))
 
 
 # --- props fuzz: every bound ends in 0, 1 or 2 --------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from multiteam.errors import InputError, ParseError
 from multiteam.io import (dump_multiteam, dump_structure, load_multiteam,
                           load_structure)
-from multiteam.model import Multiset, Multiteam, Multistructure
+from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
 
 
 def test_counted_multiteam_csv():
@@ -112,43 +112,67 @@ def test_structure_rejections():
         load_structure("just words\n")
 
 
-VALUES = st.text(alphabet="abc012", min_size=1, max_size=3)
+#: Values and names in the alphabet: letters, digits, and `"`, `(` and `)`,
+#: which CSV quotes and the structure format uses to bracket tuples.
+PLAIN = st.text(alphabet='abc012"()', min_size=1, max_size=3)
 #: Letters, digits, space and the characters the structure format reserves,
 #: half the time drawn from plain values only.
-STRUCTURE_TEXT = st.one_of(VALUES, st.text(alphabet="ab01 *,():/#", min_size=1, max_size=3))
+STRUCTURE_TEXT = st.one_of(PLAIN, st.text(alphabet="ab01 *,():/#", min_size=1, max_size=3))
 #: Letters, digits, space and the characters CSV quotes or the format reserves.
 CSV_TEXT = st.text(alphabet="ab01 #,\"", max_size=4)
 
 
-def _loads_back(text):
-    return text == text.strip()
+def in_alphabet(text):
+    """The alphabet of values and names, read from its definition: nonempty,
+    no whitespace as `str.split` sees it, and none of `, * : / #`."""
+    return text.split() == [text] and not any(c in ",*:/#" for c in text)
+
+
+def accepted_iff_in_alphabet(text, *builds):
+    """Each build of `text`; outside the alphabet, each must raise InputError."""
+    built = []
+    for build in builds:
+        if in_alphabet(text):
+            built.append(build(text))
+        else:
+            with pytest.raises(InputError):
+                build(text)
+    return built
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(CSV_TEXT, max_size=3, unique=True).flatmap(
+@given(st.lists(PLAIN, max_size=3, unique=True).flatmap(
     lambda names: st.tuples(st.just(names), st.dictionaries(
-        st.tuples(*[CSV_TEXT] * len(names)), st.integers(min_value=1, max_value=9),
-        max_size=4))))
-def test_multiteam_round_trip(drawn):
+        st.tuples(*[PLAIN] * len(names)), st.integers(min_value=1, max_value=9),
+        max_size=4))), CSV_TEXT)
+def test_multiteam_round_trip(drawn, odd):
+    """Every multiteam the constructor accepts loads back equal from its
+    dump, and a name or value outside the alphabet is refused by Multiteam
+    and by Assignment."""
     names, rows = drawn
     t = Multiteam(names, rows)
-    writable = ("#count" not in names and all(map(_loads_back, names))
-                and all(_loads_back(v) for key in rows for v in key))
-    if writable:
+    assert load_multiteam(dump_multiteam(t)) == t
+    for t in accepted_iff_in_alphabet(
+            odd, lambda x: Multiteam((x,), {("a",): 1}),
+            lambda v: Multiteam(("x", "y"), {("a", v): 2, ("b", "c"): 1})):
         assert load_multiteam(dump_multiteam(t)) == t
-    else:
-        with pytest.raises(InputError):
-            dump_multiteam(t)
+    accepted_iff_in_alphabet(odd, lambda x: Assignment({x: "a"}),
+                             lambda v: Assignment({"x": "a", "y": v}))
 
 
 def test_dumps_that_would_not_load_back_are_refused():
-    for t in (Multiteam(("#count", "x"), {("1", "a"): 2}),
-              Multiteam(("x",), {(" padded ",): 1}),
-              Multiteam((" x",), {("a",): 1}),
-              Multiteam(("x",), {("a\rb",): 1})):
+    for build in (lambda: Multiteam(("#count", "x"), {("1", "a"): 2}),
+                  lambda: Multiteam(("x",), {(" padded ",): 1}),
+                  lambda: Multiteam((" x",), {("a",): 1}),
+                  lambda: Multiteam(("x",), {("a\rb",): 1}),
+                  lambda: Multiteam(("x,y",), {("a",): 1}),
+                  lambda: Multiteam(("x",), {("a b",): 1}),
+                  lambda: Multiteam(("x",), {(',"#',): 1}),
+                  lambda: Multiteam(("x",), {("",): 1}),
+                  lambda: Multiteam(("x",), {("#count",): 1})):
         with pytest.raises(InputError):
-            dump_multiteam(t)
-    quoted = Multiteam(("x,y", '"q"'), {("a b", ',"#'): 2, ("", "#count"): 1})
+            build()
+    quoted = Multiteam(('"q"', "y"), {('"', 'a"b'): 2, ("(", ")"): 1})
     assert load_multiteam(dump_multiteam(quoted)) == quoted
 
 
@@ -243,32 +267,37 @@ def test_the_one_pass_loader_reads_what_the_old_loader_read():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.dictionaries(STRUCTURE_TEXT, st.integers(min_value=1, max_value=5),
-                       min_size=1, max_size=4),
-       st.lists(STRUCTURE_TEXT, max_size=3, unique=True), st.data())
-def test_structure_round_trip(domain, names, data):
+@given(st.dictionaries(PLAIN, st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
+       st.lists(PLAIN, max_size=3, unique=True), STRUCTURE_TEXT, st.data())
+def test_structure_round_trip(domain, names, odd, data):
+    """Every multistructure the constructor accepts loads back equal from
+    its dump, and a domain value or relation name outside the alphabet is
+    refused by Multiset and by Multistructure."""
     values = st.sampled_from(sorted(domain))
     a = Multistructure(domain, {
         name: (arity, data.draw(st.lists(st.tuples(*[values] * arity), max_size=3)))
         for arity, name in enumerate(names)})
-    try:
-        text = dump_structure(a)
-    except InputError:
-        return
-    assert load_structure(text) == a
+    assert load_structure(dump_structure(a)) == a
+    accepted_iff_in_alphabet(odd, lambda v: Multiset({v: 2}), lambda v: Multiset([v, "a"]))
+    for a in accepted_iff_in_alphabet(
+            odd, lambda v: Multistructure({v: 2, "a": 1}, {"R": (1, [(v,)])}),
+            lambda name: Multistructure({"a": 1}, {name: (2, [("a", "a")])})):
+        assert load_structure(dump_structure(a)) == a
 
 
 def test_structure_dumps_that_would_not_load_back_are_refused():
-    for a in (Multistructure({"a b": 1}), Multistructure({"a*2": 1}),
-              Multistructure({"": 1, "a": 1}),
-              Multistructure({"a,b": 1}, {"R": (1, [("a,b",)])}),
-              Multistructure({"a": 1}, {"R:": (1, [])}),
-              Multistructure({"a": 1}, {"R/S": (1, [])}),
-              Multistructure({"a": 1}, {" R": (1, [])}),
-              Multistructure({"a": 1}, {"": (1, [])}),
-              Multistructure({"a": 1}, {"R\nS": (1, [])})):
+    for build in (lambda: Multistructure({"a b": 1}), lambda: Multistructure({"a*2": 1}),
+                  lambda: Multistructure({"": 1, "a": 1}),
+                  lambda: Multistructure({"a,b": 1}, {"R": (1, [("a,b",)])}),
+                  lambda: Multistructure({"a": 1}, {"R:": (1, [])}),
+                  lambda: Multistructure({"a": 1}, {"R/S": (1, [])}),
+                  lambda: Multistructure({"a": 1}, {" R": (1, [])}),
+                  lambda: Multistructure({"a": 1}, {"": (1, [])}),
+                  lambda: Multistructure({"a": 1}, {"R\nS": (1, [])}),
+                  lambda: Multistructure({"#": 1}),
+                  lambda: Multistructure({"a": 1}, {"#R S": (0, [])})):
         with pytest.raises(InputError):
-            dump_structure(a)
-    kept = Multistructure({"a,b": 1, "(": 2, ")": 1, "#": 1},
-                          {"#R S": (2, [("(", ")"), ("#", "(")]), "E": (0, [()])})
+            build()
+    kept = Multistructure({"(": 2, ")": 1},
+                          {"R": (2, [("(", ")"), (")", "(")]), "E": (0, [()])})
     assert load_structure(dump_structure(kept)) == kept
