@@ -16,8 +16,11 @@ and end-to-end metric the runs, medians, inclusive quartiles and the pairs
 the change won (ties count for neither side), plus failed and attempted
 calls and `src_lines` per side, and `src_lines_by_module`, each
 `src/multiteam` module's lines counted as `bench/run.py` counts `src_lines`.
-Metric names, units and directions come from BENCHMARK.json.  Only the
-standard library is used.
+Metric names, units, directions and bounds come from BENCHMARK.json.
+
+Each workload and metric gets a verdict (`verdict`): `better`, `no worse`,
+`worse` or `unresolved` against the metric's bound, and a `--claim` is
+`met` only by the rule in `claim_met`.  Only the standard library is used.
 """
 
 import argparse
@@ -67,6 +70,38 @@ def quartiles(values: list[float]) -> list[float]:
     return [round(q[0], 5), round(q[2], 5)]
 
 
+def claim_met(parent_runs: list[float], change_runs: list[float], higher: bool) -> bool:
+    """A claimed gain holds when the change wins at least nine tenths of the
+    pairs, ties counting for neither side, and its median beats the parent's
+    by more than the distance between the parent's quartiles."""
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(parent_runs, change_runs))
+    q1, q3 = quartiles(parent_runs)
+    gap = statistics.median(change_runs) - statistics.median(parent_runs)
+    return 10 * wins >= 9 * len(parent_runs) and (gap if higher else -gap) > q3 - q1
+
+
+def verdict(parent_runs: list[float], change_runs: list[float], higher: bool,
+            bound: float) -> str:
+    """`better` when every change run beats every parent run or the claim
+    rule holds; `worse` when the change's median is worse than the parent's
+    by more than bound (a fraction of the parent's median); `unresolved` when
+    the parent's own quartile spread, as that fraction, exceeds bound;
+    otherwise `no worse`."""
+    if higher:
+        dominates = min(change_runs) > max(parent_runs)
+    else:
+        dominates = max(change_runs) < min(parent_runs)
+    if dominates:
+        return "better"
+    parent, change = statistics.median(parent_runs), statistics.median(change_runs)
+    if (parent - change if higher else change - parent) > bound * abs(parent):
+        return "worse"
+    q1, q3 = quartiles(parent_runs)
+    if q3 - q1 > bound * abs(parent):
+        return "unresolved"
+    return "better" if claim_met(parent_runs, change_runs, higher) else "no worse"
+
+
 def summarize(runs: dict, metrics: dict) -> dict:
     """BENCH layout for one workload's pairs; runs[side] lists results in
     pair order."""
@@ -89,6 +124,7 @@ def summarize(runs: dict, metrics: dict) -> dict:
             "change_over_parent": (round(medians["change"] / medians["parent"], 4)
                                    if medians["parent"] else None),
             "change_wins_pairs": wins,
+            "verdict": verdict(values["parent"], values["change"], higher, spec["bound"]),
             "parent_runs": [round(v, 5) for v in values["parent"]],
             "change_runs": [round(v, 5) for v in values["change"]],
         }
@@ -136,7 +172,9 @@ def report(args, state: dict, metrics: dict) -> dict:
                 "change_over_parent": got["change_over_parent"],
                 "change_wins_pairs": f"{got['change_wins_pairs']} of "
                                      f"{doc['end_to_end'][workload]['pairs']}",
-                "parent_iqr": got["parent_quartiles"]}
+                "parent_iqr": got["parent_quartiles"],
+                "met": claim_met(got["parent_runs"], got["change_runs"],
+                                 got["better"] == "higher")}
     for workload, trace in state["traces"].items():
         add_trace(doc, workload, trace)
     return doc

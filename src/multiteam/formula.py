@@ -14,6 +14,8 @@ the parser and the generator.  `ind(xs ; ys ; zs)` conditions on the first
 group, i.e. it asserts that ys and zs are independent once xs is fixed, and
 likewise for `pind`.  `scan` reads height, free variables and relation atoms
 in one walk; no walk here recurses, and only printing repeats a shared node.
+Every variable name a node holds is checked against the model's alphabet,
+so a team the search builds over a formula's variables dumps and loads back.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from operator import attrgetter, methodcaller
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
+from .model import _check_value
 
 __all__ = [
     "Threshold", "Formula", "Eq", "Neq", "Rel", "NegRel", "And", "Or",
@@ -103,11 +106,19 @@ class _Compound(Formula):
                 for p in self._form]
 
 
+def _check_var(node: str, x: str) -> str:
+    try:
+        return _check_value(x)
+    except InputError:
+        long = isinstance(x, str) and len(x) > 64
+        got = f"{x[:16]!r}... ({len(x):,} characters)" if long else repr(x)
+        raise InputError(f"{node} expects variable names, got {got}") from None
+
+
 def _check_vars(node: str, variables: Sequence[str]) -> tuple[str, ...]:
     out = tuple(variables)
     for x in out:
-        if not isinstance(x, str) or not x:
-            raise InputError(f"{node} expects variable names, got {x!r}")
+        _check_var(node, x)
     return out
 
 
@@ -115,6 +126,9 @@ def _check_vars(node: str, variables: Sequence[str]) -> tuple[str, ...]:
 class Eq(Formula):
     x: str
     y: str
+
+    def __post_init__(self):
+        _check_vars("equality", (self.x, self.y))
 
     def __str__(self) -> str:
         return f"{self.x} = {self.y}"
@@ -124,6 +138,9 @@ class Eq(Formula):
 class Neq(Formula):
     x: str
     y: str
+
+    def __post_init__(self):
+        _check_vars("inequality", (self.x, self.y))
 
     def __str__(self) -> str:
         return f"{self.x} != {self.y}"
@@ -174,12 +191,18 @@ class Exists(_Compound):
     # parenthesized because the quantifier scope extends maximally to the right
     _form = ("(E ", 0, ". ", 1, ")")
 
+    def __post_init__(self):
+        _check_var("E", self.var)
+
 
 @dataclass(frozen=True, slots=True)
 class Forall(_Compound):
     var: str
     body: Formula
     _form = ("(A ", 0, ". ", 1, ")")
+
+    def __post_init__(self):
+        _check_var("A", self.var)
 
 
 class _Atom(Formula):

@@ -10,12 +10,14 @@ convenience but are never stored: a multiset or multiteam holds only its
 counted values or rows, so it is fixed by its positive counts.
 
 Values and names (of variables and relations) share one alphabet: nonempty
-strings with no whitespace, as `str.split` sees it, and none of `, * : / #`.
-So the text formats of `multiteam.io` write and read back what the
-constructors accept (up to csv's field size limit): CSV strips fields and
-ends a line at a carriage return, structure tokens split on whitespace, `*`
-marks a domain multiplicity, `,` separates tuple values, `:` and `/` end
-relation heads, and `#` keeps out a variable named `#count`.
+strings of at most 131,072 characters with no whitespace, as `str.split`
+sees it, and none of `, * : / #`.  So the text formats of `multiteam.io`
+write and read back what the constructors accept: the `csv` module reads no
+longer field at its default limit (which is process-wide, so it is left
+alone), CSV strips fields and ends a line at a carriage return, structure
+tokens split on whitespace, `*` marks a domain multiplicity, `,` separates
+tuple values, `:` and `/` end relation heads, and `#` keeps out a variable
+named `#count`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ __all__ = ["Multiset", "Assignment", "Multiteam", "Multistructure"]
 
 #: a character no value or name may hold (see the module docstring)
 _OUTSIDE = re.compile(r"[\s,*:/#]")
+#: the longest value or name, the `csv` module's default field size limit
+_MAX_LENGTH = 131_072
 
 
 def _check_str(v, what: str = "value") -> str:
@@ -42,9 +46,12 @@ def _check_str(v, what: str = "value") -> str:
 
 def _check_value(v, what: str = "value") -> str:
     """A value or name in the alphabet, else InputError."""
-    if isinstance(v, str) and v and not _OUTSIDE.search(v):
+    if isinstance(v, str) and v and len(v) <= _MAX_LENGTH and not _OUTSIDE.search(v):
         return v
     _check_str(v, what)
+    if len(v) > _MAX_LENGTH:
+        raise InputError(f"{what} {v[:16]!r}... has {len(v):,} characters, "
+                         f"over the limit of {_MAX_LENGTH:,}")
     raise InputError(f"{what} {v!r} is empty or has whitespace or one of , * : / #")
 
 
@@ -56,7 +63,8 @@ def _check_table(names: Sequence[str], svars: Sequence[str],
     for x in names:
         _check_value(x, "variable name")
     distinct = set(chain.from_iterable(keys))
-    if "" in distinct or _OUTSIDE.search("".join(distinct)):
+    if ("" in distinct or _OUTSIDE.search("".join(distinct))
+            or max(map(len, distinct), default=0) > _MAX_LENGTH):
         order = [svars.index(x) for x in names]
         for key in keys:
             for i in order:

@@ -232,34 +232,40 @@ class _Extension:
     row is prefix + (value,) + suffix, where the suffix is what follows slot
     p (a new var) or slot p itself (a rebound var).  Per prefix, in parent
     order, the child rows are every value in sorted order, each with every
-    distinct suffix in sorted order.  For a new var the suffixes come sorted
-    and distinct, so sorting them is one linear pass; for a rebound var the
-    same sort merges and dedupes the runs of each old value."""
+    distinct suffix in sorted order.
 
-    __slots__ = ("space", "targets", "mults")
+    For a new var the suffixes of a prefix group come sorted and distinct,
+    as its rows do, so nothing is sorted or looked up: a group of g rows
+    whose first child row is b sends its row of rank r and value j to child
+    row b + j*g + r.  When every prefix is distinct (var sorts after every
+    parent variable, or the prefixes differ anyway) each group is one row,
+    and row i's children are rows i*V to i*V + V - 1, V values each.  Each
+    child row then has exactly one preimage s with one value a, so the
+    universal extension counts it m(s)*n(a), written in child order.  In
+    set mode that product is at most 1 already, because every vector the
+    search passes lies below a team that `_validate` found flat, or was
+    clipped, and every domain multiplicity is 1.  A rebound var's suffix
+    runs can collide: per prefix, a sort merges and dedupes the runs of
+    each old value, and the universal extension adds up every preimage's
+    products and clips the sums in set mode."""
+
+    __slots__ = ("space", "targets", "mults", "groups")
 
     def __init__(self, parent: _Space, var: str, dom: Multiset):
         variables = parent.variables
-        rebound = var in variables
-        p = variables.index(var) if rebound else bisect_left(variables, var)
-        q = p + rebound  # where the suffix starts in a parent key
         values = [(v,) for v, _ in dom.items()]
-        keys: list[tuple[str, ...]] = []
-        targets: list[list[int]] = []
-        for prefix, group in itertools.groupby(parent.keys, itemgetter(slice(p))):
-            suffixes = [k[q:] for k in group]
-            distinct = sorted(dict.fromkeys(suffixes))
-            width = len(distinct)
-            at = {s: i for i, s in enumerate(distinct, len(keys))}
-            stop = width * len(values)
-            targets += [list(range(at[s], at[s] + stop, width)) for s in suffixes]
-            for value in values:
-                head = prefix + value
-                keys += [head + s for s in distinct]
-        new_vars = variables if rebound else variables[:p] + (var,) + variables[p:]
-        self.space = _Space(new_vars, keys)
-        self.targets = targets
         self.mults = [n for _, n in dom.items()]
+        # (start, stop) of each prefix group's parent rows for a new var, []
+        # when every row is its own group, None for a rebound var
+        self.groups: Optional[list[tuple[int, int]]]
+        if var in variables:
+            child, self.targets = _merged(parent.keys, variables.index(var), values)
+            self.groups = None
+        else:
+            p = bisect_left(variables, var)
+            child, self.targets, self.groups = _placed(parent.keys, p, values)
+            variables = variables[:p] + (var,) + variables[p:]
+        self.space = _Space(variables, child)
 
     def supplements(self, counts: Counts, strict: bool, flat: bool) -> Iterator[Counts]:
         """Each distinct supplement of the team counted by counts, in the
@@ -280,12 +286,56 @@ class _Extension:
     def universal(self, counts: Counts, flat: bool) -> Counts:
         """Every copy of every row extended by every domain value: extended
         row s(a/x) collects m(s)*n(a) from each preimage s."""
+        mults, groups = self.mults, self.groups
+        if groups == []:
+            return tuple([m * n for m in counts for n in mults])
+        if groups is not None:
+            return tuple([m * n for start, stop in groups for n in mults
+                          for m in counts[start:stop]])
         out = [0] * len(self.space.keys)
         for m, row in zip(counts, self.targets):
             if m:
-                for j, n in zip(row, self.mults):
+                for j, n in zip(row, mults):
                     out[j] += m * n
         return tuple(min(c, 1) for c in out) if flat else tuple(out)
+
+
+def _placed(keys: list[tuple[str, ...]], p: int, values: list[tuple[str]]):
+    """A new var's child keys at slot p, the targets and the prefix groups
+    (see `_Extension`)."""
+    width = len(values)
+    heads = [k[:p] for k in keys]
+    tails = [k[p:] for k in keys]
+    cuts = [i for i in range(1, len(keys)) if heads[i] != heads[i - 1]]
+    if len(cuts) + 1 >= len(keys):  # every row is its own prefix group
+        child = [h + v + t for h, t in zip(heads, tails) for v in values]
+        return child, [range(i, i + width) for i in range(0, len(child), width)], []
+    groups = list(zip([0] + cuts, cuts + [len(keys)]))
+    child: list[tuple[str, ...]] = []
+    targets: list[range] = []
+    for start, stop in groups:
+        g, b = stop - start, len(child)
+        child += [h + t for h in [heads[start] + v for v in values] for t in tails[start:stop]]
+        targets += [range(b + r, b + r + g * width, g) for r in range(g)]
+    return child, targets, groups
+
+
+def _merged(keys: list[tuple[str, ...]], p: int, values: list[tuple[str]]):
+    """A rebound var's child keys and targets: per prefix, the sorted
+    distinct suffixes after slot p under every value."""
+    child: list[tuple[str, ...]] = []
+    targets: list[range] = []
+    for prefix, group in itertools.groupby(keys, itemgetter(slice(p))):
+        suffixes = [k[p + 1:] for k in group]
+        distinct = sorted(dict.fromkeys(suffixes))
+        width = len(distinct)
+        at = {s: i for i, s in enumerate(distinct, len(child))}
+        stop = width * len(values)
+        targets += [range(at[s], at[s] + stop, width) for s in suffixes]
+        for value in values:
+            head = prefix + value
+            child += [head + s for s in distinct]
+    return child, targets
 
 
 def _split_vectors(counts: Counts, strict: bool, prune: Optional[_Prune] = None

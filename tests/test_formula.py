@@ -232,9 +232,28 @@ def test_each_keyword_names_one_atom_class():
     assert {kw for kw, cls in ATOMS.items() if cls.same_length} == {"inc", "excl", "pinc"}
 
 
+def test_variable_names_are_in_the_model_alphabet():
+    # the search names the columns of the teams it builds after a formula's
+    # variables, so a name outside the alphabet would make a witness team
+    # whose dump does not load back
+    with pytest.raises(InputError):
+        Exists("y z", Eq("x", "y z"))
+    for bad in ("y z", "a,b", "#", "a\tb", "", "v" * 131_073, 1, None):
+        for build in (lambda: Eq("x", bad), lambda: Neq(bad, "x"),
+                      lambda: Rel("R", ("x", bad)), lambda: NegRel("R", (bad,)),
+                      lambda: Exists(bad, Eq("x", "x")), lambda: Forall(bad, Eq("x", "x"))):
+            with pytest.raises(InputError):
+                build()
+    with pytest.raises(InputError) as err:
+        Eq("x", "v" * 131_073)
+    assert str(err.value) == ("equality expects variable names, "
+                              "got 'vvvvvvvvvvvvvvvv'... (131,073 characters)")
+    longest = "v" * 131_072
+    assert Forall(longest, Eq(longest, "x")).body.x == longest
+
 @pytest.mark.parametrize("kw", sorted(ATOMS))
 def test_atom_constructors_check_their_groups(kw):
-    # every group must hold nonempty names, checked in field order; the
+    # every group must hold names in the alphabet, checked in field order; the
     # sides of inc, excl and pinc must be equally long; a valid atom prints
     # to text that parses back to it, and its free variables are its groups'
     cls = ATOMS[kw]
@@ -246,7 +265,7 @@ def test_atom_constructors_check_their_groups(kw):
     assert parse(str(atom)) == atom
     assert free_vars(atom) == frozenset().union(*atom.groups)
     for k in range(len(good)):
-        for bad in (1, "", None):
+        for bad in (1, "", None, "y z"):
             groups = list(good)
             groups[k] = (groups[k][0], bad)
             with pytest.raises(InputError) as err:

@@ -169,11 +169,17 @@ def test_dumps_that_would_not_load_back_are_refused():
                   lambda: Multiteam(("x",), {("a b",): 1}),
                   lambda: Multiteam(("x",), {(',"#',): 1}),
                   lambda: Multiteam(("x",), {("",): 1}),
-                  lambda: Multiteam(("x",), {("#count",): 1})):
+                  lambda: Multiteam(("x",), {("#count",): 1}),
+                  lambda: Multiteam(("x",), {("a" * 131_073,): 1}),
+                  lambda: Multiteam(("x" * 131_073,), {("a",): 1})):
         with pytest.raises(InputError):
             build()
     quoted = Multiteam(('"q"', "y"), {('"', 'a"b'): 2, ("(", ")"): 1})
     assert load_multiteam(dump_multiteam(quoted)) == quoted
+    # the longest value, at the csv module's field limit, reads back
+    for longest in ("a" * 131_072, '"' + "a" * 131_070 + '"', '"' * 131_072):
+        team = Multiteam(("x", longest), {(longest, "b"): 1})
+        assert load_multiteam(dump_multiteam(team)) == team
 
 
 # --- the one-pass loader against the loader it replaced ---

@@ -148,7 +148,8 @@ def test_rebinding_a_variable_overwrites_it():
 
 def test_extended_rows_are_listed_as_the_sort_lists_them():
     # the child space is built in order, without sorting its rows; the
-    # sort-based construction it replaced gives the same keys and targets
+    # sort-based construction it replaced gives the same keys and targets,
+    # and the universal vector is the scatter-add of m(s)*n(a) over them
     rng = random.Random(7)
     pool = ("b", "d", "f", "h")
     for _ in range(1500):
@@ -161,9 +162,21 @@ def test_extended_rows_are_listed_as_the_sort_lists_them():
         for var in ("a", "c", "e", "z") + variables:  # new first, middle, last; rebound
             ext = _Extension(_Space(variables, keys), var, dom)
             want = reference_extension(variables, keys, var, dom)
-            assert (ext.space.variables, ext.space.keys, ext.targets) == want, (
-                variables, keys, var, dom)
-            assert ext.mults == [n for _, n in dom.items()]
+            got = (ext.space.variables, ext.space.keys, [list(row) for row in ext.targets])
+            assert got == want, (variables, keys, var, dom)
+            mults = [n for _, n in dom.items()]
+            assert ext.mults == mults
+            counts = tuple(rng.randint(0, 3) for _ in keys)
+            flat = tuple(min(m, 1) for m in counts)
+            for vec in (counts, flat):
+                scatter = [0] * len(want[1])
+                for m, row in zip(vec, want[2]):
+                    for j, n in zip(row, mults):
+                        scatter[j] += m * n
+                assert ext.universal(vec, False) == tuple(scatter), (keys, var, dom, vec)
+            if max(mults) == 1:  # set mode: flat team, flat domain; scatter is flat's
+                assert ext.universal(flat, True) == tuple(min(c, 1) for c in scatter), (
+                    keys, var, dom, flat)
 
 
 # --- brute-force supplement oracle: enumerate the choice functions ---
