@@ -44,6 +44,18 @@ def parse_seeds(spec: str) -> tuple[str, list[int]]:
     return workload, [int(s) for s in seeds.split(",")]
 
 
+def git(*cmd, cwd=ROOT) -> str:
+    return subprocess.run(["git", *cmd], cwd=cwd, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def clone(commit: str, dest: Path) -> Path:
+    """A local `git clone` of this repository in dest, checked out at commit."""
+    git("clone", "--quiet", "--no-checkout", str(ROOT), str(dest))
+    git("checkout", "--quiet", commit, cwd=dest)
+    return dest
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One `bench/run.py` run: its metadata line and result line."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -193,14 +205,8 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in
                json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]}
 
-    def git(*cmd, cwd=ROOT):
-        return subprocess.run(["git", *cmd], cwd=cwd, check=True, capture_output=True,
-                              text=True).stdout.strip()
-
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_dir = Path(tmp) / "parent"
-        git("clone", "--quiet", "--no-checkout", str(ROOT), str(parent_dir))
-        git("checkout", "--quiet", args.parent, cwd=parent_dir)
+        parent_dir = clone(args.parent, Path(tmp) / "parent")
         checkouts = {"parent": parent_dir, "change": ROOT}
         state = {"parent": git("rev-parse", args.parent), "head": git("rev-parse", "HEAD"),
                  "runs": {}, "traces": {},

@@ -1,0 +1,166 @@
+"""Check that a change computes what a parent commit computes, byte for byte.
+
+    python3 scripts/same_results.py --parent COMMIT
+
+The parent side is a local `git clone` of COMMIT, made as
+`scripts/bench_pairs.py` makes it; the change side is the checkout this
+script lives in, as its files stand.  Each side runs in its own subprocess
+with its own `src` and `bench` first on the path, and hashes four groups:
+
+- search: the witness tree (its `repr`) of every instance of the `search`
+  pool (`bench/workloads.search_instance`) in every mode that applies, with
+  the memo cache on and off;
+- encodings: the witness trees of seeded 3SAT and MAX-2SAT encodings in
+  multi lax and strict, cache on and off;
+- props: `multiteam props SUITE --seed 0` stdout and exit code, each suite;
+- gen: the files and exit code of `multiteam gen` on seeded CNFs.
+
+It prints one SHA-256 per group and side and exits 1 naming every group
+whose digests differ, else 0.  Only the standard library is used.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import random
+import subprocess
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GROUPS = ("search", "encodings", "props", "gen")
+
+
+def _witnesses(digest, label: str, structure, team, formula, modes) -> None:
+    from multiteam import semantics
+    for mode in modes:
+        cfg = semantics.SemanticsConfig(*mode.split("_"))
+        for use_cache in (True, False):
+            w = semantics.witness(structure, team, formula, cfg, use_cache=use_cache)
+            digest.update(f"{label} {mode} {use_cache} {w!r}\n".encode())
+
+
+def search_digest(indices) -> str:
+    """The witness trees of the given `search` pool instances."""
+    import logic
+    import workloads
+    from multiteam import io as mio, parser
+    digest = hashlib.sha256()
+    for i in indices:
+        structure, team, f, flat, _ = workloads.search_instance(i)
+        _witnesses(digest, str(i), mio.load_structure(structure), mio.load_multiteam(team),
+                   parser.parse(logic.render(f)), workloads.search_modes(flat))
+    return digest.hexdigest()
+
+
+def _clauses(rng: random.Random, top: int, count: int, width: int) -> list:
+    return [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, top + 1), width)]
+            for _ in range(count)]
+
+
+def encodings_digest(count: int = 24) -> str:
+    """The witness trees of count 3SAT and count / 4 MAX-2SAT encodings,
+    the latter at every threshold k/5."""
+    import logic
+    import workloads
+    from multiteam import reductions
+    multi = workloads.search_modes(False)
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for n in range(count):
+        inst = reductions.encode_3sat(reductions.parse_dimacs(
+            logic.dimacs(_clauses(rng, 4, 4, 3))))
+        _witnesses(digest, f"3sat {n}", inst.structure, inst.team, inst.formula, multi)
+    for n in range(count // 4):
+        phi = reductions.parse_dimacs(logic.dimacs(_clauses(rng, 4, 5, 2)))
+        for k in range(6):
+            inst = reductions.encode_maxsat(phi, Fraction(k, 5))
+            _witnesses(digest, f"max2sat {n} {k}/5", inst.structure, inst.team,
+                       inst.formula, multi)
+    return digest.hexdigest()
+
+
+def _main(argv: list) -> tuple[int, str]:
+    from multiteam import cli
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def props_digest() -> str:
+    from multiteam.suites import SUITES
+    digest = hashlib.sha256()
+    for suite in sorted(SUITES):
+        code, out = _main(["props", suite, "--seed", "0"])
+        digest.update(f"{suite} {code}\n{out}\0".encode())
+    return digest.hexdigest()
+
+
+def gen_digest() -> str:
+    import logic
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory(prefix="same-results-gen-") as tmp:
+        for n in range(4):
+            for kind, width, extra in (("3sat", 3, []), ("max2sat", 2, ["--frac", "3/5"])):
+                cnf, out = Path(tmp) / f"{kind}{n}.cnf", Path(tmp) / f"{kind}{n}"
+                cnf.write_text(logic.dimacs(_clauses(rng, 5, 5, width)), encoding="utf-8")
+                code, _ = _main(["gen", kind, str(cnf), "--out", str(out)] + extra)
+                digest.update(f"{kind} {n} {code}\n".encode())
+                for path in sorted(out.iterdir()):
+                    digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def digests(root: Path) -> dict:
+    """Every group's digest, computed with root's `src` and `bench`."""
+    sys.path[:0] = [str(root / "src"), str(root / "bench")]
+    import workloads
+    from multiteam import semantics
+    here = Path(semantics.__file__).resolve()
+    if not here.is_relative_to(root.resolve()):
+        raise SystemExit(f"imported multiteam from {here}, outside {root}")
+    return {"search": search_digest(range(workloads.POOL_SIZE)),
+            "encodings": encodings_digest(), "props": props_digest(), "gen": gen_digest()}
+
+
+def side(root: Path) -> dict:
+    """The digests of one checkout, computed in a subprocess of its own."""
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--side", str(root)],
+                          cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"the digests of {root} exited {done.returncode}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", help="commit to compare against")
+    p.add_argument("--side", type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.side:
+        print(json.dumps(digests(args.side)))
+        return 0
+    if not args.parent:
+        p.error("--parent is required")
+    from bench_pairs import clone
+    with tempfile.TemporaryDirectory(prefix="same-results-") as tmp:
+        got = {"parent": side(clone(args.parent, Path(tmp) / "parent")), "change": side(ROOT)}
+    differ = [g for g in GROUPS if got["parent"][g] != got["change"][g]]
+    for g in GROUPS:
+        mark = "DIFFERS" if g in differ else "same"
+        print(f"{g}: {mark}  parent {got['parent'][g]}  change {got['change'][g]}")
+    if differ:
+        print(f"results differ from {args.parent}: {', '.join(differ)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

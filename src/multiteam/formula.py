@@ -26,7 +26,7 @@ from operator import attrgetter, methodcaller
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
-from .model import _check_value
+from .model import _check_value, _shown
 
 __all__ = [
     "Threshold", "Formula", "Eq", "Neq", "Rel", "NegRel", "And", "Or",
@@ -110,9 +110,7 @@ def _check_var(node: str, x: str) -> str:
     try:
         return _check_value(x)
     except InputError:
-        long = isinstance(x, str) and len(x) > 64
-        got = f"{x[:16]!r}... ({len(x):,} characters)" if long else repr(x)
-        raise InputError(f"{node} expects variable names, got {got}") from None
+        raise InputError(f"{node} expects variable names, got {_shown(x)}") from None
 
 
 def _check_vars(node: str, variables: Sequence[str]) -> tuple[str, ...]:

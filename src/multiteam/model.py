@@ -44,15 +44,22 @@ def _check_str(v, what: str = "value") -> str:
     return v
 
 
+def _shown(v) -> str:
+    """v as an error message names it: its repr, or for a string longer than
+    64 characters the repr of its first 16 and its length."""
+    if isinstance(v, str) and len(v) > 64:
+        return f"{v[:16]!r}... ({len(v):,} characters)"
+    return repr(v)
+
+
 def _check_value(v, what: str = "value") -> str:
     """A value or name in the alphabet, else InputError."""
     if isinstance(v, str) and v and len(v) <= _MAX_LENGTH and not _OUTSIDE.search(v):
         return v
     _check_str(v, what)
     if len(v) > _MAX_LENGTH:
-        raise InputError(f"{what} {v[:16]!r}... has {len(v):,} characters, "
-                         f"over the limit of {_MAX_LENGTH:,}")
-    raise InputError(f"{what} {v!r} is empty or has whitespace or one of , * : / #")
+        raise InputError(f"{what} {_shown(v)} is over the limit of {_MAX_LENGTH:,} characters")
+    raise InputError(f"{what} {_shown(v)} is empty or has whitespace or one of , * : / #")
 
 
 def _check_table(names: Sequence[str], svars: Sequence[str],

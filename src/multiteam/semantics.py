@@ -117,7 +117,6 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from . import atoms
@@ -226,46 +225,50 @@ class _Extension:
     child space of every such row, and for each row i and value j the child
     row targets[i][j] it extends to.
 
+    s(a/x) does not depend on s(x), so a rebound var is a new var over the
+    rows without it: dropping its slot p from every key gives the rows, in
+    sorted, distinct order, that var is placed over at slot p again, and
+    parent row i takes the targets of owner[i], the row it shrank to.
+
     The child rows are listed in sorted order without sorting them.  The
-    parent's keys are sorted and distinct (every space's are), so the rows
-    sharing a prefix before var's slot p are consecutive, and an extended
-    row is prefix + (value,) + suffix, where the suffix is what follows slot
-    p (a new var) or slot p itself (a rebound var).  Per prefix, in parent
-    order, the child rows are every value in sorted order, each with every
-    distinct suffix in sorted order.
+    rows var is placed over are sorted and distinct, so the rows sharing a
+    prefix before slot p are consecutive, and an extended row is prefix +
+    (value,) + suffix, where the suffix is what follows slot p.  Per prefix,
+    in row order, the child rows are every value in sorted order, each with
+    every suffix of the group, which come sorted and distinct as its rows
+    do.  So nothing is sorted or looked up: a group of g rows whose first
+    child row is b sends its row of rank r and value j to child row b + j*g
+    + r.  When every prefix is distinct (var sorts after every variable, or
+    the prefixes differ anyway) each group is one row, and row i's children
+    are rows i*V to i*V + V - 1, V values each.
 
-    For a new var the suffixes of a prefix group come sorted and distinct,
-    as its rows do, so nothing is sorted or looked up: a group of g rows
-    whose first child row is b sends its row of rank r and value j to child
-    row b + j*g + r.  When every prefix is distinct (var sorts after every
-    parent variable, or the prefixes differ anyway) each group is one row,
-    and row i's children are rows i*V to i*V + V - 1, V values each.  Each
-    child row then has exactly one preimage s with one value a, so the
-    universal extension counts it m(s)*n(a), written in child order.  In
-    set mode that product is at most 1 already, because every vector the
-    search passes lies below a team that `_validate` found flat, or was
-    clipped, and every domain multiplicity is 1.  A rebound var's suffix
-    runs can collide: per prefix, a sort merges and dedupes the runs of
-    each old value, and the universal extension adds up every preimage's
-    products and clips the sums in set mode."""
+    Each child row then has exactly one preimage s with one value a, so the
+    universal extension counts it m(s)*n(a), written in child order; for a
+    rebound var, m(s) sums the counts of the parent rows s owns.  In set
+    mode every domain multiplicity is 1, so clipping those sums to 1 clips
+    the child counts; a new var's products are at most 1 already, because
+    every vector the search passes lies below a team that `_validate` found
+    flat, or was clipped."""
 
-    __slots__ = ("space", "targets", "mults", "groups")
+    __slots__ = ("space", "targets", "mults", "groups", "owner")
 
     def __init__(self, parent: _Space, var: str, dom: Multiset):
-        variables = parent.variables
+        variables, keys = parent.variables, parent.keys
         values = [(v,) for v, _ in dom.items()]
         self.mults = [n for _, n in dom.items()]
-        # (start, stop) of each prefix group's parent rows for a new var, []
-        # when every row is its own group, None for a rebound var
-        self.groups: Optional[list[tuple[int, int]]]
+        self.owner: Optional[list[int]] = None  # parent row -> row without var
         if var in variables:
-            child, self.targets = _merged(parent.keys, variables.index(var), values)
-            self.groups = None
-        else:
-            p = bisect_left(variables, var)
-            child, self.targets, self.groups = _placed(parent.keys, p, values)
-            variables = variables[:p] + (var,) + variables[p:]
-        self.space = _Space(variables, child)
+            p = variables.index(var)
+            variables = variables[:p] + variables[p + 1:]
+            shrunk = [k[:p] + k[p + 1:] for k in keys]
+            keys = sorted(set(shrunk))
+            at = {k: r for r, k in enumerate(keys)}
+            self.owner = [at[k] for k in shrunk]
+        p = bisect_left(variables, var)
+        # (start, stop) of each prefix group's rows, [] when each row is one
+        child, targets, self.groups = _placed(keys, p, values)
+        self.targets = targets if self.owner is None else [targets[r] for r in self.owner]
+        self.space = _Space(variables[:p] + (var,) + variables[p:], child)
 
     def supplements(self, counts: Counts, strict: bool, flat: bool) -> Iterator[Counts]:
         """Each distinct supplement of the team counted by counts, in the
@@ -285,19 +288,17 @@ class _Extension:
 
     def universal(self, counts: Counts, flat: bool) -> Counts:
         """Every copy of every row extended by every domain value: extended
-        row s(a/x) collects m(s)*n(a) from each preimage s."""
+        row s(a/x) counts m(s)*n(a) from its one preimage s."""
         mults, groups = self.mults, self.groups
-        if groups == []:
-            return tuple([m * n for m in counts for n in mults])
-        if groups is not None:
+        if self.owner is not None:  # m(s) for each row s without var
+            folded = [0] * (len(self.space.keys) // len(mults))
+            for r, m in zip(self.owner, counts):
+                folded[r] += m
+            counts = [min(c, 1) for c in folded] if flat else folded
+        if groups:
             return tuple([m * n for start, stop in groups for n in mults
                           for m in counts[start:stop]])
-        out = [0] * len(self.space.keys)
-        for m, row in zip(counts, self.targets):
-            if m:
-                for j, n in zip(row, mults):
-                    out[j] += m * n
-        return tuple(min(c, 1) for c in out) if flat else tuple(out)
+        return tuple([m * n for m in counts for n in mults])
 
 
 def _placed(keys: list[tuple[str, ...]], p: int, values: list[tuple[str]]):
@@ -318,24 +319,6 @@ def _placed(keys: list[tuple[str, ...]], p: int, values: list[tuple[str]]):
         child += [h + t for h in [heads[start] + v for v in values] for t in tails[start:stop]]
         targets += [range(b + r, b + r + g * width, g) for r in range(g)]
     return child, targets, groups
-
-
-def _merged(keys: list[tuple[str, ...]], p: int, values: list[tuple[str]]):
-    """A rebound var's child keys and targets: per prefix, the sorted
-    distinct suffixes after slot p under every value."""
-    child: list[tuple[str, ...]] = []
-    targets: list[range] = []
-    for prefix, group in itertools.groupby(keys, itemgetter(slice(p))):
-        suffixes = [k[p + 1:] for k in group]
-        distinct = sorted(dict.fromkeys(suffixes))
-        width = len(distinct)
-        at = {s: i for i, s in enumerate(distinct, len(child))}
-        stop = width * len(values)
-        targets += [range(at[s], at[s] + stop, width) for s in suffixes]
-        for value in values:
-            head = prefix + value
-            child += [head + s for s in distinct]
-    return child, targets
 
 
 def _split_vectors(counts: Counts, strict: bool, prune: Optional[_Prune] = None

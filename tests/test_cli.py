@@ -89,6 +89,15 @@ def test_witness_output_reports_the_choices(workspace, capsys):
     assert "x=0 y=0 *2" in out
 
 
+def test_a_long_field_exits_two_with_a_short_error(workspace, capsys):
+    (workspace / "long.csv").write_text('x\n"' + "a" * 100_000 + ' b"\n')
+    code, out, err = run(["check", workspace / "structure01.txt", "x = x",
+                          "--team", workspace / "long.csv"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: value 'aaaaaaaaaaaaaaaa'... (100,002 characters) ")
+    assert len(err) < 200
+
+
 def test_formulas_can_come_from_files(workspace, capsys):
     path = workspace / "formula.txt"
     path.write_text("dep(x ; y)\n")

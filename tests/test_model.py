@@ -218,3 +218,19 @@ class TestMultistructure:
     def test_empty_domain_rejected(self):
         with pytest.raises(InputError):
             Multistructure({})
+
+
+def test_a_long_value_or_name_is_named_short_in_errors():
+    # an error names a value past 64 characters by its first 16 and its
+    # length, so its text does not grow with the value
+    builds = (lambda v: Multiteam(("x",), [(v,)]), lambda v: Multiteam((v,), [("0",)]),
+              lambda v: Multiset({v: 1}), lambda v: Assignment({"x": v}),
+              lambda v: Assignment({v: "0"}))
+    for bad in ("a" * 100_000 + " ", "a" * 131_073):
+        for build in builds:
+            with pytest.raises(InputError) as err:
+                build(bad)
+            assert f"'aaaaaaaaaaaaaaaa'... ({len(bad):,} characters)" in str(err.value)
+            assert len(str(err.value)) < 200
+    with pytest.raises(InputError, match=r"^value 'a b' is empty or has whitespace"):
+        Multiset({"a b": 1})
