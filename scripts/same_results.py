@@ -5,11 +5,15 @@
 The parent side is a local `git clone` of COMMIT, made as
 `scripts/bench_pairs.py` makes it; the change side is the checkout this
 script lives in, as its files stand.  Each side runs in its own subprocess
-with its own `src` and `bench` first on the path, and hashes four groups:
+with its own `src` and `bench` first on the path, and hashes five groups:
 
 - search: the witness tree (its `repr`) of every instance of the `search`
   pool (`bench/workloads.search_instance`) in every mode that applies, with
   the memo cache on and off;
+- evaluate: the `evaluate` verdict of every instance of the pool, in every
+  mode that applies, cache on and off (in the multi modes `evaluate`
+  searches the team restricted to the formula's free variables, `witness`
+  the team's own rows);
 - encodings: the witness trees of seeded 3SAT and MAX-2SAT encodings in
   multi lax and strict, cache on and off;
 - props: `multiteam props SUITE --seed 0` stdout and exit code, each suite;
@@ -32,29 +36,40 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-GROUPS = ("search", "encodings", "props", "gen")
+GROUPS = ("search", "evaluate", "encodings", "props", "gen")
 
 
-def _witnesses(digest, label: str, structure, team, formula, modes) -> None:
+def _runs(digest, label: str, structure, team, formula, modes, check="witness") -> None:
+    """Hash what `semantics.<check>` returns in each mode, cache on and off."""
     from multiteam import semantics
+    check = getattr(semantics, check)
     for mode in modes:
         cfg = semantics.SemanticsConfig(*mode.split("_"))
         for use_cache in (True, False):
-            w = semantics.witness(structure, team, formula, cfg, use_cache=use_cache)
-            digest.update(f"{label} {mode} {use_cache} {w!r}\n".encode())
+            got = check(structure, team, formula, cfg, use_cache=use_cache)
+            digest.update(f"{label} {mode} {use_cache} {got!r}\n".encode())
 
 
-def search_digest(indices) -> str:
-    """The witness trees of the given `search` pool instances."""
+def _pool_digest(indices, check: str) -> str:
     import logic
     import workloads
     from multiteam import io as mio, parser
     digest = hashlib.sha256()
     for i in indices:
         structure, team, f, flat, _ = workloads.search_instance(i)
-        _witnesses(digest, str(i), mio.load_structure(structure), mio.load_multiteam(team),
-                   parser.parse(logic.render(f)), workloads.search_modes(flat))
+        _runs(digest, str(i), mio.load_structure(structure), mio.load_multiteam(team),
+              parser.parse(logic.render(f)), workloads.search_modes(flat), check)
     return digest.hexdigest()
+
+
+def search_digest(indices) -> str:
+    """The witness trees of the given `search` pool instances."""
+    return _pool_digest(indices, "witness")
+
+
+def evaluate_digest(indices) -> str:
+    """The `evaluate` verdicts of the given `search` pool instances."""
+    return _pool_digest(indices, "evaluate")
 
 
 def _clauses(rng: random.Random, top: int, count: int, width: int) -> list:
@@ -74,12 +89,12 @@ def encodings_digest(count: int = 24) -> str:
     for n in range(count):
         inst = reductions.encode_3sat(reductions.parse_dimacs(
             logic.dimacs(_clauses(rng, 4, 4, 3))))
-        _witnesses(digest, f"3sat {n}", inst.structure, inst.team, inst.formula, multi)
+        _runs(digest, f"3sat {n}", inst.structure, inst.team, inst.formula, multi)
     for n in range(count // 4):
         phi = reductions.parse_dimacs(logic.dimacs(_clauses(rng, 4, 5, 2)))
         for k in range(6):
             inst = reductions.encode_maxsat(phi, Fraction(k, 5))
-            _witnesses(digest, f"max2sat {n} {k}/5", inst.structure, inst.team,
+            _runs(digest, f"max2sat {n} {k}/5", inst.structure, inst.team,
                        inst.formula, multi)
     return digest.hexdigest()
 
@@ -125,7 +140,8 @@ def digests(root: Path) -> dict:
     here = Path(semantics.__file__).resolve()
     if not here.is_relative_to(root.resolve()):
         raise SystemExit(f"imported multiteam from {here}, outside {root}")
-    return {"search": search_digest(range(workloads.POOL_SIZE)),
+    pool = range(workloads.POOL_SIZE)
+    return {"search": search_digest(pool), "evaluate": evaluate_digest(pool),
             "encodings": encodings_digest(), "props": props_digest(), "gen": gen_digest()}
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import InputError, ParseError
 from .io import dump_multiteam, dump_structure, load_multiteam, load_structure
-from .model import Multiteam
+from .model import Multiteam, _shown
 from .parser import parse
 from .reductions import encode_3sat, encode_maxsat, parse_dimacs
 from .semantics import SemanticsConfig, Witness, evaluate, witness
@@ -82,8 +82,8 @@ def cmd_gen(args) -> int:
             raise InputError("max2sat needs --frac, e.g. --frac 7/10")
         try:
             frac = Fraction(args.frac)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad fraction {args.frac!r}: {exc}") from None
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"bad fraction {_shown(args.frac)}") from None
         instance = encode_maxsat(phi, frac)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,6 +165,8 @@ def main(argv=None) -> int:
     try:
         return args.run(args)
     except (InputError, ParseError, OSError) as exc:
+        if isinstance(exc, OSError) and len(str(exc.filename or "")) > 4096:  # past any path
+            exc = f"{exc.strerror}: {_shown(str(exc.filename))}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

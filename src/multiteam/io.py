@@ -24,7 +24,7 @@ import io as _stringio
 from operator import itemgetter
 
 from .errors import ParseError
-from .model import Multiset, Multiteam, Multistructure, _check_table
+from .model import Multiset, Multiteam, Multistructure, _check_table, _shown
 
 __all__ = ["load_multiteam", "dump_multiteam", "load_structure", "dump_structure"]
 
@@ -52,7 +52,7 @@ def _read_multiteam(reader) -> Multiteam:
     counted = bool(header) and header[-1] == COUNT_COLUMN
     variables = header[:-1] if counted else header
     if len(set(variables)) != len(variables):
-        raise ParseError(f"duplicate variable names in header {header!r}")
+        raise ParseError(f"duplicate variable names in header {_shown(header)}")
     if COUNT_COLUMN in variables:
         raise ParseError(f"{COUNT_COLUMN} may only be the final column")
     svars = tuple(sorted(variables))
@@ -74,9 +74,9 @@ def _read_multiteam(reader) -> Multiteam:
                 count = int(count_text)
             except ValueError:
                 raise ParseError(
-                    f"count {count_text!r} is not an integer", line=lineno) from None
+                    f"count {_shown(count_text)} is not an integer", line=lineno) from None
             if count < 0:
-                raise ParseError(f"count {count} is negative", line=lineno)
+                raise ParseError(f"count {_shown(count)} is negative", line=lineno)
         else:
             values, count = fields, 1
         table[values] = table.get(values, 0) + count
@@ -101,17 +101,17 @@ def _parse_domain_tokens(tokens, lineno) -> Multiset:
     for token in tokens:
         value, star, mult_text = token.partition("*")
         if not value:
-            raise ParseError(f"malformed domain entry {token!r}", line=lineno)
+            raise ParseError(f"malformed domain entry {_shown(token)}", line=lineno)
         if star:
             try:
                 mult = int(mult_text)
             except ValueError:
                 raise ParseError(
-                    f"malformed multiplicity in {token!r}", line=lineno) from None
+                    f"malformed multiplicity in {_shown(token)}", line=lineno) from None
         else:
             mult = 1
         if mult <= 0:
-            raise ParseError(f"domain multiplicity in {token!r} must be positive",
+            raise ParseError(f"domain multiplicity in {_shown(token)} must be positive",
                              line=lineno)
         counts[value] = counts.get(value, 0) + mult
     return Multiset(counts)
@@ -119,13 +119,13 @@ def _parse_domain_tokens(tokens, lineno) -> Multiset:
 
 def _parse_tuple_token(token, arity, lineno) -> tuple[str, ...]:
     if not (token.startswith("(") and token.endswith(")")):
-        raise ParseError(f"relation tuple {token!r} must be parenthesized", line=lineno)
+        raise ParseError(f"relation tuple {_shown(token)} must be parenthesized", line=lineno)
     inner = token[1:-1].strip()
     values = tuple(v.strip() for v in inner.split(",")) if inner else ()
     if any(not v for v in values):
-        raise ParseError(f"relation tuple {token!r} has an empty value", line=lineno)
+        raise ParseError(f"relation tuple {_shown(token)} has an empty value", line=lineno)
     if len(values) != arity:
-        raise ParseError(f"tuple {token!r} does not match arity {arity}", line=lineno)
+        raise ParseError(f"tuple {_shown(token)} does not match arity {arity}", line=lineno)
     return values
 
 
@@ -139,7 +139,7 @@ def load_structure(text: str) -> Multistructure:
             continue
         head, colon, rest = line.partition(":")
         if not colon:
-            raise ParseError(f"expected 'domain:' or 'rel NAME/ARITY:', got {line!r}",
+            raise ParseError(f"expected 'domain:' or 'rel NAME/ARITY:', got {_shown(line)}",
                              line=lineno)
         head = head.strip()
         tokens = rest.split()
@@ -151,19 +151,19 @@ def load_structure(text: str) -> Multistructure:
             name, slash, arity_text = head[4:].strip().partition("/")
             name = name.strip()
             if not slash or not name:
-                raise ParseError(f"relation head must be 'rel NAME/ARITY', got {head!r}",
+                raise ParseError(f"relation head must be 'rel NAME/ARITY', got {_shown(head)}",
                                  line=lineno)
             try:
                 arity = int(arity_text)
             except ValueError:
-                raise ParseError(f"relation arity {arity_text!r} is not an integer",
+                raise ParseError(f"relation arity {_shown(arity_text)} is not an integer",
                                  line=lineno) from None
             if name in relations:
-                raise ParseError(f"duplicate relation {name}", line=lineno)
+                raise ParseError(f"duplicate relation {_shown(name)}", line=lineno)
             relations[name] = (arity, [_parse_tuple_token(tok, arity, lineno)
                                        for tok in tokens])
         else:
-            raise ParseError(f"expected 'domain:' or 'rel NAME/ARITY:', got {line!r}",
+            raise ParseError(f"expected 'domain:' or 'rel NAME/ARITY:', got {_shown(line)}",
                              line=lineno)
     if domain is None:
         raise ParseError("structure text has no domain line")

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError
@@ -40,16 +41,26 @@ _MAX_LENGTH = 131_072
 
 def _check_str(v, what: str = "value") -> str:
     if not isinstance(v, str):
-        raise InputError(f"{what}s must be strings, got {v!r}")
+        raise InputError(f"{what}s must be strings, got {_shown(v)}")
     return v
 
 
 def _shown(v) -> str:
-    """v as an error message names it: its repr, or for a string longer than
-    64 characters the repr of its first 16 and its length."""
+    """v as an error message names it, in a few hundred characters at most:
+    its repr, but a tuple or list value by value, the first 8 at most, a
+    string longer than 64 characters as the repr of its first 16 and its
+    length, and any other repr longer than 64 characters cut likewise."""
+    if isinstance(v, (tuple, list)):
+        parts = [_shown(x) for x in v[:8]]
+        if len(v) > 8:
+            parts.append(f"... ({len(v):,} values)")
+        if isinstance(v, list):
+            return f"[{', '.join(parts)}]"
+        return f"({', '.join(parts)}{',' if len(v) == 1 else ''})"
     if isinstance(v, str) and len(v) > 64:
         return f"{v[:16]!r}... ({len(v):,} characters)"
-    return repr(v)
+    text = repr(v)
+    return text if len(text) <= 64 else f"{text[:16]}... ({len(text):,} characters)"
 
 
 def _check_value(v, what: str = "value") -> str:
@@ -80,7 +91,8 @@ def _check_table(names: Sequence[str], svars: Sequence[str],
 
 def _check_mult(v, m) -> int:
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise InputError(f"multiplicity of {v!r} must be a nonnegative integer, got {m!r}")
+        raise InputError(f"multiplicity of {_shown(v)} must be a nonnegative integer, "
+                         f"got {_shown(m)}")
     return m
 
 
@@ -178,7 +190,7 @@ class Assignment:
         try:
             return self._bindings[var]
         except KeyError:
-            raise InputError(f"assignment does not bind variable {var!r}") from None
+            raise InputError(f"assignment does not bind variable {_shown(var)}") from None
 
     def project(self, variables: Sequence[str]) -> tuple[str, ...]:
         """The value tuple s(x1),...,s(xn)."""
@@ -220,7 +232,7 @@ class Multiteam:
                  rows: Mapping | Iterable = ()):
         vars_in = [_check_str(x, "variable name") for x in variables]
         if len(set(vars_in)) != len(vars_in):
-            raise InputError(f"duplicate variable names in {vars_in!r}")
+            raise InputError(f"duplicate variable names in {_shown(vars_in)}")
         svars = tuple(sorted(vars_in))
         # positions of the sorted variables inside the caller's ordering,
         # used to reindex tuple rows given in that ordering
@@ -249,11 +261,13 @@ class Multiteam:
             row = row.as_dict()
         if isinstance(row, Mapping):
             if set(row) != set(svars):
-                raise InputError(f"row {row!r} does not bind exactly the variables {svars!r}")
+                raise InputError(f"row {_shown(row)} does not bind exactly the variables "
+                                 f"{_shown(svars)}")
             return tuple(_check_str(row[x]) for x in svars)
         values = tuple(_check_str(v) for v in row)
         if len(values) != len(vars_in):
-            raise InputError(f"row {values!r} has {len(values)} values for {len(vars_in)} variables")
+            raise InputError(f"row {_shown(values)} has {len(values)} values for "
+                             f"{len(vars_in)} variables")
         return tuple(values[i] for i in perm)
 
     def _set(self, svars: tuple[str, ...], table: dict[tuple[str, ...], int]) -> None:
@@ -296,7 +310,8 @@ class Multiteam:
         try:
             return self._vars.index(var)
         except ValueError:
-            raise InputError(f"unknown variable {var!r}; team variables are {self._vars!r}") from None
+            raise InputError(f"unknown variable {_shown(var)}; team variables are "
+                             f"{_shown(self._vars)}") from None
 
     def positions(self, variables: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.position(x) for x in variables)
@@ -345,13 +360,21 @@ class Multiteam:
 
     def restrict(self, variables: Iterable[str]) -> "Multiteam":
         """Project rows onto a subset of the variables, summing multiplicities."""
-        keep = sorted(set(variables))
-        pos = self.positions(keep)
+        keep = tuple(sorted(set(variables)))
+        return Multiteam._from_table(keep, self._projected(self.positions(keep)))
+
+    def _projected(self, pos: Sequence[int]) -> dict[tuple[str, ...], int]:
+        """Internal: the table of the rows cut to the slots pos, in that
+        order, the counts of rows that agree there summed."""
+        if len(pos) > 1:
+            cut = itemgetter(*pos)
+        else:  # a slice, so that one slot or none still cuts a tuple
+            cut = itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
         table: dict[tuple[str, ...], int] = {}
         for k, m in self._rows.items():
-            key = tuple(k[i] for i in pos)
+            key = cut(k)
             table[key] = table.get(key, 0) + m
-        return Multiteam._from_table(tuple(keep), table)
+        return table
 
     def prob(self, variables: Sequence[str], values: Sequence[str]) -> Fraction:
         """Exact probability that the variables take the given values."""
@@ -363,7 +386,8 @@ class Multiteam:
         """Additive union of two multiteams over the same variables."""
         if self._vars != other._vars:
             raise InputError(
-                f"disjoint union needs equal variable domains, got {self._vars!r} and {other._vars!r}")
+                f"disjoint union needs equal variable domains, got {_shown(self._vars)} "
+                f"and {_shown(other._vars)}")
         table = dict(self._rows)
         for k, m in other._rows.items():
             table[k] = table.get(k, 0) + m
@@ -409,16 +433,19 @@ class Multistructure:
         for name, (arity, tuples) in dict(relations).items():
             _check_value(name, "relation name")
             if not isinstance(arity, int) or arity < 0:
-                raise InputError(f"arity of {name} must be a nonnegative integer, got {arity!r}")
+                raise InputError(f"arity of {_shown(name)} must be a nonnegative integer, "
+                                 f"got {_shown(arity)}")
             fixed = set()
             for tup in tuples:
                 tup = tuple(tup)
                 if len(tup) != arity:
-                    raise InputError(f"tuple {tup!r} does not match arity {arity} of relation {name}")
+                    raise InputError(f"tuple {_shown(tup)} does not match arity {arity} "
+                                     f"of relation {_shown(name)}")
                 for v in tup:
                     if not isinstance(v, str) or v not in support:
                         raise InputError(
-                            f"tuple {tup!r} of relation {name} uses {v!r}, which is outside the domain support")
+                            f"tuple {_shown(tup)} of relation {_shown(name)} uses {_shown(v)}, "
+                            "which is outside the domain support")
                 fixed.add(tup)
             rels[name] = (arity, frozenset(fixed))
         object.__setattr__(self, "_domain", domain)
@@ -454,7 +481,7 @@ class Multistructure:
         try:
             return self._relations[name]
         except KeyError:
-            raise InputError(f"unknown relation {name!r}") from None
+            raise InputError(f"unknown relation {_shown(name)}") from None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multistructure):

@@ -41,6 +41,7 @@ from .errors import ParseError
 from .formula import (ATOMS, And, Eq, Exists, ExistsFrac, Forall, Formula,
                       ForallFrac, ImplFrac, Neq, NegRel, Or, Rel, Threshold,
                       scan)
+from .model import _shown
 
 __all__ = ["parse", "KEYWORDS", "MAX_DEPTH"]
 
@@ -131,7 +132,7 @@ class _Parser:
     def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text or tok.kind == "end":
-            shown = "end of input" if tok.kind == "end" else repr(tok.text)
+            shown = "end of input" if tok.kind == "end" else _shown(tok.text)
             self.fail(f"expected {text!r}, found {shown}", tok)
         return tok
 
@@ -207,7 +208,7 @@ class _Parser:
             self.expect(")")
             return NegRel(name, args)
         if tok.kind != "ident":
-            self.fail(f"expected a formula, found {tok.text!r}" if tok.kind != "end"
+            self.fail(f"expected a formula, found {_shown(tok.text)}" if tok.kind != "end"
                       else "expected a formula, found end of input")
         if tok.text in ATOMS:
             return self.atom(ATOMS[tok.text])
@@ -223,7 +224,7 @@ class _Parser:
         if self.at("!="):
             self.next()
             return Neq(name, self.variable())
-        self.fail(f"expected '(', '=' or '!=' after {name!r}")
+        self.fail(f"expected '(', '=' or '!=' after {_shown(name)}")
 
     def atom(self, cls) -> Formula:
         tok = self.next()
@@ -275,7 +276,7 @@ class _Parser:
     def name(self) -> str:
         tok = self.next()
         if tok.kind != "ident":
-            shown = "end of input" if tok.kind == "end" else repr(tok.text)
+            shown = "end of input" if tok.kind == "end" else _shown(tok.text)
             self.fail(f"expected a name, found {shown}", tok)
         if tok.text in KEYWORDS:
             self.fail(f"{tok.text!r} is a reserved word", tok)
@@ -297,7 +298,7 @@ def parse(text: str) -> Formula:
     f = parser.formula()
     tail = parser.peek()
     if tail.kind != "end":
-        parser.fail(f"unexpected trailing input {tail.text!r}", tail)
+        parser.fail(f"unexpected trailing input {_shown(tail.text)}", tail)
     if scan(f, MAX_DEPTH)[0] > MAX_DEPTH:
         raise ParseError(f"formula nests too deeply: more than {MAX_DEPTH} levels")
     return f

@@ -22,7 +22,7 @@ from sys import intern
 
 from .errors import InputError, ParseError
 from .formula import And, Dep, ExistsFrac, Or, Threshold
-from .model import Multiteam, Multistructure
+from .model import Multiteam, Multistructure, _shown
 from .semantics import Instance
 
 __all__ = ["CnfFormula", "encode_3sat", "encode_maxsat",
@@ -47,9 +47,9 @@ class CnfFormula:
             for lit in clause:
                 var, parity = lit
                 if not isinstance(var, str) or not var:
-                    raise InputError(f"literal variable must be a nonempty string, got {var!r}")
+                    raise InputError(f"literal variable must be a nonempty string, got {_shown(var)}")
                 if parity not in (0, 1):
-                    raise InputError(f"literal parity must be 0 or 1, got {parity!r}")
+                    raise InputError(f"literal parity must be 0 or 1, got {_shown(parity)}")
                 lits.append((var, parity))
             if not lits:
                 raise InputError("clauses must contain at least one literal")
@@ -146,11 +146,11 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise ParseError("duplicate problem line", line=lineno)
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
-                raise ParseError(f"malformed problem line {line!r}", line=lineno)
+                raise ParseError(f"malformed problem line {_shown(line)}", line=lineno)
             try:
                 int(parts[2]), int(parts[3])
             except ValueError:
-                raise ParseError(f"malformed problem line {line!r}", line=lineno) from None
+                raise ParseError(f"malformed problem line {_shown(line)}", line=lineno) from None
             header = True
             continue
         if not header:
@@ -159,7 +159,7 @@ def parse_dimacs(text: str) -> CnfFormula:
             try:
                 tokens.append(int(tok))
             except ValueError:
-                raise ParseError(f"clause token {tok!r} is not an integer",
+                raise ParseError(f"clause token {_shown(tok)} is not an integer",
                                  line=lineno) from None
     if not header:
         raise ParseError("missing problem line 'p cnf <vars> <clauses>'")

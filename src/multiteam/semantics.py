@@ -109,6 +109,29 @@ copy, so on the conjunct's variables its rows are the team's.  So these
 conjuncts are tested on the team's vector before any supplement is built;
 if one fails, `E` fails, as it would after trying every supplement, and a
 failure names no witness.  If all hold, the search runs as before.
+
+In the multi modes a formula is local: f holds on t iff it holds on t|V,
+for any V containing its free variables, where t|V counts each row over V
+with the sum of the counts of t's rows that agree with it on V.  Summing
+over rows that agree on V maps the vectors below t onto those below t|V,
+and nothing f reads tells a vector from its sum.  A literal or an atom
+reads only the values of its variables and, for the counting atoms, how
+many copies carry them.  A part keeps its size under the sum, so `<p>`,
+`[p]` and `->{p}` meet the same bounds.  Split t into Y and Z, and the sums
+split t|V, strict or lax.  A split (k, l) of t|V lifts to one of t: share
+each row's k out over the rows i it sums, at most m_i to each, give Z the
+m_i - k_i copies Y leaves and, in lax mode, the rest of l on rows with
+room, again at most m_i to each.  A supplement or the universal
+extension treats every copy on its own, and the copies of t|V's row are
+those of the rows it sums, so they commute with the sum over V with x
+added.  So `evaluate` in a multi mode searches t restricted to f's free
+variables.  The root space alone is cut; a child space keeps every column.
+Set mode is not local once it counts rows: on the set team {(u,x) = (a,0),
+(b,0), (c,1)} with R = {0}, `<2/3> R(x)` holds on the part {(a,0), (b,0)},
+but its restriction is the set {x = 0, x = 1}, whose only part of size 2 is
+itself, where R(x) fails.  Strict set semantics is not local for inclusion
+either (Galliani, APAL 163, 2012).  So set mode keeps the team's own rows,
+and so does every run for `witness`, whose trees name the team's own rows.
 """
 
 from __future__ import annotations
@@ -124,7 +147,7 @@ from .errors import InputError
 from .formula import (CI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
                       ForallFrac, Formula, ImplFrac, Inc, Neq, NegRel, Or,
                       PCI, PInc, Rel, free_vars, scan)
-from .model import Assignment, Multiset, Multiteam, Multistructure
+from .model import Assignment, Multiset, Multiteam, Multistructure, _shown
 from .parser import MAX_DEPTH
 
 __all__ = ["SemanticsConfig", "Instance", "evaluate", "evaluate_classical",
@@ -164,7 +187,9 @@ class Instance:
 
 
 def _validate(structure: Multistructure, team: Multiteam, f: Formula,
-              cfg: SemanticsConfig) -> None:
+              cfg: SemanticsConfig) -> set[str]:
+    """Check that f can be evaluated on team over structure in cfg's mode,
+    every column of the team included; return f's free variables."""
     height, free, uses, problem = scan(f, MAX_DEPTH)
     if height > MAX_DEPTH:  # before anything below recurses into f
         raise InputError(f"formula nests too deeply: more than {MAX_DEPTH} levels")
@@ -172,10 +197,10 @@ def _validate(structure: Multistructure, team: Multiteam, f: Formula,
         raise InputError(problem)
     missing = sorted(free.difference(team.variables))
     if missing:
-        raise InputError(f"free variables {missing} are not bound by the multiteam")
+        raise InputError(f"free variables {_shown(missing)} are not bound by the multiteam")
     stray = sorted(team.values_used().difference(structure.domain.support))
     if stray:
-        raise InputError(f"multiteam values {stray} lie outside the structure domain")
+        raise InputError(f"multiteam values {_shown(stray)} lie outside the structure domain")
     if cfg.team_kind == "set":
         if not team.is_flat():
             raise InputError("set semantics requires team multiplicities at most 1")
@@ -185,6 +210,7 @@ def _validate(structure: Multistructure, team: Multiteam, f: Formula,
         if structure.arity(sub.name) != len(sub.args):
             raise InputError(f"relation {sub.name} has arity {structure.arity(sub.name)}, "
                              f"used with {len(sub.args)} arguments")
+    return free
 
 
 Counts = tuple[int, ...]  # one multiplicity per row of a row space
@@ -205,10 +231,18 @@ class _Space:
         self.extensions: dict[str, _Extension] = {}
 
     @classmethod
-    def rooted(cls, t: Multiteam) -> tuple["_Space", Counts]:
-        """The row space of t's rows, and t as a vector over it."""
-        items = t.row_items()
-        return cls(t.variables, [k for k, _ in items]), tuple(m for _, m in items)
+    def rooted(cls, t: Multiteam, keep: Optional[set[str]] = None
+               ) -> tuple["_Space", Counts]:
+        """The row space of t's rows, and t as a vector over it; with keep, a
+        set of t's variables, of t restricted to keep, the counts of rows
+        that agree on keep summed (see the module docstring)."""
+        variables, table = t.variables, t._rows
+        if keep is not None and len(keep) < len(variables):
+            # t's variables are sorted, so the kept ones are too
+            pos = [i for i, x in enumerate(variables) if x in keep]
+            variables, table = tuple([variables[i] for i in pos]), t._projected(pos)
+        keys = sorted(table)
+        return cls(variables, keys), tuple(map(table.__getitem__, keys))
 
     def team(self, counts: Counts) -> Multiteam:
         return Multiteam._from_counts(self.variables, self.keys, counts)
@@ -608,9 +642,10 @@ class _Eval:
         self.explain = explain
         self.nodes: dict[tuple[int, _Space], _Node] = {}
 
-    def search(self, f: Formula, team: Multiteam):
-        """Run f on team; also return the team's space and vector."""
-        space, counts = _Space.rooted(team)
+    def search(self, f: Formula, team: Multiteam, keep: Optional[set[str]] = None):
+        """Run f on team, or on team restricted to keep; also return the
+        space and vector it ran on."""
+        space, counts = _Space.rooted(team, keep)
         try:
             return self.run(self.node(f, space), counts), space, counts
         finally:  # the nodes' tests call back into this run: drop them
@@ -818,10 +853,13 @@ class _Eval:
 
 def evaluate(structure: Multistructure, team: Multiteam, f: Formula,
              cfg: SemanticsConfig | None = None, *, use_cache: bool = True) -> bool:
-    """Exact satisfaction of f by the multiteam over the structure."""
+    """Exact satisfaction of f by the multiteam over the structure.  In the
+    multi modes the search runs on the team restricted to f's free variables
+    (see the module docstring)."""
     cfg = cfg or SemanticsConfig()
-    _validate(structure, team, f, cfg)
-    return bool(_Eval(structure, cfg, use_cache).search(f, team)[0])
+    free = _validate(structure, team, f, cfg)
+    keep = free if cfg.team_kind == "multi" else None
+    return bool(_Eval(structure, cfg, use_cache).search(f, team, keep)[0])
 
 
 def evaluate_classical(structure: Multistructure, s: Assignment, f: Formula) -> bool:

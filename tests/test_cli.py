@@ -98,6 +98,51 @@ def test_a_long_field_exits_two_with_a_short_error(workspace, capsys):
     assert len(err) < 200
 
 
+LONG = "x" * 100_000
+OVER_LONG = {  # (structure, team, formula or CNF, extra arguments)
+    "structure line": (LONG, "x\n0\n", "x = x", []),
+    "domain token": (f"domain: 0 {LONG}*z", "x\n0\n", "x = x", []),
+    "relation head": (f"domain: 0\nrel {LONG}:", "x\n0\n", "x = x", []),
+    "relation arity": (f"domain: 0\nrel R/{LONG}:", "x\n0\n", "x = x", []),
+    "relation tuple": (f"domain: 0\nrel R/1: {LONG}", "x\n0\n", "x = x", []),
+    "tuple width": ("domain: 0\nrel R/2: (" + "0," * 50_000 + "0)", "x\n0\n", "x = x", []),
+    "tuple value": (f"domain: 0\nrel R/1: ({LONG})", "x\n0\n", "x = x", []),
+    "relation name": (f"domain: 0\nrel {LONG}/1:\nrel {LONG}/1:", "x\n0\n", "x = x", []),
+    "count": ("domain: 0", f"x,#count\n0,{LONG}\n", "x = x", []),
+    "negative count": ("domain: 0", "x,#count\n0,-" + "9" * 4000 + "\n", "x = x", []),
+    "header": ("domain: 0", f"{LONG},{LONG}\n", "x = x", []),
+    "stray values": ("domain: 0", "x\n" + "".join(f"{LONG[:70]}{i}\n" for i in range(5000)),
+                     "x = x", []),
+    "formula name": ("domain: 0", "x\n0\n", LONG, []),
+    "trailing input": ("domain: 0", "x\n0\n", f"x = x {LONG}", []),
+    "number for a name": ("domain: 0", "x\n0\n", "dep(" + "9" * 100_000 + ")", []),
+    "free variable": ("domain: 0", "x\n0\n", f"{LONG} = x", []),
+    "unknown relation": ("domain: 0", "x\n0\n", f"{LONG}(x)", []),
+    "team path": ("domain: 0", None, "x = x", ["--team", LONG]),
+    "problem line": (None, None, f"p cnf {LONG}\n", []),
+    "clause token": (None, None, f"p cnf 3 1\n{LONG} 0\n", []),
+    "fraction": (None, None, "p cnf 2 1\n1 2 0\n", ["--frac", LONG]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_LONG))
+def test_over_long_inputs_exit_two_with_a_short_error(case, tmp_path):
+    structure, team, text, extra = OVER_LONG[case]
+    if structure is None:  # a gen request: text is the CNF
+        (tmp_path / "f.cnf").write_text(text)
+        kind = "max2sat" if extra else "3sat"
+        argv = ["gen", kind, tmp_path / "f.cnf", "--out", tmp_path / "out"]
+    else:
+        (tmp_path / "s.txt").write_text(structure)
+        argv = ["check", tmp_path / "s.txt", text]
+        if team is not None:
+            (tmp_path / "t.csv").write_text(team)
+            argv += ["--team", tmp_path / "t.csv"]
+    code, out, err = quiet_main(argv + extra)
+    assert code == 2 and out == "", (case, err[:300])
+    assert err.startswith("error: ") and len(err) < 400, (case, err[:500])
+
+
 def test_formulas_can_come_from_files(workspace, capsys):
     path = workspace / "formula.txt"
     path.write_text("dep(x ; y)\n")

@@ -6,7 +6,7 @@ import pytest
 
 from multiteam.errors import InputError
 from multiteam.io import dump_multiteam, load_multiteam
-from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
+from multiteam.model import Assignment, Multiset, Multiteam, Multistructure, _shown
 
 
 def fig_ym():
@@ -234,3 +234,24 @@ def test_a_long_value_or_name_is_named_short_in_errors():
             assert len(str(err.value)) < 200
     with pytest.raises(InputError, match=r"^value 'a b' is empty or has whitespace"):
         Multiset({"a b": 1})
+
+
+def test_rows_and_tuples_are_named_short_in_errors():
+    # a tuple is shown value by value, at most 8 of them, so a message
+    # quoting a row or a relation tuple does not grow with it
+    long = "a" * 100_000
+    builds = (lambda: Multiteam(("x",), [(long, "b")]),
+              lambda: Multiteam(("x",), [("0",) * 100_000]),
+              lambda: Multiteam(("x",), [{long: "0"}]),
+              lambda: Multiteam(("x",), {(long,): -1}),
+              lambda: Multiteam(("x", long, "x"), []),
+              lambda: Multistructure(["0"], {"R": (1, [(long,)])}),
+              lambda: Multistructure(["0"], {"R": (2, [("0",) * 100_000])}),
+              lambda: Multiteam(("x",), [("0",)]).position(long))
+    for build in builds:
+        with pytest.raises(InputError) as err:
+            build()
+        assert len(str(err.value)) < 300, str(err.value)[:400]
+    assert _shown(("0", "1")) == repr(("0", "1")) and _shown(["0"]) == repr(["0"])
+    assert _shown(("0",)) == "('0',)"
+    assert _shown(("0",) * 9) == "('0', '0', '0', '0', '0', '0', '0', '0', ... (9 values))"

@@ -1,5 +1,6 @@
 """`scripts/same_results.py` in process, on a slice of the `search` pool and
-with no clone: its digest is a function of the witness trees."""
+with no clone: its digests are functions of the witness trees and of the
+`evaluate` verdicts."""
 
 import dataclasses
 import importlib.util
@@ -26,4 +27,20 @@ def test_the_search_digest_is_stable_and_sees_one_changed_witness(monkeypatch):
 
     monkeypatch.setattr(semantics, "witness", one_changed)
     assert same_results.search_digest(range(8)) != first
+    assert len(calls) > 5
+
+
+def test_the_evaluate_digest_sees_one_changed_verdict(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    first = same_results.evaluate_digest(range(8))
+    assert first == same_results.evaluate_digest(range(8))
+    assert first != same_results.search_digest(range(8))
+    real, calls = semantics.evaluate, []
+
+    def one_flipped(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return not calls[-1] if len(calls) == 5 else calls[-1]
+
+    monkeypatch.setattr(semantics, "evaluate", one_flipped)
+    assert same_results.evaluate_digest(range(8)) != first
     assert len(calls) > 5

@@ -8,6 +8,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +19,7 @@ from multiteam.formula import (And, Dep, Eq, Exists, ExistsFrac, Forall,
                                ForallFrac, ImplFrac, Inc, Neq, NegRel, Or, PInc, Rel,
                                Threshold, free_vars, scan)
 from multiteam.generate import budgeted_formula, random_structure, random_team
-from multiteam.io import dump_multiteam, dump_structure
+from multiteam.io import dump_multiteam, dump_structure, load_multiteam, load_structure
 from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
 from multiteam.reductions import (CnfFormula, encode_3sat, encode_maxsat,
@@ -32,6 +33,7 @@ from reference_eval import (_copy_choices as reference_copy_choices, _extender,
                             _vectors_of_size as reference_vectors_of_size,
                             reference_extension, reference_witness)
 
+ROOT = Path(__file__).resolve().parents[1]
 STRUCT01 = Multistructure({"0": 1, "1": 1}, {"R": (1, [("0",)])})
 STRUCT012 = Multistructure({"0": 1, "1": 1, "2": 1})
 
@@ -301,6 +303,61 @@ def test_cache_is_semantics_transparent(f, t, strictness):
     cfg = SemanticsConfig("multi", strictness)
     assert (evaluate(STRUCT01, t, f, cfg, use_cache=True)
             == evaluate(STRUCT01, t, f, cfg, use_cache=False))
+
+
+# --- locality: evaluate searches the free-variable projection ---
+
+@settings(max_examples=150, deadline=None)
+@given(full_formulas(), small_multiteams(max_mult=3), st.sampled_from((LAX_MULTI, STRICT_MULTI)))
+def test_the_projected_search_keeps_the_verdict(f, t, cfg):
+    # witness searches the team's own rows; evaluate their projection
+    assume(free_vars(f) < set(t.variables))
+    for c in (True, False):
+        assert evaluate(STRUCT01, t, f, cfg, use_cache=c) == witness(STRUCT01, t, f, cfg).holds
+
+
+def test_the_projected_search_keeps_the_search_pool_verdicts(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import logic
+    import workloads
+    projected = 0
+    for i in range(0, workloads.POOL_SIZE, 4):
+        structure_text, team_text, term, _, _ = workloads.search_instance(i)
+        structure, t = load_structure(structure_text), load_multiteam(team_text)
+        f = parse(logic.render(term))
+        projected += free_vars(f) < set(t.variables)
+        for cfg in (LAX_MULTI, STRICT_MULTI):
+            assert evaluate(structure, t, f, cfg) == witness(structure, t, f, cfg).holds, (i, cfg)
+    assert projected > workloads.POOL_SIZE // 16
+
+
+def test_evaluate_searches_the_projection_and_witness_the_team(monkeypatch):
+    # A u. dep(a,u ; b) reads a and b, 8 rows of the 1,024: the universal
+    # extension has 64 rows, not 8,192; set mode and witness keep the team
+    dom = [f"v{i}" for i in range(8)]
+    structure = Multistructure(dom)
+    t = Multiteam(("a", "b", "c", "d", "e"),
+                  {(a, dom[-1 - i], c, d, e): 1 + (i + j) % 3
+                   for i, a in enumerate(dom) for j, c in enumerate(dom)
+                   for d in dom[:2] for e in dom})
+    f = parse("A u. dep(a,u ; b)")
+    sizes, init = [], _Space.__init__
+
+    def recording(self, variables, keys):
+        sizes.append(len(keys))
+        init(self, variables, keys)
+
+    monkeypatch.setattr(_Space, "__init__", recording)
+    for cfg in (LAX_MULTI, STRICT_MULTI):
+        sizes.clear()
+        assert evaluate(structure, t, f, cfg)
+        assert sizes == [8, 64], cfg
+        sizes.clear()
+        assert witness(structure, t, f, cfg).holds
+        assert sizes == [1024, 8192], cfg
+    sizes.clear()
+    assert evaluate(structure, t.support(), f, LAX_SET)
+    assert sizes == [1024, 8192]
 
 
 @settings(max_examples=80, deadline=None)
