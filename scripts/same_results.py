@@ -5,15 +5,19 @@
 The parent side is a local `git clone` of COMMIT, made as
 `scripts/bench_pairs.py` makes it; the change side is the checkout this
 script lives in, as its files stand.  Each side runs in its own subprocess
-with its own `src` and `bench` first on the path, and hashes five groups:
+with its own `src` and `bench` first on the path, and hashes six groups:
 
 - search: the witness tree (its `repr`) of every instance of the `search`
   pool (`bench/workloads.search_instance`) in every mode that applies, with
   the memo cache on and off;
 - evaluate: the `evaluate` verdict of every instance of the pool, in every
-  mode that applies, cache on and off (in the multi modes `evaluate`
-  searches the team restricted to the formula's free variables, `witness`
-  the team's own rows);
+  mode that applies, cache on and off (in the multi modes, and in set lax
+  mode for a formula that counts no rows, `evaluate` searches the team
+  restricted to the formula's free variables, `witness` the team's own rows);
+- files: the `evaluate` verdict of every `files` template
+  (`bench/workloads.TEMPLATES`) on the wide teams that workload draws for
+  seed 0, in every mode that applies, cache on and off: the teams with
+  unread columns, where that restriction merges rows;
 - encodings: the witness trees of seeded 3SAT and MAX-2SAT encodings in
   multi lax and strict, cache on and off;
 - props: `multiteam props SUITE --seed 0` stdout and exit code, each suite;
@@ -36,7 +40,7 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-GROUPS = ("search", "evaluate", "encodings", "props", "gen")
+GROUPS = ("search", "evaluate", "files", "encodings", "props", "gen")
 
 
 def _runs(digest, label: str, structure, team, formula, modes, check="witness") -> None:
@@ -70,6 +74,26 @@ def search_digest(indices) -> str:
 def evaluate_digest(indices) -> str:
     """The `evaluate` verdicts of the given `search` pool instances."""
     return _pool_digest(indices, "evaluate")
+
+
+def files_digest(count: int = 8) -> str:
+    """The `evaluate` verdicts of the `files` templates on the first count
+    wide teams the `files` workload draws for seed 0, in the same order."""
+    import logic
+    import workloads
+    from multiteam import io as mio, parser
+    rng = random.Random(0)
+    formulas = [parser.parse(logic.render(t)) for t in workloads.TEMPLATES]
+    digest = hashlib.sha256()
+    for n, kind in enumerate((workloads.FILE_KINDS * 2)[:count]):
+        counted = n >= len(workloads.FILE_KINDS)
+        rows, f1 = workloads._wide_team(rng, kind, counted)
+        structure = mio.load_structure(workloads._structure_text(f1))
+        team = mio.load_multiteam(workloads._csv(rows, counted))
+        for t, f in enumerate(formulas):
+            _runs(digest, f"{n} {t}", structure, team, f,
+                  workloads.search_modes(not counted), "evaluate")
+    return digest.hexdigest()
 
 
 def _clauses(rng: random.Random, top: int, count: int, width: int) -> list:
@@ -142,7 +166,8 @@ def digests(root: Path) -> dict:
         raise SystemExit(f"imported multiteam from {here}, outside {root}")
     pool = range(workloads.POOL_SIZE)
     return {"search": search_digest(pool), "evaluate": evaluate_digest(pool),
-            "encodings": encodings_digest(), "props": props_digest(), "gen": gen_digest()}
+            "files": files_digest(), "encodings": encodings_digest(),
+            "props": props_digest(), "gen": gen_digest()}
 
 
 def side(root: Path) -> dict:

@@ -28,13 +28,23 @@ BOUND_FLAGS = {"trials": 0, "max_rows": 0, "max_dom": 1, "max_depth": 0, "max_mu
                "max_vars": 1, "max_clauses": 0, "max_clauses2": 0, "jobs": 0}
 
 
+def _read(path: str) -> str:
+    """The text of the file at path, which must be UTF-8; the path of a file
+    that opens is no longer than the system allows, so it is shown whole."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path!r} is not UTF-8 text: "
+                         f"{exc.reason} at byte {exc.start}") from None
+
+
 def _formula_from(arg: str):
     try:
         return parse(arg)
     except ParseError:
         if not os.path.exists(arg):
             raise
-    return parse(Path(arg).read_text(encoding="utf-8"))
+    return parse(_read(arg))
 
 
 def _team_line(t: Multiteam) -> str:
@@ -56,9 +66,9 @@ def _print_witness(w: Witness, indent: int = 0) -> None:
 
 def cmd_check(args) -> int:
     cfg = SemanticsConfig(team_kind=args.team_kind, strictness=args.strictness)
-    structure = load_structure(Path(args.structure).read_text(encoding="utf-8"))
+    structure = load_structure(_read(args.structure))
     if args.team:
-        team = load_multiteam(Path(args.team).read_text(encoding="utf-8"))
+        team = load_multiteam(_read(args.team))
     else:
         team = Multiteam((), {(): 1})
     f = _formula_from(args.formula)
@@ -74,7 +84,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    phi = parse_dimacs(Path(args.cnf).read_text(encoding="utf-8"))
+    phi = parse_dimacs(_read(args.cnf))
     if args.kind == "3sat":
         instance = encode_3sat(phi)
     else:

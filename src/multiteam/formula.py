@@ -12,8 +12,9 @@ which are its variable groups in text order, its keyword and whether its
 sides must be equally long, and `ATOMS` maps each keyword to its class for
 the parser and the generator.  `ind(xs ; ys ; zs)` conditions on the first
 group, i.e. it asserts that ys and zs are independent once xs is fixed, and
-likewise for `pind`.  `scan` reads height, free variables and relation atoms
-in one walk; no walk here recurses, and only printing repeats a shared node.
+likewise for `pind`.  `scan` reads height, free variables, relation atoms
+and whether the formula counts rows in one walk; no walk here recurses, and
+only printing repeats a shared node.
 Every variable name a node holds is checked against the model's alphabet,
 so a team the search builds over a formula's variables dumps and loads back.
 """
@@ -398,15 +399,17 @@ TRUE = Dep((), ())
 
 
 def scan(f: Formula, limit: Optional[int] = None
-         ) -> tuple[int, set[str], list[Formula], Optional[str]]:
+         ) -> tuple[int, set[str], list[Formula], Optional[str], bool]:
     """Read f in one walk without recursion: its height, free variables,
-    relation atoms in the order met from the top, left to right, and a message
+    relation atoms in the order met from the top, left to right, a message
     naming the first value in a subformula's place that is not a formula node
-    (else None).  With limit, stop at a node deeper than limit.  A compound is
-    walked again only deeper or under fewer bound variables, then at the
-    greater depth under the variables bound on both paths: each walk lowers
-    (limit - depth) + (bound variables), so at most limit + 1 walks a node."""
-    height, free, uses, problem, walked = 0, set(), [], None, {}
+    (else None), and whether f counts rows: holds `pinc`, `pind`, `<p>`,
+    `[p]` or `->{p}`.  With limit, stop at a node deeper than limit.  A
+    compound is walked again only deeper or under fewer bound variables, then
+    at the greater depth under the variables bound on both paths: each walk
+    lowers (limit - depth) + (bound variables), so at most limit + 1 walks a
+    node."""
+    height, free, uses, problem, counts, walked = 0, set(), [], None, False, {}
     stack = [(f, 1, frozenset())]
     while stack:
         g, depth, bound = stack.pop()
@@ -420,8 +423,10 @@ def scan(f: Formula, limit: Optional[int] = None
             if cls is Exists or cls is Forall:
                 stack.append((g.body, depth + 1, bound | {g.var}))
             elif cls is ExistsFrac or cls is ForallFrac:
+                counts = True
                 stack.append((g.body, depth + 1, bound))
             else:
+                counts = counts or cls is ImplFrac
                 stack += ((g.right, depth + 1, bound), (g.left, depth + 1, bound))
         else:
             if cls is Eq or cls is Neq:
@@ -430,6 +435,7 @@ def scan(f: Formula, limit: Optional[int] = None
                 names = g.args
                 uses.append(g)
             elif isinstance(g, _Atom):
+                counts = counts or cls is PInc or cls is PCI
                 names = [x for group in g.groups for x in group]
             else:
                 problem = problem or f"not a formula node: {g!r}"
@@ -441,12 +447,12 @@ def scan(f: Formula, limit: Optional[int] = None
             height = depth
             if limit is not None and height > limit:
                 break
-    return height, free, uses, problem
+    return height, free, uses, problem, counts
 
 
 def free_vars(f: Formula) -> frozenset[str]:
     """The free variables of a formula; quantifiers bind their variable."""
-    _, free, _, problem = scan(f)
+    _, free, _, problem, _ = scan(f)
     if problem:
         raise InputError(problem)
     return frozenset(free)

@@ -126,12 +126,30 @@ extension treats every copy on its own, and the copies of t|V's row are
 those of the rows it sums, so they commute with the sum over V with x
 added.  So `evaluate` in a multi mode searches t restricted to f's free
 variables.  The root space alone is cut; a child space keeps every column.
-Set mode is not local once it counts rows: on the set team {(u,x) = (a,0),
-(b,0), (c,1)} with R = {0}, `<2/3> R(x)` holds on the part {(a,0), (b,0)},
-but its restriction is the set {x = 0, x = 1}, whose only part of size 2 is
-itself, where R(x) fails.  Strict set semantics is not local for inclusion
-either (Galliani, APAL 163, 2012).  So set mode keeps the team's own rows,
-and so does every run for `witness`, whose trees name the team's own rows.
+
+Set lax mode is local for a formula that counts no rows, one without
+`pinc`, `pind`, `<p>`, `[p]` and `->{p}`, as first-order logic with
+`dep`, `inc`, `excl` and `ind` is under lax team semantics (Galliani, APAL
+163, 2012).  Here t|V is the set of t's rows cut to V, each sum clipped to
+1, and a part Y of t maps to its cut Y|V.  A literal or a support atom
+reads only which rows over its variables are present, so it cannot tell Y
+from Y|V.  A lax split of t cuts to a lax split of t|V, and a lax split
+(Y', Z') of t|V lifts to the rows of t whose cuts lie in Y' and those whose
+cuts lie in Z', which cover t and cut to Y' and Z'.  A lax supplement H of
+t cuts to the supplement of t|V that gives a row the union of the sets H
+gives the rows it cuts, and one of t|V lifts by giving each row of t the
+set of its cut; either way the extended sets agree on V with x added, and
+the universal extension alike.  Strict splits and supplements do not
+commute with the cut: two rows with one cut may take different sides or
+values.  Strict set semantics is not local for inclusion (Galliani, APAL
+163, 2012), and set mode is not local once it counts rows: on the set team
+{(u,x) = (a,0), (b,0), (c,1)} with R = {0}, `<2/3> R(x)` holds on the part
+{(a,0), (b,0)}, but its restriction is the set {x = 0, x = 1}, whose only
+part of size 2 is itself, where R(x) fails.  So `evaluate` in set lax mode
+searches the clipped restriction to f's free variables when f counts no
+rows.  Set strict mode, a formula that counts rows in set mode, and every
+run for `witness`, whose trees name the team's own rows, keep the team's
+own rows.
 """
 
 from __future__ import annotations
@@ -187,10 +205,11 @@ class Instance:
 
 
 def _validate(structure: Multistructure, team: Multiteam, f: Formula,
-              cfg: SemanticsConfig) -> set[str]:
+              cfg: SemanticsConfig) -> tuple[set[str], bool]:
     """Check that f can be evaluated on team over structure in cfg's mode,
-    every column of the team included; return f's free variables."""
-    height, free, uses, problem = scan(f, MAX_DEPTH)
+    every column of the team included; return f's free variables and
+    whether f counts rows (see `scan`)."""
+    height, free, uses, problem, counts = scan(f, MAX_DEPTH)
     if height > MAX_DEPTH:  # before anything below recurses into f
         raise InputError(f"formula nests too deeply: more than {MAX_DEPTH} levels")
     if problem:
@@ -210,7 +229,7 @@ def _validate(structure: Multistructure, team: Multiteam, f: Formula,
         if structure.arity(sub.name) != len(sub.args):
             raise InputError(f"relation {sub.name} has arity {structure.arity(sub.name)}, "
                              f"used with {len(sub.args)} arguments")
-    return free
+    return free, counts
 
 
 Counts = tuple[int, ...]  # one multiplicity per row of a row space
@@ -231,18 +250,21 @@ class _Space:
         self.extensions: dict[str, _Extension] = {}
 
     @classmethod
-    def rooted(cls, t: Multiteam, keep: Optional[set[str]] = None
+    def rooted(cls, t: Multiteam, keep: Optional[set[str]] = None, flat: bool = False
                ) -> tuple["_Space", Counts]:
         """The row space of t's rows, and t as a vector over it; with keep, a
         set of t's variables, of t restricted to keep, the counts of rows
-        that agree on keep summed (see the module docstring)."""
+        that agree on keep summed.  With flat, t is a set team and every
+        count is 1, so its restriction is a set too (see the module
+        docstring)."""
         variables, table = t.variables, t._rows
         if keep is not None and len(keep) < len(variables):
             # t's variables are sorted, so the kept ones are too
             pos = [i for i, x in enumerate(variables) if x in keep]
             variables, table = tuple([variables[i] for i in pos]), t._projected(pos)
         keys = sorted(table)
-        return cls(variables, keys), tuple(map(table.__getitem__, keys))
+        counts = (1,) * len(keys) if flat else tuple(map(table.__getitem__, keys))
+        return cls(variables, keys), counts
 
     def team(self, counts: Counts) -> Multiteam:
         return Multiteam._from_counts(self.variables, self.keys, counts)
@@ -643,9 +665,9 @@ class _Eval:
         self.nodes: dict[tuple[int, _Space], _Node] = {}
 
     def search(self, f: Formula, team: Multiteam, keep: Optional[set[str]] = None):
-        """Run f on team, or on team restricted to keep; also return the
-        space and vector it ran on."""
-        space, counts = _Space.rooted(team, keep)
+        """Run f on team, or on team restricted to keep (a set team's
+        restriction is a set); also return the space and vector it ran on."""
+        space, counts = _Space.rooted(team, keep, self.cfg.team_kind == "set")
         try:
             return self.run(self.node(f, space), counts), space, counts
         finally:  # the nodes' tests call back into this run: drop them
@@ -854,12 +876,12 @@ class _Eval:
 def evaluate(structure: Multistructure, team: Multiteam, f: Formula,
              cfg: SemanticsConfig | None = None, *, use_cache: bool = True) -> bool:
     """Exact satisfaction of f by the multiteam over the structure.  In the
-    multi modes the search runs on the team restricted to f's free variables
-    (see the module docstring)."""
+    multi modes, and in set lax mode when f counts no rows, the search runs
+    on the team restricted to f's free variables (see the module docstring)."""
     cfg = cfg or SemanticsConfig()
-    free = _validate(structure, team, f, cfg)
-    keep = free if cfg.team_kind == "multi" else None
-    return bool(_Eval(structure, cfg, use_cache).search(f, team, keep)[0])
+    free, counts = _validate(structure, team, f, cfg)
+    local = cfg.team_kind == "multi" or (cfg.strictness == "lax" and not counts)
+    return bool(_Eval(structure, cfg, use_cache).search(f, team, free if local else None)[0])
 
 
 def evaluate_classical(structure: Multistructure, s: Assignment, f: Formula) -> bool:

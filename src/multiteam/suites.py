@@ -17,7 +17,7 @@ from . import generate
 from .atoms import eval_ci, eval_dep, eval_pci
 from .errors import InputError
 from .formula import (PCI, TRUE, And, Eq, ExistsFrac, ForallFrac, ImplFrac,
-                      Inc, NegRel, Or, PInc, Rel, Threshold, free_vars)
+                      Inc, NegRel, Or, PInc, Rel, Threshold, free_vars, scan)
 from .io import dump_multiteam, dump_structure
 from .model import Multiteam, Multistructure
 from .reductions import CnfFormula, encode_3sat, encode_maxsat, maxsat_oracle, sat_oracle
@@ -157,9 +157,10 @@ def run_flatness(seed=0, *, trials=500, max_rows=4, max_dom=3, max_depth=4):
 def run_locality(seed=0, *, trials=300, max_rows=4, max_dom=3, max_depth=3,
                  max_mult=2):
     """Dropping team columns beyond a formula's free variables never changes
-    its truth value, in lax and strict multiteam semantics alike.  The full
-    team's side is `witness`, which searches the team's own rows: `evaluate`
-    already searches the restriction to the free variables."""
+    its truth value, in lax and strict multiteam semantics alike, and in lax
+    set semantics on the team's support when the formula counts no rows.
+    The full team's side is `witness`, which searches the team's own rows:
+    `evaluate` already searches the restriction to the free variables."""
     rng = random.Random(seed)
     checks, violations = 0, []
     for _ in range(trials):
@@ -176,14 +177,20 @@ def run_locality(seed=0, *, trials=300, max_rows=4, max_dom=3, max_depth=3,
         spare = tuple(v for v in team_vars if v not in free_vars(f))
         keep = tuple(sorted(set(free_vars(f))
                             | set(rng.sample(spare, rng.randint(0, len(spare))))))
-        for cfg in (LAX_MULTI, STRICT_MULTI):
+        # set lax is local only for a formula that counts no rows
+        for cfg in (LAX_MULTI, STRICT_MULTI) + (() if scan(f)[4] else (LAX_SET,)):
             checks += 1
+            flat = cfg.team_kind == "set"
+
+            def bad(t):
+                cut = t.restrict(keep)
+                return (witness(structure, t, f, cfg).holds
+                        != evaluate(structure, cut.support() if flat else cut, f, cfg))
+
             _check_team(
-                violations, team,
-                lambda t: (witness(structure, t, f, cfg).holds
-                           != evaluate(structure, t.restrict(keep), f, cfg)),
+                violations, team.support() if flat else team, bad,
                 f"restriction to free variables changed the verdict "
-                f"({cfg.strictness})",
+                f"({cfg.strictness}{' set' if flat else ''})",
                 ("formula", str(f)), ("kept columns", " ".join(keep) or "(none)"),
                 structure=structure)
     return SuiteReport("locality", checks, tuple(violations))

@@ -143,6 +143,24 @@ def test_over_long_inputs_exit_two_with_a_short_error(case, tmp_path):
     assert err.startswith("error: ") and len(err) < 400, (case, err[:500])
 
 
+NOT_UTF8 = bytes.fromhex("fffe00626164")
+
+
+@pytest.mark.parametrize("which", ["structure", "team", "formula", "cnf"])
+def test_a_file_that_is_not_utf8_exits_two_with_a_short_error(workspace, capsys, which):
+    bad = workspace / f"bad.{which}"
+    bad.write_bytes(NOT_UTF8)
+    files = {"structure": workspace / "structure01.txt", "team": workspace / "fig1.csv",
+             "formula": "x = x", "cnf": workspace / "two.cnf", which: bad}
+    if which == "cnf":
+        argv = ["gen", "3sat", files["cnf"], "--out", workspace / "out"]
+    else:
+        argv = ["check", files["structure"], files["formula"], "--team", files["team"]]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {str(bad)!r} is not UTF-8 text: invalid start byte at byte 0\n"
+
+
 def test_formulas_can_come_from_files(workspace, capsys):
     path = workspace / "formula.txt"
     path.write_text("dep(x ; y)\n")

@@ -464,8 +464,10 @@ def first_seen(nodes):
 
 
 def assert_scan_is_the_old_walks(f, tree):
-    height, free, uses, problem = scan(f)
+    height, free, uses, problem, counts = scan(f)
     assert problem is None
+    assert counts == any(isinstance(g, (PInc, PCI, ExistsFrac, ForallFrac, ImplFrac))
+                         for g in reference_eval.subformulas(f))
     assert height == reference_eval.height(f)
     assert free == reference_eval.free_vars(f) == free_vars(f)
     used = [g for g in reference_eval.subformulas(f) if isinstance(g, (Rel, NegRel))]

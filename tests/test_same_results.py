@@ -44,3 +44,19 @@ def test_the_evaluate_digest_sees_one_changed_verdict(monkeypatch):
     monkeypatch.setattr(semantics, "evaluate", one_flipped)
     assert same_results.evaluate_digest(range(8)) != first
     assert len(calls) > 5
+
+
+def test_the_files_digest_sees_one_changed_verdict(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    first = same_results.files_digest(2)
+    assert first == same_results.files_digest(2)
+    assert first != same_results.files_digest(1)
+    real, calls = semantics.evaluate, []
+
+    def one_flipped(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return not calls[-1] if len(calls) == 50 else calls[-1]
+
+    monkeypatch.setattr(semantics, "evaluate", one_flipped)
+    assert same_results.files_digest(2) != first
+    assert len(calls) == 2 * 13 * 4 * 2  # teams, templates, modes, cache on and off

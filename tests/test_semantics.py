@@ -307,11 +307,15 @@ def test_cache_is_semantics_transparent(f, t, strictness):
 
 # --- locality: evaluate searches the free-variable projection ---
 
-@settings(max_examples=150, deadline=None)
-@given(full_formulas(), small_multiteams(max_mult=3), st.sampled_from((LAX_MULTI, STRICT_MULTI)))
+@settings(max_examples=200, deadline=None)
+@given(full_formulas(), small_multiteams(max_mult=3),
+       st.sampled_from((LAX_MULTI, STRICT_MULTI, LAX_SET)))
 def test_the_projected_search_keeps_the_verdict(f, t, cfg):
-    # witness searches the team's own rows; evaluate their projection
+    # witness searches the team's own rows; evaluate their projection, in
+    # set lax mode clipped to a set when f counts no rows
     assume(free_vars(f) < set(t.variables))
+    if cfg.team_kind == "set":
+        t = t.support()
     for c in (True, False):
         assert evaluate(STRUCT01, t, f, cfg, use_cache=c) == witness(STRUCT01, t, f, cfg).holds
 
@@ -320,20 +324,40 @@ def test_the_projected_search_keeps_the_search_pool_verdicts(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import logic
     import workloads
-    projected = 0
+    projected = set_projected = 0
     for i in range(0, workloads.POOL_SIZE, 4):
-        structure_text, team_text, term, _, _ = workloads.search_instance(i)
+        structure_text, team_text, term, flat, _ = workloads.search_instance(i)
         structure, t = load_structure(structure_text), load_multiteam(team_text)
         f = parse(logic.render(term))
-        projected += free_vars(f) < set(t.variables)
-        for cfg in (LAX_MULTI, STRICT_MULTI):
-            assert evaluate(structure, t, f, cfg) == witness(structure, t, f, cfg).holds, (i, cfg)
+        cut = free_vars(f) < set(t.variables)
+        projected += cut
+        cfgs = [LAX_MULTI, STRICT_MULTI]
+        if flat:
+            cfgs.append(LAX_SET)
+            set_projected += cut and not scan(f)[4]
+        for cfg in cfgs:
+            want = witness(structure, t, f, cfg).holds
+            for c in (True, False):
+                assert evaluate(structure, t, f, cfg, use_cache=c) == want, (i, cfg, c)
     assert projected > workloads.POOL_SIZE // 16
+    assert set_projected > workloads.POOL_SIZE // 64
+
+
+def test_a_set_team_that_counts_rows_keeps_its_own_rows():
+    # <2/3> R(x) holds on the part {(a,0), (b,0)}; the restriction to x is
+    # the set {0, 1}, whose only part of size 2 fails R(x)
+    structure = Multistructure(["a", "b", "c", "0", "1"], {"R": (1, [("0",)])})
+    t = Multiteam(("u", "x"), [("a", "0"), ("b", "0"), ("c", "1")])
+    f = parse("<2/3> R(x)")
+    for c in (True, False):
+        assert evaluate(structure, t, f, LAX_SET, use_cache=c)
+    assert not evaluate(structure, t.restrict(["x"]).support(), f, LAX_SET)
 
 
 def test_evaluate_searches_the_projection_and_witness_the_team(monkeypatch):
     # A u. dep(a,u ; b) reads a and b, 8 rows of the 1,024: the universal
-    # extension has 64 rows, not 8,192; set mode and witness keep the team
+    # extension has 64 rows, not 8,192; set strict mode, a set-lax formula
+    # that counts rows, and witness keep the team
     dom = [f"v{i}" for i in range(8)]
     structure = Multistructure(dom)
     t = Multiteam(("a", "b", "c", "d", "e"),
@@ -341,13 +365,19 @@ def test_evaluate_searches_the_projection_and_witness_the_team(monkeypatch):
                    for i, a in enumerate(dom) for j, c in enumerate(dom)
                    for d in dom[:2] for e in dom})
     f = parse("A u. dep(a,u ; b)")
-    sizes, init = [], _Space.__init__
+    sizes, roots, init, rooted = [], [], _Space.__init__, _Space.rooted.__func__
 
     def recording(self, variables, keys):
         sizes.append(len(keys))
         init(self, variables, keys)
 
+    def root_counts(cls, *args):
+        got = rooted(cls, *args)
+        roots.append(got[1])
+        return got
+
     monkeypatch.setattr(_Space, "__init__", recording)
+    monkeypatch.setattr(_Space, "rooted", classmethod(root_counts))
     for cfg in (LAX_MULTI, STRICT_MULTI):
         sizes.clear()
         assert evaluate(structure, t, f, cfg)
@@ -355,8 +385,21 @@ def test_evaluate_searches_the_projection_and_witness_the_team(monkeypatch):
         sizes.clear()
         assert witness(structure, t, f, cfg).holds
         assert sizes == [1024, 8192], cfg
+    flat = t.support()
     sizes.clear()
-    assert evaluate(structure, t.support(), f, LAX_SET)
+    roots.clear()
+    assert evaluate(structure, flat, f, LAX_SET)
+    assert sizes == [8, 64] and roots == [(1,) * 8]  # the restriction is a set
+    for g, cfg in ((f, STRICT_SET), (parse("<1/2> A u. dep(a,u ; b)"), LAX_SET),
+                   (parse("A u. dep(a,u ; b) & pinc(a ; a)"), LAX_SET)):
+        sizes.clear()
+        assert evaluate(structure, flat, g, cfg)
+        assert sizes == [1024, 8192], (g, cfg)
+        sizes.clear()
+        assert witness(structure, flat, g, cfg).holds
+        assert sizes == [1024, 8192], (g, cfg)
+    sizes.clear()
+    assert witness(structure, flat, f, LAX_SET).holds
     assert sizes == [1024, 8192]
 
 
@@ -973,8 +1016,8 @@ def test_the_walk_is_bounded_however_the_bound_variables_vary():
         f = And(Exists(var, f), f)
     wrapped = Exists("v0", f)
     with field_reads() as visits:
-        height, free, uses, problem = outcome(scan, wrapped, MAX_DEPTH)
-    assert (height, free, problem) == (2 * levels + 2, set(names[1:]), None)
+        height, free, uses, problem, counts = outcome(scan, wrapped, MAX_DEPTH)
+    assert (height, free, problem, counts) == (2 * levels + 2, set(names[1:]), None, False)
     assert len(visits) == 2 * levels + 1
     assert max(visits.values()) <= 2 * (MAX_DEPTH + 1)
     assert len(uses) <= 2 * (MAX_DEPTH + 1)
