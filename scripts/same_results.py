@@ -5,7 +5,7 @@
 The parent side is a local `git clone` of COMMIT, made as
 `scripts/bench_pairs.py` makes it; the change side is the checkout this
 script lives in, as its files stand.  Each side runs in its own subprocess
-with its own `src` and `bench` first on the path, and hashes six groups:
+with its own `src` and `bench` first on the path, and hashes seven groups:
 
 - search: the witness tree (its `repr`) of every instance of the `search`
   pool (`bench/workloads.search_instance`) in every mode that applies, with
@@ -18,6 +18,10 @@ with its own `src` and `bench` first on the path, and hashes six groups:
   (`bench/workloads.TEMPLATES`) on the wide teams that workload draws for
   seed 0, in every mode that applies, cache on and off: the teams with
   unread columns, where that restriction merges rows;
+- load: what `io.load_multiteam` makes of each `files` CSV drawn for seed
+  0 and of single-line mutations of it (a ragged row, a non-integer count,
+  a negative count, padded fields, a blank line, a value outside the
+  alphabet): the team's `repr` and row order, or the error's type and text;
 - encodings: the witness trees of seeded 3SAT and MAX-2SAT encodings in
   multi lax and strict, cache on and off;
 - props: `multiteam props SUITE --seed 0` stdout and exit code, each suite;
@@ -40,7 +44,7 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-GROUPS = ("search", "evaluate", "files", "encodings", "props", "gen")
+GROUPS = ("search", "evaluate", "files", "load", "encodings", "props", "gen")
 
 
 def _runs(digest, label: str, structure, team, formula, modes, check="witness") -> None:
@@ -76,23 +80,65 @@ def evaluate_digest(indices) -> str:
     return _pool_digest(indices, "evaluate")
 
 
+def _file_teams(count: int):
+    """(n, counted, rows, f1) of the first count wide teams the `files`
+    workload draws for seed 0, in the same order."""
+    import workloads
+    rng = random.Random(0)
+    for n, kind in enumerate((workloads.FILE_KINDS * 2)[:count]):
+        counted = n >= len(workloads.FILE_KINDS)
+        yield (n, counted, *workloads._wide_team(rng, kind, counted))
+
+
 def files_digest(count: int = 8) -> str:
     """The `evaluate` verdicts of the `files` templates on the first count
     wide teams the `files` workload draws for seed 0, in the same order."""
     import logic
     import workloads
     from multiteam import io as mio, parser
-    rng = random.Random(0)
     formulas = [parser.parse(logic.render(t)) for t in workloads.TEMPLATES]
     digest = hashlib.sha256()
-    for n, kind in enumerate((workloads.FILE_KINDS * 2)[:count]):
-        counted = n >= len(workloads.FILE_KINDS)
-        rows, f1 = workloads._wide_team(rng, kind, counted)
+    for n, counted, rows, f1 in _file_teams(count):
         structure = mio.load_structure(workloads._structure_text(f1))
         team = mio.load_multiteam(workloads._csv(rows, counted))
         for t, f in enumerate(formulas):
             _runs(digest, f"{n} {t}", structure, team, f,
                   workloads.search_modes(not counted), "evaluate")
+    return digest.hexdigest()
+
+
+#: single-line changes to a CSV, each from the fields of one data line
+MUTATIONS = (
+    lambda f: ",".join(f[:-1]),  # a field dropped
+    lambda f: ",".join(f[:-1] + ["two"]),  # a count that is not an integer
+    lambda f: ",".join(f[:-1] + ["-1"]),  # a negative count
+    lambda f: ",".join(f" {v}\t" for v in f),  # every field padded
+    lambda f: "\n" + ",".join(f),  # a blank line before it
+    lambda f: ",".join(["v*0"] + f[1:]),  # a value outside the alphabet
+)
+
+
+def load_digest(count: int = 8) -> str:
+    """What `io.load_multiteam` makes of the first count `files` CSVs for
+    seed 0 and of each of their MUTATIONS: the team's `repr` and row order,
+    or the error's type and text."""
+    import workloads
+    from multiteam import io as mio
+    from multiteam.errors import InputError, ParseError
+    digest = hashlib.sha256()
+    for n, counted, rows, _ in _file_teams(count):
+        lines = workloads._csv(rows, counted).splitlines()
+        texts = [lines]
+        for m, mutate in enumerate(MUTATIONS, 1):
+            i = len(lines) * m // (len(MUTATIONS) + 1)
+            texts.append(lines[:i] + [mutate(lines[i].split(","))] + lines[i + 1:])
+        for m, text in enumerate(texts):
+            try:
+                team = mio.load_multiteam("\n".join(text) + "\n")
+                got = f"{team!r} {list(team._rows)}"
+            except (InputError, ParseError) as exc:
+                got = f"{type(exc).__name__} {exc}"
+            digest.update(f"{n} {m} {got}\n".encode())
     return digest.hexdigest()
 
 
@@ -166,7 +212,7 @@ def digests(root: Path) -> dict:
         raise SystemExit(f"imported multiteam from {here}, outside {root}")
     pool = range(workloads.POOL_SIZE)
     return {"search": search_digest(pool), "evaluate": evaluate_digest(pool),
-            "files": files_digest(), "encodings": encodings_digest(),
+            "files": files_digest(), "load": load_digest(), "encodings": encodings_digest(),
             "props": props_digest(), "gen": gen_digest()}
 
 

@@ -9,12 +9,16 @@ order - so dumps are diffable.  Every value and name lies in the alphabet
 `multiteam.model` checks at construction, so both dumps always succeed and a
 dump loads back as an equal multiteam or multistructure.
 
-A CSV multiteam is read in one pass straight into the table a `Multiteam`
-keeps: each row's fields are taken in sorted-variable order as it is read,
-stripped and checked, and duplicate rows are summed, so no row is coerced a
-second time.  The names and each distinct value are then checked against
-the alphabet once.  A row counted 0 is checked like any other and then not
-stored, as a `Multiteam` holds only counted rows.
+A CSV multiteam is read in column passes, each a chain of `map`s run in C,
+straight into the table a `Multiteam` keeps: the records are taken as tuples,
+their widths checked as one set, the count column parsed, and each sorted
+variable's column stripped and zipped into the keys.  Counts are summed again
+only when a row repeats, and each distinct value is checked against the
+alphabet once.  Only when a check fails is the text read again record by
+record, to name the first bad record at its physical line.  Tuples, not the
+lists csv makes, are held: a thousand lists held across a load set off the
+cyclic collector, as `zip(*rows)` would by making an iterator per row.  A row
+counted 0 is checked like any other and then not stored.
 """
 
 from __future__ import annotations
@@ -33,16 +37,17 @@ COUNT_COLUMN = "#count"
 
 def load_multiteam(text: str) -> Multiteam:
     """Parse the CSV multiteam format.  A record csv cannot read (a bare
-    carriage return in a field, a field over csv's size limit) is a
-    ParseError at the reader's physical line."""
+    carriage return in a field, a field over csv's size limit), one with too
+    many or too few fields, and a count that is not a nonnegative integer
+    are each a ParseError at the reader's physical line."""
     reader = csv.reader(_stringio.StringIO(text))
     try:
-        return _read_multiteam(reader)
+        return _read_multiteam(reader, text)
     except csv.Error as exc:
         raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
 
 
-def _read_multiteam(reader) -> Multiteam:
+def _read_multiteam(reader, text: str) -> Multiteam:
     try:
         header = next(reader)
     except StopIteration:
@@ -55,35 +60,47 @@ def _read_multiteam(reader) -> Multiteam:
         raise ParseError(f"duplicate variable names in header {_shown(header)}")
     if COUNT_COLUMN in variables:
         raise ParseError(f"{COUNT_COLUMN} may only be the final column")
+    try:
+        rows = list(filter(None, map(tuple, reader)))
+        counts = (list(map(int, map(str.strip, map(itemgetter(-1), rows)))) if counted
+                  else [1] * len(rows))
+        ok = set(map(len, rows)) <= {width} and min(counts, default=0) >= 0
+    except (csv.Error, ValueError):
+        ok = False
+    if not ok:
+        _raise_first_bad(text, width, counted)
     svars = tuple(sorted(variables))
-    # one getter takes a row's values in sorted-variable order, count last
-    order = [variables.index(x) for x in svars] + ([width - 1] if counted else [])
-    permute = itemgetter(*order) if len(order) > 1 else (
-        lambda row: tuple(row[i] for i in order))
-    table: dict[tuple[str, ...], int] = {}
-    for lineno, row in enumerate(reader, 2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise ParseError(
-                f"row has {len(row)} fields, header has {width}", line=lineno)
-        fields = tuple(map(str.strip, permute(row)))
-        if counted:
-            values, count_text = fields[:-1], fields[-1]
-            try:
-                count = int(count_text)
-            except ValueError:
-                raise ParseError(
-                    f"count {_shown(count_text)} is not an integer", line=lineno) from None
-            if count < 0:
-                raise ParseError(f"count {_shown(count)} is negative", line=lineno)
-        else:
-            values, count = fields, 1
-        table[values] = table.get(values, 0) + count
+    columns = [map(str.strip, map(itemgetter(variables.index(x)), rows)) for x in svars]
+    keys = list(zip(*columns)) if columns else [()] * len(rows)
+    table = dict(zip(keys, counts))
+    if len(table) < len(rows):  # a row repeats: sum the counts
+        table = dict.fromkeys(table, 0)
+        for key, count in zip(keys, counts):
+            table[key] += count
     _check_table(variables, svars, table)
     if 0 in table.values():  # a scan in C; rebuild only when a row sums to 0
         table = {k: c for k, c in table.items() if c}
     return Multiteam._from_table(svars, table)
+
+
+def _raise_first_bad(text: str, width: int, counted: bool) -> None:
+    """Read text again and raise the ParseError of the first record with other
+    than width fields or a bad count, or csv.Error where the first read met it."""
+    reader = csv.reader(_stringio.StringIO(text))
+    next(reader)
+    for row in reader:
+        if row and len(row) != width:
+            raise ParseError(f"row has {len(row)} fields, header has {width}",
+                             line=reader.line_num)
+        if row and counted:
+            count_text = row[-1].strip()
+            try:
+                count = int(count_text)
+            except ValueError:
+                raise ParseError(f"count {_shown(count_text)} is not an integer",
+                                 line=reader.line_num) from None
+            if count < 0:
+                raise ParseError(f"count {_shown(count)} is negative", line=reader.line_num)
 
 
 def dump_multiteam(t: Multiteam) -> str:

@@ -274,7 +274,7 @@ class Multiteam:
         object.__setattr__(self, "_vars", svars)
         object.__setattr__(self, "_rows", table)
         object.__setattr__(self, "_size", sum(table.values()))
-        object.__setattr__(self, "_hash", hash((svars, frozenset(table.items()))))
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _from_table(cls, svars: tuple[str, ...], table: dict[tuple[str, ...], int]) -> "Multiteam":
@@ -398,7 +398,7 @@ class Multiteam:
         return all(m <= 1 for m in self._rows.values())
 
     def values_used(self) -> set[str]:
-        return {v for k in self._rows for v in k}
+        return set(chain.from_iterable(self._rows))
 
     def __bool__(self) -> bool:
         return self._size > 0
@@ -409,6 +409,8 @@ class Multiteam:
         return self._vars == other._vars and self._rows == other._rows
 
     def __hash__(self) -> int:
+        if self._hash is None:  # on first use: most teams are never hashed
+            object.__setattr__(self, "_hash", hash((self._vars, frozenset(self._rows.items()))))
         return self._hash
 
     def __repr__(self) -> str:

@@ -3,6 +3,7 @@
 import csv
 import io
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from multiteam.errors import InputError, ParseError
 from multiteam.io import (dump_multiteam, dump_structure, load_multiteam,
                           load_structure)
 from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_counted_multiteam_csv():
@@ -72,6 +75,14 @@ def test_errors_name_the_line_alone_when_the_column_is_unknown():
         load_multiteam("x,#count\n0,-1\n")
     assert str(err.value).endswith("(line 2)")
     assert (err.value.line, err.value.col) == (2, None)
+
+
+def test_row_errors_name_the_physical_line_after_a_field_that_spans_lines():
+    for text in ('a,b\n"x\n",1\nz\n', 'x,#count\n"a\n",1\n0,-1\n',
+                 'x,#count\n"\n0",1\n0,two\n'):
+        with pytest.raises(ParseError) as err:
+            load_multiteam(text)
+        assert err.value.line == 4, text
 
 
 def test_structure_text():
@@ -187,7 +198,9 @@ def test_dumps_that_would_not_load_back_are_refused():
 def reference_load(text):
     """The CSV loader before rows were read into the sorted-column table:
     every row is parsed into a dict keyed in header order, then coerced
-    again by the Multiteam constructor."""
+    again by the Multiteam constructor.  A row or count error names the
+    physical line the record ends on, which is the record's number until a
+    quoted field spans lines."""
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -201,7 +214,8 @@ def reference_load(text):
     if "#count" in variables:
         raise ParseError("#count may only be the final column")
     table = {}
-    for lineno, row in enumerate(reader, 2):
+    for row in reader:
+        lineno = reader.line_num
         if not row:
             continue
         row = [v.strip() for v in row]
@@ -227,9 +241,15 @@ def _padded(rng, text):
     return rng.choice(("", " ", "  ", "\t")) + text + rng.choice(("", " ", "\t "))
 
 
+#: Quoted fields: an edge newline, which stripping removes, and a newline
+#: or a comma inside, which leave the value outside the alphabet.
+QUOTED = ('"v\n"', '"\n1"', '" 0\n "', '"v\nw"', '"q,r"', '","')
+
+
 def random_csv(rng):
     """CSV text with shuffled headers, duplicate, blank and ragged rows,
-    padded fields, zero and bad counts, and teams of zero variables."""
+    padded and quoted fields, zero and bad counts, and teams of zero
+    variables."""
     names = rng.sample(["x", "y", "z", "b1", "a"], rng.randint(0, 4))
     if names and rng.random() < 0.05:
         names.append(rng.choice(names))  # a duplicate name
@@ -244,10 +264,11 @@ def random_csv(rng):
             lines.append("")
             continue
         width = len(header) + (rng.choice((-1, 1)) if roll < 0.15 else 0)
-        fields = [_padded(rng, rng.choice(("0", "1", "v", '"q,r"', ""))) for _ in range(width)]
+        fields = [rng.choice(QUOTED) if rng.random() < 0.05 else
+                  _padded(rng, rng.choice(("0", "1", "v", '"q,r"', ""))) for _ in range(width)]
         if counted and width == len(header) and width:
             fields[-1] = _padded(rng, rng.choice(
-                ("0", "1", "2", "3", "007", "-1", "two", "", "1_0")))
+                ("0", "1", "2", "3", "007", "-1", "two", "", "1_0", '"2\n"', '"\n-1"')))
         lines.append(",".join(fields))
     return "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
 
@@ -270,6 +291,41 @@ def test_the_one_pass_loader_reads_what_the_old_loader_read():
         assert _outcome(load_multiteam, text) == want, text
         failed += isinstance(want[0], type)
     assert 300 < failed < 2700  # both the errors and the teams are exercised
+
+
+def test_the_column_loader_reads_the_wide_teams_as_the_old_loader_did(monkeypatch):
+    """About 1k rows of each `files` team kind, counted and not, with rows
+    repeated and shuffled and, when counted, some counted 0; then the same
+    text with one ragged row near the end."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+    rng = random.Random(23)
+    for kind in ("product", "sampled"):
+        for counted in (False, True):
+            rows, _ = workloads._wide_team(rng, kind, counted)
+            head, *body = workloads._csv(rows, counted).splitlines()
+            if counted:
+                for i in rng.sample(range(len(body)), 50):
+                    body[i] = body[i].rsplit(",", 1)[0] + ",0"
+            body += rng.sample(body, 200)
+            rng.shuffle(body)
+            ragged = body[:-3] + [body[-3].rsplit(",", 1)[0]] + body[-2:]
+            team, bad = ("\n".join([head] + lines) + "\n" for lines in (body, ragged))
+            got = _outcome(load_multiteam, team)
+            assert got == _outcome(reference_load, team)
+            assert len(got[1]) < len(rows) if counted else len(got[1]) == len(rows)
+            assert _outcome(load_multiteam, bad) == _outcome(reference_load, bad) == (
+                ParseError, f"row has {4 + counted} fields, header has {5 + counted} "
+                            f"(line {len(body) - 1})")
+
+
+def test_a_loaded_team_hashes_and_compares_as_the_constructed_one():
+    loaded = load_multiteam("y,x,#count\n1,0,2\n0,0,1\n1, 0 ,1\n0,1,0\n")
+    built = Multiteam(("x", "y"), {("0", "1"): 3, ("0", "0"): 1})
+    assert loaded == built and hash(loaded) == hash(built)
+    assert {built: "found"}[loaded] == "found"
+    other = Multiteam(("x", "y"), {("0", "1"): 2, ("0", "0"): 1})
+    assert loaded != other and hash(load_multiteam(dump_multiteam(other))) == hash(other)
 
 
 @settings(max_examples=300, deadline=None)

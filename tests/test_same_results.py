@@ -60,3 +60,26 @@ def test_the_files_digest_sees_one_changed_verdict(monkeypatch):
     monkeypatch.setattr(semantics, "evaluate", one_flipped)
     assert same_results.files_digest(2) != first
     assert len(calls) == 2 * 13 * 4 * 2  # teams, templates, modes, cache on and off
+
+
+def test_the_load_digest_sees_one_changed_error(monkeypatch):
+    from multiteam import io as mio
+    from multiteam.errors import ParseError
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    first = same_results.load_digest(2)
+    assert first == same_results.load_digest(2)
+    assert first != same_results.load_digest(1)
+    real, calls = mio.load_multiteam, []
+
+    def one_renamed(text):
+        calls.append(text)
+        try:
+            return real(text)
+        except ParseError as exc:
+            if len(calls) == 2:  # the ragged row of the first file
+                raise ParseError(str(exc) + "!") from None
+            raise
+
+    monkeypatch.setattr(mio, "load_multiteam", one_renamed)
+    assert same_results.load_digest(2) != first
+    assert len(calls) == 2 * (1 + len(same_results.MUTATIONS))
