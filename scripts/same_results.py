@@ -23,7 +23,9 @@ with its own `src` and `bench` first on the path, and hashes seven groups:
   a negative count, padded fields, a blank line, a value outside the
   alphabet): the team's `repr` and row order, or the error's type and text;
 - encodings: the witness trees of seeded 3SAT and MAX-2SAT encodings in
-  multi lax and strict, cache on and off;
+  multi lax and strict, cache on and off, among them MAX-2SAT encodings of
+  6-8 clauses one short of satisfiable at every k/m (those whose split
+  rule 6 of `semantics` bounds);
 - props: `multiteam props SUITE --seed 0` stdout and exit code, each suite;
 - gen: the files and exit code of `multiteam gen` on seeded CNFs.
 
@@ -149,7 +151,8 @@ def _clauses(rng: random.Random, top: int, count: int, width: int) -> list:
 
 def encodings_digest(count: int = 24) -> str:
     """The witness trees of count 3SAT and count / 4 MAX-2SAT encodings,
-    the latter at every threshold k/5."""
+    the latter at every threshold k/5, and of one MAX-2SAT encoding per
+    clause count m of 6-8 whose optimum is m - 1, at every k/m."""
     import logic
     import workloads
     from multiteam import reductions
@@ -166,6 +169,15 @@ def encodings_digest(count: int = 24) -> str:
             inst = reductions.encode_maxsat(phi, Fraction(k, 5))
             _runs(digest, f"max2sat {n} {k}/5", inst.structure, inst.team,
                        inst.formula, multi)
+    for m in (6, 7, 8):
+        clauses = _clauses(rng, 3, m, 2)
+        while logic.maxsat(clauses) != m - 1:
+            clauses = _clauses(rng, 3, m, 2)
+        phi = reductions.parse_dimacs(logic.dimacs(clauses))
+        for k in range(m + 1):
+            inst = reductions.encode_maxsat(phi, Fraction(k, m))
+            _runs(digest, f"max2sat {m} {k}/{m}", inst.structure, inst.team,
+                  inst.formula, multi)
     return digest.hexdigest()
 
 

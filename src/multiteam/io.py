@@ -77,10 +77,11 @@ def _read_multiteam(reader, text: str) -> Multiteam:
         table = dict.fromkeys(table, 0)
         for key, count in zip(keys, counts):
             table[key] += count
-    _check_table(variables, svars, table)
+    values = _check_table(variables, svars, table)
     if 0 in table.values():  # a scan in C; rebuild only when a row sums to 0
         table = {k: c for k, c in table.items() if c}
-    return Multiteam._from_table(svars, table)
+        values = None  # a dropped row's values are not the team's
+    return Multiteam._from_table(svars, table, values)
 
 
 def _raise_first_bad(text: str, width: int, counted: bool) -> None:

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InputError
 
@@ -74,19 +74,21 @@ def _check_value(v, what: str = "value") -> str:
 
 
 def _check_table(names: Sequence[str], svars: Sequence[str],
-                 keys: Iterable[tuple[str, ...]]) -> None:
+                 keys: Iterable[tuple[str, ...]]) -> frozenset[str]:
     """Check a team's variable names, then the values of its `keys` (tuples
     in `svars` order) as the Multiteam constructor meets them: each distinct
-    value once, in C, and only on a failure key by key, in `names` order."""
+    value once, in C, and only on a failure key by key, in `names` order.
+    Return the distinct values."""
     for x in names:
         _check_value(x, "variable name")
-    distinct = set(chain.from_iterable(keys))
+    distinct = frozenset(chain.from_iterable(keys))
     if ("" in distinct or _OUTSIDE.search("".join(distinct))
             or max(map(len, distinct), default=0) > _MAX_LENGTH):
         order = [svars.index(x) for x in names]
         for key in keys:
             for i in order:
                 _check_value(key[i])
+    return distinct
 
 
 def _check_mult(v, m) -> int:
@@ -226,7 +228,7 @@ class Multiteam:
     given with multiplicity 0 like any other and then leaves it out.
     """
 
-    __slots__ = ("_vars", "_rows", "_size", "_hash")
+    __slots__ = ("_vars", "_rows", "_size", "_hash", "_values")
 
     def __init__(self, variables: Iterable[str],
                  rows: Mapping | Iterable = ()):
@@ -250,10 +252,11 @@ class Multiteam:
         else:
             for row in rows:
                 add(row, 1)
-        _check_table(vars_in, svars, table)
-        if 0 in table.values():
+        values = _check_table(vars_in, svars, table)
+        if 0 in table.values():  # a dropped row's values are not the team's
             table = {k: c for k, c in table.items() if c}
-        self._set(svars, table)
+            values = None
+        self._set(svars, table, values)
 
     @staticmethod
     def _coerce_row(row, vars_in, svars, perm) -> tuple[str, ...]:
@@ -270,18 +273,22 @@ class Multiteam:
                              f"{len(vars_in)} variables")
         return tuple(values[i] for i in perm)
 
-    def _set(self, svars: tuple[str, ...], table: dict[tuple[str, ...], int]) -> None:
+    def _set(self, svars: tuple[str, ...], table: dict[tuple[str, ...], int],
+             values: Optional[frozenset[str]] = None) -> None:
         object.__setattr__(self, "_vars", svars)
         object.__setattr__(self, "_rows", table)
         object.__setattr__(self, "_size", sum(table.values()))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_values", values)
 
     @classmethod
-    def _from_table(cls, svars: tuple[str, ...], table: dict[tuple[str, ...], int]) -> "Multiteam":
+    def _from_table(cls, svars: tuple[str, ...], table: dict[tuple[str, ...], int],
+                    values: Optional[frozenset[str]] = None) -> "Multiteam":
         """Internal fast path: table must already be keyed by svars order and
-        hold no zero counts."""
+        hold no zero counts; values, when given, must be the values its keys
+        hold."""
         mt = cls.__new__(cls)
-        mt._set(svars, table)
+        mt._set(svars, table, values)
         return mt
 
     @classmethod
@@ -397,8 +404,10 @@ class Multiteam:
         """True when every multiplicity is 1."""
         return all(m <= 1 for m in self._rows.values())
 
-    def values_used(self) -> set[str]:
-        return set(chain.from_iterable(self._rows))
+    def values_used(self) -> frozenset[str]:
+        if self._values is None:  # on first use, unless the loader knew them
+            object.__setattr__(self, "_values", frozenset(chain.from_iterable(self._rows)))
+        return self._values
 
     def __bool__(self) -> bool:
         return self._size > 0

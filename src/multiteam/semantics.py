@@ -36,7 +36,8 @@ order, all of them or those of one size.  The parts that `<p>`, `[p]` and
 `->{p}` try are its slices from the bound size up (`part_vectors`), and a
 row's strict copy choices are its slice at the row's count.  Only a split's
 unpruned left parts come from `itertools.product`: the same vectors, in one
-C call.
+C call; and a split that rule 6 bounds walks them with `_bounded_walk`,
+the same walk keeping g3 of its right side.
 
 The search skips candidates that cannot be the first success.  A formula
 is downward closed when it holds on every submultiteam of a multiteam it
@@ -93,6 +94,37 @@ closed, so in any completion on which it holds it holds on the rows from i
 on, and a part on which it holds takes at most g3 copies of those rows.  A
 prefix that needs more fails in every completion.  `E` supplements,
 `excl`, and closed conjuncts built with `|`, `E` or `A` give no condition.
+
+A sixth rule bounds a split by a `<p>` conjunct of its right side, the
+classical MAX-SAT branch and bound (Borchers and Furman, J. Comb. Optim.
+2, 1998) on the g3 measure of rule 5.
+
+6. An exact split of `f | g` (strict mode, or rule 1) walks its left parts
+   Y with Z = t - Y.  Take the first conjunct `<p> h` of g, reached
+   through `&` alone, with h closed and with a `dep(xs ; ys)` condition
+   with ys or a literal condition that bars a row.  The walk keeps g3 of
+   Z's fixed prefix Zp: for h's first such `dep`, the sum over xs-values
+   of the most copies of one ys-value, the rows a literal condition of h
+   bars left out (with no such `dep`, the copies of the rows not barred),
+   updated per row and undone on backtrack like the `dep` table; and
+   |Zp|.  Let Rz be the most copies the rows after the prefix can give Z.
+   With p = a/b a prefix is dropped when b*g3(Zp) - a*|Zp| + (b - a)*Rz <
+   0, with `#k` when g3(Zp) + Rz < k.  One bound keeps the walk's state a
+   few integers per row; a second `dep` or conjunct could drop more, at a
+   second bound's cost on every row step.  A bound that can drop nothing
+   is not kept: when h bars no row and p <= 1/d for the d ys-values of its
+   `dep`, every prefix has g3(Zp) >= |Zp|/d >= p*|Zp|.
+
+Rule 6 drops only failures too.  A part of Z on which h holds satisfies
+the `dep` and avoids the rows h bars, so it has at most g3(Zp) + c
+copies, where c <= Rz is what the rows after the prefix add to it; and
+|Z| = |Zp| + c' with c' >= c.  So its size less p*|Z| is at most
+g3(Zp) - p*|Zp| + (1 - p)*Rz < 0 <= ceil(p*|Z|) - p*|Z|: no part meets
+the bound, and with `#k` none reaches g3(Zp) + Rz < k.  Every completion
+fails `<p> h`, and with it g on Z; a dropped Y would have been tried and
+failed, so the verdict and the witness tree stay the same.  A lax split
+with no closed side is not bounded: its right parts exceed t - Y.  Nor
+are `[p]` and `->{p}`, and a split with no bound runs `_walk` as before.
 
 What the walk checked is not tested again.  Every part it yields meets the
 conditions of f, and with a strict split (strict mode or rule 1) Z = t - Y
@@ -382,15 +414,17 @@ def _split_vectors(counts: Counts, strict: bool, prune: Optional[_Prune] = None
     """Each left part Y of a split, in row-vector order, with a lazy iterator
     over the right parts Z: Z takes the m - c copies Y leaves out of a row,
     and in lax mode may take up to all m.  With prune, only the left parts
-    its walk keeps (see `_walk`)."""
+    its walk keeps (see `_walk`, and `_bounded_walk` when prune bounds Z)."""
     def right_parts(y):
         if strict:
             yield tuple(m - c for m, c in zip(counts, y))
         else:
             yield from itertools.product(*[range(m - c, m + 1) for m, c in zip(counts, y)])
 
-    lefts = (itertools.product(*[range(m + 1) for m in counts]) if prune is None
-             else _walk(counts, prune))
+    if prune is None:
+        lefts = itertools.product(*[range(m + 1) for m in counts])
+    else:
+        lefts = _walk(counts, prune) if prune.z_bound is None else _bounded_walk(counts, prune)
     for y in lefts:
         yield y, right_parts(y)
 
@@ -403,9 +437,12 @@ class _Prune:
     row one (slot, value) entry for a table of `slots` slots (see
     `atoms.dep_entries`); per row, `y`, `z` and `yz` list the entries it adds
     when Y counts it, when Z does, and when both do.  `bounds` holds, per
-    `dep` on Y with ys, its entries row by row, for the walk's g3 bound."""
+    `dep` on Y with ys, its entries row by row, for the walk's g3 bound.
+    `z_bound` holds rule 6's bound on an exact split's Z, if any: its
+    entries row by row and the coefficients (scale, rate, need) of its
+    inequality (see `_bounded_walk`)."""
 
-    __slots__ = ("y_barred", "z_barred", "y", "z", "yz", "slots", "bounds")
+    __slots__ = ("y_barred", "z_barred", "y", "z", "yz", "slots", "bounds", "z_bound")
 
     def __init__(self, n: int):
         self.y_barred = [False] * n
@@ -415,6 +452,7 @@ class _Prune:
         self.yz: list[tuple] = [()] * n
         self.slots = 0
         self.bounds: list[list[tuple[int, int]]] = []
+        self.z_bound: Optional[tuple[list[tuple[int, int]], int, int, int]] = None
 
 
 def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
@@ -504,6 +542,85 @@ def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
                 rest -= vec[i - 1]
                 c = low[i] if low[i] > rest - room[i + 1] else rest - room[i + 1]
                 top[i] = high[i] if high[i] < rest else rest
+            continue
+        yield tuple(vec)
+        for slot in added:
+            table[slot] = None
+        c += 1
+
+
+def _bounded_walk(counts: Counts, prune: _Prune) -> Iterator[Counts]:
+    """`_walk`'s left parts of an exact split, less every prefix on which
+    prune.z_bound fails (rule 6).  g3 of Z's prefix is kept in per-value
+    weights and per-slot bests, undone on backtrack like the `dep` table,
+    and a prefix is dropped when scale * g3 - rate * |Zp| + (scale - rate) *
+    Rz < need, where Rz is the most copies the rows after it can give Z.  A
+    row the bound bars has entry (n, n), a slot whose best no weight
+    reaches, so it adds nothing to g3."""
+    n = len(counts)
+    if n == 0:
+        yield ()
+        return
+    y_entries, z_entries, yz_entries = prune.y, prune.z, prune.yz
+    marks, scale, rate, need = prune.z_bound
+    low = [m if barred else 0 for m, barred in zip(counts, prune.z_barred)]
+    high = [0 if barred else m for m, barred in zip(counts, prune.y_barred)]
+    slack, rz = [0] * n, 0  # per row, (scale - rate) * Rz - need for the rows after it
+    for j in range(n - 1, -1, -1):
+        slack[j] = (scale - rate) * rz - need
+        rz += counts[j] - low[j]
+    weight = [0] * (n + 1)
+    best = [0] * n + [sum(counts) + 1]
+    replaced = [0] * n  # per row, the best its value replaced
+    budget = [0] * (n + 1)  # per row, scale * g3 - rate * |Zp| before it
+    table = [None] * prune.slots
+    vec = [0] * n
+    filled: list = [()] * n  # per row, the table slots its value filled
+    i, c = 0, low[0]
+    while True:
+        m = counts[i]
+        while c <= high[i]:  # the smallest value from c on that nothing refutes
+            entries = (yz_entries[i] if c < m else y_entries[i]) if c else (
+                z_entries[i] if m else ())
+            added = []
+            for slot, value in entries:
+                held = table[slot]
+                if held is None:
+                    table[slot] = value
+                    added.append(slot)
+                elif held != value:
+                    break
+            else:
+                z = m - c
+                at, kind = marks[i]
+                w = weight[kind] + z
+                after = budget[i] - rate * z + (scale * (w - best[at]) if w > best[at] else 0)
+                if after + slack[i] >= 0:
+                    break
+            for slot in added:
+                table[slot] = None
+            c += 1
+        else:  # row i is exhausted: take the previous row's next value
+            if i == 0:
+                return
+            i -= 1
+            for slot in filled[i]:
+                table[slot] = None
+            at, kind = marks[i]
+            weight[kind] -= counts[i] - vec[i]
+            best[at] = replaced[i]
+            c = vec[i] + 1
+            continue
+        vec[i] = c
+        if i + 1 < n:
+            filled[i] = added
+            budget[i + 1] = after
+            weight[kind] = w
+            replaced[i] = best[at]
+            if w > best[at]:
+                best[at] = w
+            i += 1
+            c = low[i]
             continue
         yield tuple(vec)
         for slot in added:
@@ -638,15 +755,17 @@ def _none_counted(failing: list[int], counts: Counts) -> bool:
 class _Node:
     """One subformula over one row space.  `test` maps a count vector to the
     node's answer; it is worked out on the node's first use.  `rows` holds a
-    dependency atom's projection of the space, once it is needed."""
+    dependency atom's projection of the space, once it is needed, and
+    `entries` a `dep`'s incremental form (`atoms.dep_entries`)."""
 
-    __slots__ = ("f", "space", "test", "rows")
+    __slots__ = ("f", "space", "test", "rows", "entries")
 
     def __init__(self, f: Formula, space: _Space):
         self.f = f
         self.space = space
         self.test = None
         self.rows: Optional[atoms.Rows] = None
+        self.entries: Optional[tuple[list[tuple[int, int]], int]] = None
 
 
 class _Eval:
@@ -731,28 +850,81 @@ class _Eval:
                                       [[space.index[x] for x in g] for g in f.groups])
         return node.rows
 
-    def _prune(self, space: _Space, y_side: Formula,
-               z_side: Optional[Formula] = None) -> Optional[_Prune]:
+    def _dep_entries(self, f: Dep, space: _Space, first_slot: int):
+        """`atoms.dep_entries` of the `dep` f over space, slots counted from
+        first_slot; worked out once per run and kept on f's node, as the
+        walks of both sides of a split and of a `<p>` below it share them."""
+        node = self.node(f, space)
+        if node.entries is None:
+            node.entries = atoms.dep_entries(self._project(f, space))
+        entries, slots = node.entries
+        if first_slot:
+            entries = [(slot + first_slot, value) for slot, value in entries]
+        return entries, first_slot + slots
+
+    def _prune(self, space: _Space, y_side: Formula, z_side: Optional[Formula] = None,
+               exact: bool = False) -> Optional[_Prune]:
         """The necessary closed conditions of y_side on a part Y and of z_side
-        on Z = t - Y, over space: their literal and `dep` conjuncts.  None
-        when no condition can fail, so the plain enumeration runs."""
+        on Z = t - Y, over space: their literal and `dep` conjuncts; with
+        exact, a split whose Z is t - Y, also rule 6's bound from z_side's
+        first `<p>` conjunct that gives one.  None when nothing can fail, so
+        the plain enumeration runs."""
         prune = _Prune(len(space.keys))
         useful = False
-        for f, barred, deps, bounds in ((y_side, prune.y_barred, prune.y, prune.bounds),
-                                        (z_side, prune.z_barred, prune.z, [])):
-            for g in _conditions(f):
-                if isinstance(g, Dep):
-                    entries, prune.slots = atoms.dep_entries(self._project(g, space),
-                                                             prune.slots)
+        for f, barred, deps, bounds, bounded in (
+                (y_side, prune.y_barred, prune.y, prune.bounds, False),
+                (z_side, prune.z_barred, prune.z, [], exact)):
+            for g in _reach(f, (And,)):
+                cls = g.__class__
+                if cls is Dep:
+                    entries, prune.slots = self._dep_entries(g, space, prune.slots)
                     deps[:] = [d + (e,) for d, e in zip(deps, entries)]
                     if g.ys:
                         useful = True
                         bounds.append(entries)
-                else:
+                elif cls in _LITERALS:
                     for i in self._failing(g, space):
                         barred[i] = useful = True
+                elif (cls is ExistsFrac and bounded and prune.z_bound is None
+                      and self._closed(g.body)):
+                    prune.z_bound = self._z_bound(g, space)
+                    useful = useful or prune.z_bound is not None
         prune.yz = [y + z for y, z in zip(prune.y, prune.z)]
         return prune if useful else None
+
+    def _z_bound(self, f: ExistsFrac, space: _Space):
+        """Rule 6's bound for the conjunct f = `<p> h` of a split's Z, h
+        closed: the entries of h's first `dep` condition with ys, or one
+        slot for every row when h has none, the rows a literal condition of
+        h bars given the entry (n, n) (see `_bounded_walk`), and the
+        coefficients (scale, rate, need).  None when the bound can drop
+        nothing: h has no such `dep` and bars no row, or h bars no row and p
+        <= 1/d for the d ys-values the rows take, so that g3(Zp) >= |Zp|/d
+        >= p*|Zp|."""
+        n = len(space.keys)
+        barred: set[int] = set()
+        dep = None
+        for g in _conditions(f.body):
+            if g.__class__ is not Dep:
+                barred.update(self._failing(g, space))
+            elif dep is None and g.ys:
+                dep = g
+        if f.p.absolute:
+            scale, rate, need = 1, 0, f.p.value
+        else:
+            scale, rate, need = f.p.value.denominator, f.p.value.numerator, 0
+        if dep is not None:
+            if not barred and not need:
+                if scale >= rate * len({ys for _, ys in self._project(dep, space)}):
+                    return None
+            marks = self._dep_entries(dep, space, 0)[0]
+        elif barred:
+            marks = [(0, 0)] * n
+        else:
+            return None
+        if barred:
+            marks = [(n, n) if i in barred else e for i, e in enumerate(marks)]
+        return marks, scale, rate, need
 
     def _deciders(self, f: Formula, space: _Space, checked: bool) -> list[_Node]:
         """The nodes that decide f on the parts a walk yields: f's conjuncts
@@ -790,7 +962,7 @@ class _Eval:
                            self.node(f.right, space))
         if isinstance(f, Or):
             strict = strict or self._closed(f.left) or self._closed(f.right)
-            prune = self._prune(space, f.left, f.right)
+            prune = self._prune(space, f.left, f.right, strict)
             return partial(self._or, f, space,
                            self._deciders(f.left, space, prune is not None),
                            self._deciders(f.right, space, prune is not None and strict),

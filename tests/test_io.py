@@ -12,6 +12,8 @@ from multiteam.errors import InputError, ParseError
 from multiteam.io import (dump_multiteam, dump_structure, load_multiteam,
                           load_structure)
 from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
+from multiteam.parser import parse
+from multiteam.semantics import evaluate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -326,6 +328,23 @@ def test_a_loaded_team_hashes_and_compares_as_the_constructed_one():
     assert {built: "found"}[loaded] == "found"
     other = Multiteam(("x", "y"), {("0", "1"): 2, ("0", "0"): 1})
     assert loaded != other and hash(load_multiteam(dump_multiteam(other))) == hash(other)
+
+
+def test_a_team_uses_the_values_of_its_counted_rows_alone():
+    # the loader and the constructor hand over the values they checked,
+    # except when a row counted 0 is dropped: its values are not the team's
+    teams = [load_multiteam("y,x,#count\n1,0,2\n2,3,0\n"), load_multiteam("y,x\n1,0\n2,3\n"),
+             load_multiteam("y,x,#count\n1,0,0\n"), load_multiteam("x\n"),
+             Multiteam(("x", "y"), {("0", "1"): 2, ("3", "2"): 0}),
+             Multiteam(("x", "y"), {("0", "1"): 2, ("3", "2"): 1})]
+    for t, used in zip(teams, [{"0", "1"}, {"0", "1", "2", "3"}, set(), set()] * 2):
+        assert t.values_used() == used, t
+        with pytest.raises(AttributeError):
+            t.values_used().add("9")
+    structure = load_structure("domain: 0 1\n")
+    assert evaluate(structure, teams[0], parse("dep(x ; y)"))
+    with pytest.raises(InputError, match="outside the structure domain"):
+        evaluate(structure, teams[1], parse("dep(x ; y)"))
 
 
 @settings(max_examples=300, deadline=None)

@@ -6,6 +6,7 @@ import collections
 import contextlib
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,7 @@ from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
 from multiteam.reductions import (CnfFormula, encode_3sat, encode_maxsat,
                                   maxsat_oracle, sat_oracle)
-from multiteam.semantics import (SemanticsConfig, _conditions, _copy_choices, _Eval,
+from multiteam.semantics import (SemanticsConfig, _bounded_walk, _conditions, _copy_choices, _Eval,
                                  _Extension, _Space, _split_vectors, _walk,
                                  enum_or_splits, enum_supplements, evaluate,
                                  evaluate_classical, extend_universal, part_vectors,
@@ -691,29 +692,217 @@ def test_conditions_no_supplement_changes_are_tested_on_the_team(monkeypatch):
 
 def test_each_atom_is_projected_once_per_run(monkeypatch):
     # in the MAX-2SAT formula one dep atom is a node's own test and a
-    # condition of the walks on both sides above it; it is projected once
+    # condition of the walks on both sides above it; it is projected, and
+    # turned into the walks' entries, once
     _, inst = unsatisfiable_encodings()
-    looked_up, projected = [], []
-    lookup, project = _Eval._project, atoms.project
+    looked_up, projected, numbered = [], [], []
+    lookup, entries, project, dep_entries = (_Eval._project, _Eval._dep_entries,
+                                             atoms.project, atoms.dep_entries)
 
     def recording_lookup(self, f, space):
         looked_up.append((f, space))
         return lookup(self, f, space)
 
+    def recording_entries(self, f, space, first_slot):
+        looked_up.append((f, space))
+        return entries(self, f, space, first_slot)
+
     def recording_project(keys, positions):
         projected.append(positions)
         return project(keys, positions)
 
+    def recording_dep_entries(rows, first_slot=0):
+        numbered.append(rows)
+        return dep_entries(rows, first_slot)
+
     monkeypatch.setattr(_Eval, "_project", recording_lookup)
+    monkeypatch.setattr(_Eval, "_dep_entries", recording_entries)
     monkeypatch.setattr(atoms, "project", recording_project)
+    monkeypatch.setattr(atoms, "dep_entries", recording_dep_entries)
     for cfg in (LAX_MULTI, STRICT_MULTI):
         looked_up.clear()
         projected.clear()
+        numbered.clear()
         run = _Eval(inst.structure, cfg, True)
         assert not run.search(inst.formula, inst.team)[0]
         pairs = {(id(f), space) for f, space in looked_up}
-        assert len(projected) == len(pairs) < len(looked_up)
+        assert len(projected) == len(numbered) == len(pairs) < len(looked_up)
         assert not run.nodes  # the projections are dropped with the nodes
+
+
+# --- rule 6: an exact split's walk bounded by its right side's <p> ---
+
+@contextlib.contextmanager
+def without_rule_6(monkeypatch):
+    """Inside, no split is bounded by a `<p>` conjunct of its right side."""
+    with monkeypatch.context() as m:
+        m.setattr(_Eval, "_z_bound", lambda self, f, space: None)
+        yield
+
+
+def maxsat_ladders():
+    """Per clause count m of 3-8, a 2CNF whose optimum is m - 1, encoded at
+    every threshold k/m."""
+    rng = random.Random("rule 6")
+    for m in range(3, 9):
+        phi = random_cnf(rng, m, 2, lambda phi: maxsat_oracle(phi) == m - 1)
+        yield m, [encode_maxsat(phi, Fraction(k, m)) for k in range(m + 1)]
+
+
+RULE_6_STRUCTURE = Multistructure({"0": 1, "1": 1, "2": 1}, {"R": (1, [("0",), ("2",)])})
+#: closed bodies h: one dep, deps with literals that bar rows, two deps, a
+#: literal alone, and one with no condition, which gives no bound
+RULE_6_BODIES = ("dep(x ; y)", "(dep(y ; x) & x != y)", "(R(x) & dep(x ; y))",
+                 "(dep(x ; y) & dep(y ; x))", "(dep(; x) & ~R(y))", "x = y",
+                 "(x != y | dep(x ; y))")
+#: left sides, closed (rule 1 makes a lax split exact) and not
+RULE_6_LEFTS = ("dep(x ; y)", "x = y", "(~R(x) & dep(y ; x))", "inc(x ; y)", "pinc(y ; x)")
+RULE_6_THRESHOLDS = ("0", "1/3", "1/2", "2/3", "3/4", "1", "#0", "#1", "#2", "#4")
+
+
+def rule_6_instances(per_mode):
+    """Seeded (team, f | (g & <p> h) or f | <p> h, cfg) draws with h closed,
+    in all four modes, over teams of up to 64 subteams whose counts reach 3
+    in the multi modes."""
+    for cfg in ALL_CFGS:
+        rng = random.Random(f"rule 6-{cfg.team_kind}-{cfg.strictness}")
+        mult = 3 if cfg.team_kind == "multi" else 1
+        for _ in range(per_mode):
+            t = random_team(rng, ("x", "y"), RULE_6_STRUCTURE, max_rows=5, max_mult=mult)
+            while math.prod(m + 1 for _, m in t.row_items()) > 64:
+                t = random_team(rng, ("x", "y"), RULE_6_STRUCTURE, max_rows=5, max_mult=mult)
+            right = f"<{rng.choice(RULE_6_THRESHOLDS)}> {rng.choice(RULE_6_BODIES)}"
+            if rng.random() < 0.5:
+                right = f"({rng.choice(('x != y', 'dep(; y)', 'R(y)', 'inc(y ; x)'))} & {right})"
+            yield t, parse(f"({rng.choice(RULE_6_LEFTS)} | {right})"), cfg
+
+
+def test_rule_6_keeps_the_witness_trees(monkeypatch):
+    # MAX-2SAT one short of satisfiable at every k/m, m = 3-8, and 4 x 150
+    # seeded splits, each with the cache on and off, against the full search
+    encodings = [(inst.structure, inst.team, inst.formula, cfg)
+                 for _, ladder in maxsat_ladders() for inst in ladder
+                 for cfg in (LAX_MULTI, STRICT_MULTI)]
+    checks = encodings + [(RULE_6_STRUCTURE, t, f, cfg) for t, f, cfg in rule_6_instances(150)]
+    pruned = [witness(*check, use_cache=c) for check in checks for c in (True, False)]
+    with unpruned(monkeypatch):
+        full = [witness(*check, use_cache=c) for check in checks for c in (True, False)]
+    assert pruned == full
+    verdicts = [w.holds for w in pruned]
+    assert verdicts[:2 * len(encodings)].count(False) == 6 * 2 * 2  # k = m alone
+    assert 0 < verdicts.count(True) < len(verdicts)
+
+
+def rule_6_reference(t, f, cfg):
+    """The left parts of f's split that rule 5 keeps and whose Z = t - Y
+    passes rule 6 on every prefix, g3 worked out from scratch for the first
+    `dep` of h with ys; None when rule 6 does not apply."""
+    space, counts = _Space.rooted(t)
+    run = _Eval(RULE_6_STRUCTURE, cfg, False)
+    prune = run._prune(space, f.left, f.right, True)
+    body = f.right if isinstance(f.right, ExistsFrac) else f.right.right
+    conditions = _conditions(body.body)
+    deps = [g for g in conditions if isinstance(g, Dep) and g.ys][:1]
+    rows = [t.assignment(k) for k in space.keys]
+    kept = [all(evaluate_classical(RULE_6_STRUCTURE, s, g) for g in conditions
+                if not isinstance(g, Dep)) for s in rows]
+    if prune is None or not run._closed(body.body) or all(kept) and not deps:
+        return None  # h gives no condition that can fail
+    z_lits = [g for g in _conditions(f.right) if not isinstance(g, Dep)]
+    low = [m if not all(evaluate_classical(RULE_6_STRUCTURE, s, g) for g in z_lits) else 0
+           for s, m in zip(rows, counts)]
+    p = body.p
+
+    def passes(z, j):
+        held = sum(z[:j])
+        rest = sum(m - c for m, c in zip(counts[j:], low[j:]))
+        g3 = held - sum(c for c, ok in zip(z[:j], kept) if not ok)
+        for g in deps:  # with a dep, its g3, which is at most the line above
+            best = collections.defaultdict(collections.Counter)
+            for s, c, ok in zip(rows[:j], z, kept):
+                if ok:
+                    best[s.project(g.xs)][s.project(g.ys)] += c
+            g3 = min(g3, sum(max(per.values()) for per in best.values()))
+        if p.absolute:
+            return g3 + rest >= p.value
+        a, b = p.value.numerator, p.value.denominator
+        return b * g3 - a * held + (b - a) * rest >= 0
+
+    return [y for y in _walk(counts, prune)
+            if all(passes(tuple(m - c for m, c in zip(counts, y)), j)
+                   for j in range(1, len(y) + 1))]
+
+
+def test_the_bounded_walk_keeps_the_left_parts_every_prefix_bound_keeps():
+    # g3 of Z's prefix counted from scratch per prefix, the rows a literal
+    # of h bars left out, against the walk's incremental count; a bound
+    # left out as one that can drop nothing drops nothing
+    bounded = dropped = idle = 0
+    for t, f, cfg in rule_6_instances(150):
+        want = rule_6_reference(t, f, cfg)
+        space, counts = _Space.rooted(t)
+        prune = _Eval(RULE_6_STRUCTURE, cfg, False)._prune(space, f.left, f.right, True)
+        if want is None:
+            assert prune is None or prune.z_bound is None, (t, str(f))
+            continue
+        if prune.z_bound is None:
+            idle += 1
+            assert want == list(_walk(counts, prune)), (t, str(f))
+            continue
+        bounded += 1
+        got = list(_bounded_walk(counts, prune))
+        assert got == want, (t, str(f))
+        dropped += len(got) < len(list(_walk(counts, prune)))
+    assert bounded > 200 and dropped > 100 and idle > 10
+
+
+def test_rule_6_runs_no_right_part_of_a_false_maxsat_check(monkeypatch):
+    # at k = m every Z = t - Y of one literal per clause clashes, and each
+    # prefix of Z whose g3 falls short of its size is dropped: the <m/m>
+    # node runs on no right part, where without rule 6 it runs on all 2^m
+    runs = []
+    original = _Eval.run
+
+    def counting(self, node, counts):
+        if isinstance(node.f, ExistsFrac):
+            runs.append(counts)
+        return original(self, node, counts)
+
+    monkeypatch.setattr(_Eval, "run", counting)
+    for m, ladder in maxsat_ladders():
+        inst = ladder[m]
+        for cfg in (LAX_MULTI, STRICT_MULTI):
+            runs.clear()
+            assert not evaluate(inst.structure, inst.team, inst.formula, cfg)
+            assert not witness(inst.structure, inst.team, inst.formula, cfg).holds
+            assert runs == [], (m, cfg)
+            with without_rule_6(monkeypatch):
+                assert not evaluate(inst.structure, inst.team, inst.formula, cfg)
+            assert len(runs) == 2 ** m, (m, cfg)
+
+
+def test_a_lax_split_with_no_closed_side_runs_every_right_part(monkeypatch):
+    # neither side is closed, so lax right parts lie above t - Y and rule 6
+    # does not bound them: <2/3> runs on every right part of every left part
+    # the left side holds on; strict, the split is exact and rule 6 drops
+    t = Multiteam(("x", "y"), {("0", "1"): 2, ("1", "1"): 1, ("1", "0"): 1, ("0", "0"): 1})
+    f = parse("((inc(x ; y) & dep(x ; y)) | <2/3> (x = y & dep(; y)))")
+    space, counts = _Space.rooted(t)
+    tried = [len(list(zs)) for y, zs in _split_vectors(counts, False)
+             if evaluate(STRUCT01, space.team(y), f.left, LAX_MULTI)]
+    runs = []
+    original = _Eval.run
+
+    def counting(self, node, counts):
+        runs.append(node.f)
+        return original(self, node, counts)
+
+    monkeypatch.setattr(_Eval, "run", counting)
+    assert not evaluate(STRUCT01, t, f, LAX_MULTI)
+    assert runs.count(f.right) == sum(tried) > len(tried) > 1
+    runs.clear()
+    assert not evaluate(STRUCT01, t, f, STRICT_MULTI)
+    assert runs.count(f.right) < len(tried)
 
 
 def test_two_thousand_rows_are_walked_without_recursion(tmp_path, capsys):
