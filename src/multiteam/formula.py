@@ -30,11 +30,23 @@ from .errors import InputError
 from .model import _check_value, _shown
 
 __all__ = [
-    "Threshold", "Formula", "Eq", "Neq", "Rel", "NegRel", "And", "Or",
+    "MAX_DIGITS", "Threshold", "Formula", "Eq", "Neq", "Rel", "NegRel", "And", "Or",
     "Exists", "Forall", "Dep", "Inc", "Excl", "CI", "PInc", "PCI",
     "ExistsFrac", "ForallFrac", "ImplFrac", "TRUE", "ATOMS",
     "free_vars", "scan",
 ]
+
+
+#: Most decimal digits of a threshold's count, numerator or denominator:
+#: below the 4,300 digits past which Python refuses to print an int, so
+#: every threshold prints and parses back.
+MAX_DIGITS = 4000
+_PAST_DIGITS = 10 ** MAX_DIGITS
+
+
+def _check_digits(what: str, v: int) -> None:
+    if not -_PAST_DIGITS < v < _PAST_DIGITS:
+        raise InputError(f"threshold {what} is over the limit of {MAX_DIGITS:,} digits: {_shown(v)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,20 +55,26 @@ class Threshold:
 
     Ratio thresholds hold a Fraction p in [0,1] and bound a part Y of a whole
     X by |Y| >= p*|X| (compared exactly, |Y|*den >= num*|X|).  Absolute
-    thresholds hold a natural number k and bound |Y| >= k.
+    thresholds hold a natural number k and bound |Y| >= k.  A count,
+    numerator or denominator has at most MAX_DIGITS digits.
     """
 
     value: Union[Fraction, int]
     absolute: bool = False
 
     def __post_init__(self):
+        value = self.value
         if self.absolute:
-            if not isinstance(self.value, int) or isinstance(self.value, bool) or self.value < 0:
-                raise InputError(f"absolute threshold must be a nonnegative integer, got {self.value!r}")
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise InputError(f"absolute threshold must be a nonnegative integer, got {_shown(value)}")
+            _check_digits("count", value)
         else:
-            value = Fraction(self.value)
+            value = Fraction(value)
+            _check_digits("numerator", value.numerator)
+            _check_digits("denominator", value.denominator)
             if not 0 <= value <= 1:
-                raise InputError(f"ratio threshold must lie in [0,1], got {value}")
+                raise InputError(f"ratio threshold must lie in [0,1], got "
+                                 f"{_shown(value.numerator)}/{_shown(value.denominator)}")
             object.__setattr__(self, "value", value)
 
     def min_size(self, whole_size: int) -> int:

@@ -49,7 +49,8 @@ def _shown(v) -> str:
     """v as an error message names it, in a few hundred characters at most:
     its repr, but a tuple or list value by value, the first 8 at most, a
     string longer than 64 characters as the repr of its first 16 and its
-    length, and any other repr longer than 64 characters cut likewise."""
+    length, any other repr longer than 64 characters cut likewise, and an
+    int too long for Python to print by about how many digits it has."""
     if isinstance(v, (tuple, list)):
         parts = [_shown(x) for x in v[:8]]
         if len(v) > 8:
@@ -59,7 +60,10 @@ def _shown(v) -> str:
         return f"({', '.join(parts)}{',' if len(v) == 1 else ''})"
     if isinstance(v, str) and len(v) > 64:
         return f"{v[:16]!r}... ({len(v):,} characters)"
-    text = repr(v)
+    try:
+        text = repr(v)
+    except ValueError:  # past the 4,300 digits Python prints by default
+        return f"an integer of about {int(v.bit_length() * 0.30103) + 1:,} digits"
     return text if len(text) <= 64 else f"{text[:16]}... ({len(text):,} characters)"
 
 

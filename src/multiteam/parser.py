@@ -38,9 +38,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParseError
-from .formula import (ATOMS, And, Eq, Exists, ExistsFrac, Forall, Formula,
-                      ForallFrac, ImplFrac, Neq, NegRel, Or, Rel, Threshold,
-                      scan)
+from .formula import (ATOMS, MAX_DIGITS, And, Eq, Exists, ExistsFrac, Forall, Formula,
+                      ForallFrac, ImplFrac, Neq, NegRel, Or, Rel, Threshold, scan)
 from .model import _shown
 
 __all__ = ["parse", "KEYWORDS", "MAX_DEPTH"]
@@ -90,9 +89,9 @@ def _tokenize(text: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():  # what int() reads: not '²', which isdigit() takes
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -249,26 +248,27 @@ class _Parser:
     def threshold(self) -> Threshold:
         if self.at("#"):
             self.next()
-            tok = self.next()
-            if tok.kind != "int":
-                self.fail("expected a count after '#'", tok)
-            return Threshold(int(tok.text), absolute=True)
-        tok = self.next()
-        if tok.kind != "int":
-            self.fail("expected a threshold", tok)
-        num = int(tok.text)
+            return Threshold(self.number("a count after '#'", "count")[0], absolute=True)
+        num, tok = self.number("a threshold", "numerator")
         den = 1
         if self.at("/"):
             self.next()
-            dtok = self.next()
-            if dtok.kind != "int":
-                self.fail("expected a denominator", dtok)
-            den = int(dtok.text)
+            den, dtok = self.number("a denominator", "denominator")
             if den == 0:
                 self.fail("threshold denominator must not be zero", dtok)
         if num > den:
-            self.fail(f"ratio threshold {num}/{den} lies outside [0,1]", tok)
+            self.fail(f"ratio threshold {_shown(num)}/{_shown(den)} lies outside [0,1]", tok)
         return Threshold(Fraction(num, den))
+
+    def number(self, expected: str, what: str) -> tuple[int, Token]:
+        """The next token as a threshold's count, numerator or denominator."""
+        tok = self.next()
+        if tok.kind != "int":
+            self.fail(f"expected {expected}", tok)
+        if len(tok.text) > MAX_DIGITS:
+            self.fail(f"threshold {what} is over the limit of {MAX_DIGITS:,} digits: "
+                      f"{len(tok.text):,} digits", tok)
+        return int(tok.text), tok
 
     def variable(self) -> str:
         return self.name()

@@ -33,11 +33,11 @@ pass use_cache=False for the plain recursion.
 
 One walk, `_walk`, lists the count vectors below a vector in row-vector
 order, all of them or those of one size.  The parts that `<p>`, `[p]` and
-`->{p}` try are its slices from the bound size up (`part_vectors`), and a
-row's strict copy choices are its slice at the row's count.  Only a split's
-unpruned left parts come from `itertools.product`: the same vectors, in one
-C call; and a split that rule 6 bounds walks them with `_bounded_walk`,
-the same walk keeping g3 of its right side.
+`->{p}` try are its slices from the bound size up (`part_vectors`), a
+row's strict copy choices are its slice at the row's count, and a split's
+pruned left parts are its walk under the split's conditions, carrying rule
+6's bound on its right side when one is kept.  Only a split's unpruned left
+parts come from `itertools.product`: the same vectors, in one C call.
 
 The search skips candidates that cannot be the first success.  A formula
 is downward closed when it holds on every submultiteam of a multiteam it
@@ -124,7 +124,7 @@ the bound, and with `#k` none reaches g3(Zp) + Rz < k.  Every completion
 fails `<p> h`, and with it g on Z; a dropped Y would have been tried and
 failed, so the verdict and the witness tree stay the same.  A lax split
 with no closed side is not bounded: its right parts exceed t - Y.  Nor
-are `[p]` and `->{p}`, and a split with no bound runs `_walk` as before.
+are `[p]` and `->{p}`, and a split with no bound walks as under rule 5.
 
 What the walk checked is not tested again.  Every part it yields meets the
 conditions of f, and with a strict split (strict mode or rule 1) Z = t - Y
@@ -414,7 +414,7 @@ def _split_vectors(counts: Counts, strict: bool, prune: Optional[_Prune] = None
     """Each left part Y of a split, in row-vector order, with a lazy iterator
     over the right parts Z: Z takes the m - c copies Y leaves out of a row,
     and in lax mode may take up to all m.  With prune, only the left parts
-    its walk keeps (see `_walk`, and `_bounded_walk` when prune bounds Z)."""
+    its walk keeps (see `_walk`)."""
     def right_parts(y):
         if strict:
             yield tuple(m - c for m, c in zip(counts, y))
@@ -424,7 +424,7 @@ def _split_vectors(counts: Counts, strict: bool, prune: Optional[_Prune] = None
     if prune is None:
         lefts = itertools.product(*[range(m + 1) for m in counts])
     else:
-        lefts = _walk(counts, prune) if prune.z_bound is None else _bounded_walk(counts, prune)
+        lefts = _walk(counts, prune)
     for y in lefts:
         yield y, right_parts(y)
 
@@ -440,7 +440,7 @@ class _Prune:
     `dep` on Y with ys, its entries row by row, for the walk's g3 bound.
     `z_bound` holds rule 6's bound on an exact split's Z, if any: its
     entries row by row and the coefficients (scale, rate, need) of its
-    inequality (see `_bounded_walk`)."""
+    inequality (see `_walk`)."""
 
     __slots__ = ("y_barred", "z_barred", "y", "z", "yz", "slots", "bounds", "z_bound")
 
@@ -464,16 +464,23 @@ def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
     in O(1) per condition and undone on backtrack, in a loop rather than a
     call per row.  With a size, a prefix is dropped once the rows after it
     cannot add the copies still missing, by their count or by their g3
-    under a `dep` on Y (see rule 5)."""
+    under a `dep` on Y (see rule 5).  With prune.z_bound, kept for unsized
+    walks alone, a prefix is dropped when scale * g3 - rate * |Zp| + (scale
+    - rate) * Rz < need (rule 6): g3 of Z's prefix is kept in per-value
+    weights and per-slot bests, undone on backtrack like the `dep` table,
+    and Rz is the most copies the rows after it can give Z.  A row the
+    bound bars has entry (n, n), a slot whose best no weight reaches, so it
+    adds nothing to g3."""
     n = len(counts)
     # per row, its smallest and largest value before the size bound
     if prune is None:
         y_entries = z_entries = yz_entries = [()] * n
-        low, high, slots = [0] * n, counts, 0
+        low, high, slots, bound = [0] * n, counts, 0, None
     else:
         y_entries, z_entries, yz_entries, slots = prune.y, prune.z, prune.yz, prune.slots
         low = [m if barred else 0 for m, barred in zip(counts, prune.z_barred)]
         high = [0 if barred else m for m, barred in zip(counts, prune.y_barred)]
+        bound = prune.z_bound
     # room[i]: copies the rows from i on may take
     room = list(itertools.accumulate(reversed(high), initial=0))[::-1]
     if size is not None and prune is not None:
@@ -492,6 +499,16 @@ def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
     if n == 0:
         yield ()
         return
+    if bound is not None:
+        marks, scale, rate, need = bound
+        slack, rz = [0] * n, 0  # per row, (scale - rate) * Rz - need for the rows after it
+        for j in range(n - 1, -1, -1):
+            slack[j] = (scale - rate) * rz - need
+            rz += counts[j] - low[j]
+        weight = [0] * (n + 1)
+        best = [0] * n + [sum(counts) + 1]
+        replaced = [0] * n  # per row, the best its value replaced
+        budget = [0] * (n + 1)  # per row, scale * g3 - rate * |Zp| before it
     table = [None] * slots
     vec = [0] * n
     top = list(high)  # per row, the largest value it may take after this prefix
@@ -502,10 +519,10 @@ def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
         c, top[0] = max(c, size - room[1]), min(top[0], size)
     while True:
         m = counts[i]
-        while c <= top[i]:  # the smallest value from c on that no condition refutes
+        while c <= top[i]:  # the smallest value from c on that nothing refutes
             entries = (yz_entries[i] if c < m else y_entries[i]) if c else (
                 z_entries[i] if m else ())
-            if not entries:  # nothing to test, and nothing to undo on backtrack
+            if not entries and bound is None:  # nothing to test or to undo
                 added = ()
                 break
             added = []
@@ -517,80 +534,8 @@ def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
                 elif held != value:
                     break
             else:
-                break
-            for slot in added:
-                table[slot] = None
-            c += 1
-        else:  # row i is exhausted: take the previous row's next value
-            if i == 0:
-                return
-            i -= 1
-            for slot in filled[i]:
-                table[slot] = None
-            c = vec[i]
-            if size is not None:
-                rest += c
-            c += 1
-            continue
-        vec[i] = c
-        if i + 1 < n:
-            filled[i] = added
-            i += 1
-            if size is None:
-                c = low[i]
-            else:
-                rest -= vec[i - 1]
-                c = low[i] if low[i] > rest - room[i + 1] else rest - room[i + 1]
-                top[i] = high[i] if high[i] < rest else rest
-            continue
-        yield tuple(vec)
-        for slot in added:
-            table[slot] = None
-        c += 1
-
-
-def _bounded_walk(counts: Counts, prune: _Prune) -> Iterator[Counts]:
-    """`_walk`'s left parts of an exact split, less every prefix on which
-    prune.z_bound fails (rule 6).  g3 of Z's prefix is kept in per-value
-    weights and per-slot bests, undone on backtrack like the `dep` table,
-    and a prefix is dropped when scale * g3 - rate * |Zp| + (scale - rate) *
-    Rz < need, where Rz is the most copies the rows after it can give Z.  A
-    row the bound bars has entry (n, n), a slot whose best no weight
-    reaches, so it adds nothing to g3."""
-    n = len(counts)
-    if n == 0:
-        yield ()
-        return
-    y_entries, z_entries, yz_entries = prune.y, prune.z, prune.yz
-    marks, scale, rate, need = prune.z_bound
-    low = [m if barred else 0 for m, barred in zip(counts, prune.z_barred)]
-    high = [0 if barred else m for m, barred in zip(counts, prune.y_barred)]
-    slack, rz = [0] * n, 0  # per row, (scale - rate) * Rz - need for the rows after it
-    for j in range(n - 1, -1, -1):
-        slack[j] = (scale - rate) * rz - need
-        rz += counts[j] - low[j]
-    weight = [0] * (n + 1)
-    best = [0] * n + [sum(counts) + 1]
-    replaced = [0] * n  # per row, the best its value replaced
-    budget = [0] * (n + 1)  # per row, scale * g3 - rate * |Zp| before it
-    table = [None] * prune.slots
-    vec = [0] * n
-    filled: list = [()] * n  # per row, the table slots its value filled
-    i, c = 0, low[0]
-    while True:
-        m = counts[i]
-        while c <= high[i]:  # the smallest value from c on that nothing refutes
-            entries = (yz_entries[i] if c < m else y_entries[i]) if c else (
-                z_entries[i] if m else ())
-            added = []
-            for slot, value in entries:
-                held = table[slot]
-                if held is None:
-                    table[slot] = value
-                    added.append(slot)
-                elif held != value:
+                if bound is None:
                     break
-            else:
                 z = m - c
                 at, kind = marks[i]
                 w = weight[kind] + z
@@ -606,21 +551,31 @@ def _bounded_walk(counts: Counts, prune: _Prune) -> Iterator[Counts]:
             i -= 1
             for slot in filled[i]:
                 table[slot] = None
-            at, kind = marks[i]
-            weight[kind] -= counts[i] - vec[i]
-            best[at] = replaced[i]
-            c = vec[i] + 1
+            if bound is not None:
+                at, kind = marks[i]
+                weight[kind] -= counts[i] - vec[i]
+                best[at] = replaced[i]
+            c = vec[i]
+            if size is not None:
+                rest += c
+            c += 1
             continue
         vec[i] = c
         if i + 1 < n:
             filled[i] = added
-            budget[i + 1] = after
-            weight[kind] = w
-            replaced[i] = best[at]
-            if w > best[at]:
-                best[at] = w
+            if bound is not None:
+                budget[i + 1] = after
+                weight[kind] = w
+                replaced[i] = best[at]
+                if w > best[at]:
+                    best[at] = w
             i += 1
-            c = low[i]
+            if size is None:
+                c = low[i]
+            else:
+                rest -= vec[i - 1]
+                c = low[i] if low[i] > rest - room[i + 1] else rest - room[i + 1]
+                top[i] = high[i] if high[i] < rest else rest
             continue
         yield tuple(vec)
         for slot in added:
@@ -896,7 +851,7 @@ class _Eval:
         """Rule 6's bound for the conjunct f = `<p> h` of a split's Z, h
         closed: the entries of h's first `dep` condition with ys, or one
         slot for every row when h has none, the rows a literal condition of
-        h bars given the entry (n, n) (see `_bounded_walk`), and the
+        h bars given the entry (n, n) (see `_walk`), and the
         coefficients (scale, rate, need).  None when the bound can drop
         nothing: h has no such `dep` and bars no row, or h bars no row and p
         <= 1/d for the d ys-values the rows take, so that g3(Zp) >= |Zp|/d

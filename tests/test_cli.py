@@ -122,6 +122,12 @@ OVER_LONG = {  # (structure, team, formula or CNF, extra arguments)
     "problem line": (None, None, f"p cnf {LONG}\n", []),
     "clause token": (None, None, f"p cnf 3 1\n{LONG} 0\n", []),
     "fraction": (None, None, "p cnf 2 1\n1 2 0\n", ["--frac", LONG]),
+    "threshold count": ("domain: 0", "x\n0\n", f"<#{'9' * 5000}> x = x", []),
+    "threshold numerator": ("domain: 0", "x\n0\n", f"<{'9' * 5000}/1> x = x", []),
+    "threshold denominator": ("domain: 0", "x\n0\n", f"<1/{'9' * 5000}> x = x", []),
+    "fraction 1e400": (None, None, "p cnf 2 1\n1 2 0\n", ["--frac", "1e400"]),
+    "fraction 1e5000": (None, None, "p cnf 2 1\n1 2 0\n", ["--frac", "1e5000"]),
+    "fraction 1e-5000": (None, None, "p cnf 2 1\n1 2 0\n", ["--frac", "1e-5000"]),
 }
 
 

@@ -11,7 +11,7 @@ from multiteam.errors import InputError, ParseError
 from multiteam.formula import (ATOMS, CI, TRUE, And, Dep, Eq, Excl, Exists,
                                ExistsFrac, Forall, ForallFrac, Formula,
                                ImplFrac, Inc, Neq, NegRel, Or, PCI, PInc,
-                               Rel, Threshold, free_vars, scan)
+                               MAX_DIGITS, Rel, Threshold, free_vars, scan)
 from multiteam.generate import FRAGMENTS, random_formula
 from multiteam.model import Assignment, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
@@ -114,6 +114,31 @@ class TestParseErrors:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse("<1/0> x=y")
+
+    def test_digits_int_cannot_read(self):
+        # '²' is a digit to str.isdigit but not a number to int()
+        with pytest.raises(ParseError) as err:
+            parse("<²> x=y")
+        assert (str(err.value), err.value.col) == ("unexpected character '²' (line 1, column 2)", 2)
+
+    def test_numbers_past_the_digit_limit(self):
+        # a count, numerator or denominator of MAX_DIGITS digits parses; one
+        # digit more is refused at its token, and Threshold refuses the
+        # value just past the limit, named short
+        top, past = "9" * MAX_DIGITS, 10 ** MAX_DIGITS
+        for text, col in ((f"<#{top}9> x=y", 3), (f"<{top}9/1> x=y", 2), (f"<1/{top}9> x=y", 4)):
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert err.value.col == col
+            assert f"over the limit of {MAX_DIGITS:,} digits: {MAX_DIGITS + 1:,} digits" in str(err.value)
+        for text in (f"<#{top}> x = y", f"<1/{top}> x = y", f"<{top}/{top}> x = y"):
+            assert str(parse(text)) == text.replace(f"<{top}/{top}>", "<1>")
+        for value, absolute in ((past, True), (Fraction(1, past), False), (Fraction(past), False),
+                                (Fraction(past - 1, past), False), (Fraction(-past, 3), False)):
+            with pytest.raises(InputError) as err:
+                Threshold(value, absolute)
+            assert f"over the limit of {MAX_DIGITS:,} digits: " in str(err.value)
+            assert str(err.value).endswith(f"({MAX_DIGITS + 1 + (value < 0):,} characters)")
 
     def test_group_count(self):
         with pytest.raises(ParseError):
@@ -285,9 +310,12 @@ def test_atom_constructors_check_their_groups(kw):
 names = st.sampled_from(["x", "y", "z", "u", "v"])
 tuples = st.lists(names, max_size=3).map(tuple)
 pairs = st.tuples(tuples, tuples).filter(lambda g: len(g[0]) == len(g[1]))
+TOP = 10 ** MAX_DIGITS - 1  # the largest count, numerator or denominator
 thresholds = st.one_of(
     st.integers(0, 6).map(lambda n: Threshold(Fraction(n, 6))),
-    st.integers(0, 4).map(lambda n: Threshold(n, absolute=True)))
+    st.integers(0, 4).map(lambda n: Threshold(n, absolute=True)),
+    st.sampled_from([Threshold(TOP, absolute=True), Threshold(Fraction(1, TOP)),
+                     Threshold(Fraction(TOP - 1, TOP))]))
 
 
 def formulas() -> st.SearchStrategy[Formula]:

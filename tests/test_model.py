@@ -255,3 +255,11 @@ def test_rows_and_tuples_are_named_short_in_errors():
     assert _shown(("0", "1")) == repr(("0", "1")) and _shown(["0"]) == repr(["0"])
     assert _shown(("0",)) == "('0',)"
     assert _shown(("0",) * 9) == "('0', '0', '0', '0', '0', '0', '0', '0', ... (9 values))"
+
+
+def test_an_int_too_long_to_print_is_named_by_its_digits():
+    # Python refuses to print an int past 4,300 digits; the error names it
+    with pytest.raises(InputError) as err:
+        Multiteam(("x",), {("0",): -10 ** 5000})
+    assert "an integer of about 5,001 digits" in str(err.value) and len(str(err.value)) < 200
+    assert _shown(-10 ** 5000) == "an integer of about 5,001 digits"

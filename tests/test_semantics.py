@@ -25,7 +25,7 @@ from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
 from multiteam.reductions import (CnfFormula, encode_3sat, encode_maxsat,
                                   maxsat_oracle, sat_oracle)
-from multiteam.semantics import (SemanticsConfig, _bounded_walk, _conditions, _copy_choices, _Eval,
+from multiteam.semantics import (SemanticsConfig, _conditions, _copy_choices, _Eval,
                                  _Extension, _Space, _split_vectors, _walk,
                                  enum_or_splits, enum_supplements, evaluate,
                                  evaluate_classical, extend_universal, part_vectors,
@@ -828,6 +828,7 @@ def rule_6_reference(t, f, cfg):
         a, b = p.value.numerator, p.value.denominator
         return b * g3 - a * held + (b - a) * rest >= 0
 
+    prune.z_bound = None  # the walk under rule 5 alone
     return [y for y in _walk(counts, prune)
             if all(passes(tuple(m - c for m, c in zip(counts, y)), j)
                    for j in range(1, len(y) + 1))]
@@ -836,7 +837,8 @@ def rule_6_reference(t, f, cfg):
 def test_the_bounded_walk_keeps_the_left_parts_every_prefix_bound_keeps():
     # g3 of Z's prefix counted from scratch per prefix, the rows a literal
     # of h bars left out, against the walk's incremental count; a bound
-    # left out as one that can drop nothing drops nothing
+    # left out as one that can drop nothing drops nothing; dropped counts
+    # the draws where the walk keeps fewer left parts than without its bound
     bounded = dropped = idle = 0
     for t, f, cfg in rule_6_instances(150):
         want = rule_6_reference(t, f, cfg)
@@ -850,8 +852,9 @@ def test_the_bounded_walk_keeps_the_left_parts_every_prefix_bound_keeps():
             assert want == list(_walk(counts, prune)), (t, str(f))
             continue
         bounded += 1
-        got = list(_bounded_walk(counts, prune))
+        got = list(_walk(counts, prune))
         assert got == want, (t, str(f))
+        prune.z_bound = None
         dropped += len(got) < len(list(_walk(counts, prune)))
     assert bounded > 200 and dropped > 100 and idle > 10
 
@@ -909,14 +912,21 @@ def test_two_thousand_rows_are_walked_without_recursion(tmp_path, capsys):
     # each side of the split bars the other's rows, and the first part's
     # body refutes nothing, so one walk down the rows finds the first
     # success; on the second team the rows x=y bars from the part come
-    # last, and the walk leaves room for the part in the rows before them
+    # last, and the walk leaves room for the part in the rows before them;
+    # in the last case rule 6's bound drops every Z that keeps a row x!=y
+    # bars from the <1> body, so Y takes the rows x=y one by one
     n = 2000
     structure = Multistructure([str(i) for i in range(n)])
     mixed = Multiteam(("x", "y", "z"), [(str(i % 7), str(i % 5), str(i)) for i in range(n)])
     equal_first = Multiteam(("x", "y", "z"), [(str(i * 2 // n), "0", str(i)) for i in range(n)])
     cases = [(mixed, "x=y | x!=y", sum(i % 7 == i % 5 for i in range(n))),
              (mixed, "<1/2>(x=x & dep(z;z))", n // 2),
-             (equal_first, "<1/2>(x=y & dep(z;z))", n // 2)]
+             (equal_first, "<1/2>(x=y & dep(z;z))", n // 2),
+             (equal_first, "x=y | <1>(x!=y & dep(z;z))", n // 2)]
+    split = parse(cases[-1][1])
+    space, _ = _Space.rooted(equal_first)
+    prune = _Eval(structure, STRICT_MULTI, False)._prune(space, split.left, split.right, True)
+    assert prune.z_bound is not None
     (tmp_path / "s.txt").write_text(dump_structure(structure), encoding="utf-8")
     for k, (t, text, first_part) in enumerate(cases):
         (tmp_path / f"t{k}.csv").write_text(dump_multiteam(t), encoding="utf-8")
