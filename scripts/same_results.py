@@ -22,10 +22,11 @@ with its own `src` and `bench` first on the path, and hashes seven groups:
   0 and of single-line mutations of it (a ragged row, a non-integer count,
   a negative count, padded fields, a blank line, a value outside the
   alphabet): the team's `repr` and row order, or the error's type and text;
-- encodings: the witness trees of seeded 3SAT and MAX-2SAT encodings in
-  multi lax and strict, cache on and off, among them MAX-2SAT encodings of
-  6-8 clauses one short of satisfiable at every k/m (those whose split
-  rule 6 of `semantics` bounds);
+- encodings: the witness trees and the `evaluate` verdicts of seeded 3SAT
+  and MAX-2SAT encodings in multi lax and strict, cache on and off, among
+  them MAX-2SAT encodings of 6-8 clauses one short of satisfiable at every
+  k/m (those whose split rule 6 of `semantics` bounds); `evaluate` decides
+  their `<k/m>` by its g3 closed form, where `witness` walks its parts;
 - props: `multiteam props SUITE --seed 0` stdout and exit code, each suite;
 - gen: the files and exit code of `multiteam gen` on seeded CNFs.
 
@@ -150,25 +151,30 @@ def _clauses(rng: random.Random, top: int, count: int, width: int) -> list:
 
 
 def encodings_digest(count: int = 24) -> str:
-    """The witness trees of count 3SAT and count / 4 MAX-2SAT encodings,
-    the latter at every threshold k/5, and of one MAX-2SAT encoding per
-    clause count m of 6-8 whose optimum is m - 1, at every k/m."""
+    """The witness trees and `evaluate` verdicts of count 3SAT and count / 4
+    MAX-2SAT encodings, the latter at every threshold k/5, and of one
+    MAX-2SAT encoding per clause count m of 6-8 whose optimum is m - 1, at
+    every k/m."""
     import logic
     import workloads
     from multiteam import reductions
     multi = workloads.search_modes(False)
     rng = random.Random(0)
     digest = hashlib.sha256()
+
+    def both(label: str, inst) -> None:
+        for check in ("witness", "evaluate"):
+            _runs(digest, label, inst.structure, inst.team, inst.formula, multi, check)
+
     for n in range(count):
         inst = reductions.encode_3sat(reductions.parse_dimacs(
             logic.dimacs(_clauses(rng, 4, 4, 3))))
-        _runs(digest, f"3sat {n}", inst.structure, inst.team, inst.formula, multi)
+        both(f"3sat {n}", inst)
     for n in range(count // 4):
         phi = reductions.parse_dimacs(logic.dimacs(_clauses(rng, 4, 5, 2)))
         for k in range(6):
             inst = reductions.encode_maxsat(phi, Fraction(k, 5))
-            _runs(digest, f"max2sat {n} {k}/5", inst.structure, inst.team,
-                       inst.formula, multi)
+            both(f"max2sat {n} {k}/5", inst)
     for m in (6, 7, 8):
         clauses = _clauses(rng, 3, m, 2)
         while logic.maxsat(clauses) != m - 1:
@@ -176,8 +182,7 @@ def encodings_digest(count: int = 24) -> str:
         phi = reductions.parse_dimacs(logic.dimacs(clauses))
         for k in range(m + 1):
             inst = reductions.encode_maxsat(phi, Fraction(k, m))
-            _runs(digest, f"max2sat {m} {k}/{m}", inst.structure, inst.team,
-                  inst.formula, multi)
+            both(f"max2sat {m} {k}/{m}", inst)
     return digest.hexdigest()
 
 

@@ -11,11 +11,13 @@ import argparse
 import functools
 import inspect
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import InputError, ParseError
+from .formula import MAX_DIGITS
 from .io import dump_multiteam, dump_structure, load_multiteam, load_structure
 from .model import Multiteam, _shown
 from .parser import parse
@@ -26,6 +28,37 @@ from .suites import SUITES, run_suite
 # each `props` bound and its least value; `--jobs 0` means the default
 BOUND_FLAGS = {"trials": 0, "max_rows": 0, "max_dom": 1, "max_depth": 0, "max_mult": 1,
                "max_vars": 1, "max_clauses": 0, "max_clauses2": 0, "jobs": 0}
+
+
+#: the text `Fraction` reads as a decimal with an exponent, as CPython's
+#: `fractions` module reads it: the integer digits, the decimals, the exponent
+_SCIENTIFIC = re.compile(r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                         r"e([-+]?\d+(?:_\d+)*)\s*", re.IGNORECASE)
+
+
+def _fraction(text: str) -> Fraction:
+    """`Fraction(text)`, refused first when text's exponent would give a
+    numerator or denominator past MAX_DIGITS, before `Fraction` works out
+    that power of ten.  With d significant digits and the point moved k
+    places, the numerator keeps at least d + k digits (exactly that many
+    when k >= 0), and the denominator 10^-k, divided by at most the digits'
+    value, more than -k - d.  A zero is zero whatever its exponent."""
+    m = _SCIENTIFIC.fullmatch(text)
+    if m is not None:
+        whole, decimals, exponent = (g.replace("_", "") for g in m.groups(""))
+        digits = len((whole + decimals).lstrip("0"))
+        power = exponent.lstrip("+-").lstrip("0")
+        shift = int(power or "0") if len(power) <= MAX_DIGITS else 10 ** MAX_DIGITS
+        shift = (-shift if exponent.startswith("-") else shift) - len(decimals)
+        if not digits:
+            text = text[:m.start(3) - 1]
+        elif digits + shift > MAX_DIGITS or -shift - digits >= MAX_DIGITS:
+            raise InputError(f"fraction {_shown(text)} has a numerator or denominator "
+                             f"of more than {MAX_DIGITS:,} digits")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad fraction {_shown(text)}") from None
 
 
 def _read(path: str) -> str:
@@ -90,11 +123,7 @@ def cmd_gen(args) -> int:
     else:
         if args.frac is None:
             raise InputError("max2sat needs --frac, e.g. --frac 7/10")
-        try:
-            frac = Fraction(args.frac)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad fraction {_shown(args.frac)}") from None
-        instance = encode_maxsat(phi, frac)
+        instance = encode_maxsat(phi, _fraction(args.frac))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in (("structure.txt", dump_structure(instance.structure)),

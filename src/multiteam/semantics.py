@@ -103,11 +103,11 @@ classical MAX-SAT branch and bound (Borchers and Furman, J. Comb. Optim.
    Y with Z = t - Y.  Take the first conjunct `<p> h` of g, reached
    through `&` alone, with h closed and with a `dep(xs ; ys)` condition
    with ys or a literal condition that bars a row.  The walk keeps g3 of
-   Z's fixed prefix Zp: for h's first such `dep`, the sum over xs-values
-   of the most copies of one ys-value, the rows a literal condition of h
-   bars left out (with no such `dep`, the copies of the rows not barred),
-   updated per row and undone on backtrack like the `dep` table; and
-   |Zp|.  Let Rz be the most copies the rows after the prefix can give Z.
+   Z's fixed prefix Zp, by h's g3 marks (see the closed form below): for
+   h's first such `dep`, the sum over xs-values of the most copies of one
+   ys-value, the rows a literal condition of h bars left out (with no such
+   `dep`, the copies of the rows not barred), updated per row and undone
+   on backtrack like the `dep` table; and |Zp|.  Let Rz be the most copies the rows after the prefix can give Z.
    With p = a/b a prefix is dropped when b*g3(Zp) - a*|Zp| + (b - a)*Rz <
    0, with `#k` when g3(Zp) + Rz < k.  One bound keeps the walk's state a
    few integers per row; a second `dep` or conjunct could drop more, at a
@@ -125,6 +125,25 @@ fails `<p> h`, and with it g on Z; a dropped Y would have been tried and
 failed, so the verdict and the witness tree stay the same.  A lax split
 with no closed side is not bounded: its right parts exceed t - Y.  Nor
 are `[p]` and `->{p}`, and a split with no bound walks as under rule 5.
+
+The g3 closed form decides a `<p>` with no walk at all: `<p> h` over a
+`dep` is Väänänen's approximate dependence atom, and g3 decides it.  Let h
+be closed with every conjunct, reached through `&` alone, a literal or a
+`dep`, and with ys in one `dep` at most (`dep(xs ;)` always holds).  Then h
+holds on a part exactly when the part counts no row a literal of h bars
+and the `dep` holds on it.  The largest such part takes, per xs-value, the
+copies of its most common ys-value among the rows not barred (all of
+them, with no `dep`): g3 of rule 5, summed in one pass over the rows.  h
+is downward closed, so dropping copies one at a time from that part gives
+parts on which h holds of every size from g3 down to 0, and none larger.
+So `<p> h` holds on t iff g3 reaches the bound.  The node works out h's g3
+marks once per row space: the `dep`'s entries, the rows barred given a
+slot of their own, which rule 6's bound shares.  It fails when g3 falls
+short.  Otherwise a run for `evaluate` holds at once and builds no walk,
+conditions or body node for h; a run for `witness` walks the parts as
+under rule 3 to name the first, so its trees are unchanged.  With a second
+`dep` (the 3SAT body `<1/3>(dep & dep)`), `excl`, or a conjunct built with
+`|`, `E` or `A`, the walk runs as before.
 
 What the walk checked is not tested again.  Every part it yields meets the
 conditions of f, and with a strict split (strict mode or rule 1) Z = t - Y
@@ -707,13 +726,28 @@ def _none_counted(failing: list[int], counts: Counts) -> bool:
     return True
 
 
+def _g3(marks: list[tuple[int, int]], counts: Counts) -> int:
+    """The largest part of counts on which a `<p>` body with these g3 marks
+    holds (see `_Eval._g3_marks`): per slot, the most copies of one value,
+    summed; the barred rows' slot n is left out."""
+    n = len(marks)
+    weight, best = [0] * (n + 1), [0] * (n + 1)
+    for (slot, value), c in zip(marks, counts):
+        if c:
+            w = weight[value] = weight[value] + c
+            if w > best[slot]:
+                best[slot] = w
+    return sum(best) - best[n]
+
+
 class _Node:
     """One subformula over one row space.  `test` maps a count vector to the
     node's answer; it is worked out on the node's first use.  `rows` holds a
-    dependency atom's projection of the space, once it is needed, and
-    `entries` a `dep`'s incremental form (`atoms.dep_entries`)."""
+    dependency atom's projection of the space, once it is needed, `entries`
+    a `dep`'s incremental form (`atoms.dep_entries`), and `g3` a closed
+    body's g3 marks (`_Eval._g3_marks`)."""
 
-    __slots__ = ("f", "space", "test", "rows", "entries")
+    __slots__ = ("f", "space", "test", "rows", "entries", "g3")
 
     def __init__(self, f: Formula, space: _Space):
         self.f = f
@@ -721,6 +755,7 @@ class _Node:
         self.test = None
         self.rows: Optional[atoms.Rows] = None
         self.entries: Optional[tuple[list[tuple[int, int]], int]] = None
+        self.g3 = None
 
 
 class _Eval:
@@ -847,38 +882,52 @@ class _Eval:
         prune.yz = [y + z for y, z in zip(prune.y, prune.z)]
         return prune if useful else None
 
+    def _g3_marks(self, h: Formula, space: _Space):
+        """The g3 marks of the closed `<p>` body h over space, kept on h's
+        node: the entries of h's first `dep` condition with ys, or one slot
+        for every row when h has none, the rows a literal condition of h
+        bars given the entry (n, n) (see `_walk` and `_g3`).  Returned with
+        that `dep` (or None), whether h bars a row, and whether g3 decides
+        h: every conjunct of h is a condition, and one `dep` at most has
+        ys (a `dep(xs ;)` always holds)."""
+        node = self.node(h, space)
+        if node.g3 is None:
+            n = len(space.keys)
+            barred: set[int] = set()
+            deps = []
+            decided = True
+            for g in _reach(h, (And,)):
+                cls = g.__class__
+                if cls is Dep:
+                    if g.ys:
+                        deps.append(g)
+                elif cls in _LITERALS:
+                    barred.update(self._failing(g, space))
+                else:
+                    decided = False
+            dep = deps[0] if deps else None
+            marks = self._dep_entries(dep, space, 0)[0] if dep else [(0, 0)] * n
+            if barred:
+                marks = [(n, n) if i in barred else e for i, e in enumerate(marks)]
+            node.g3 = marks, dep, bool(barred), decided and len(deps) < 2
+        return node.g3
+
     def _z_bound(self, f: ExistsFrac, space: _Space):
         """Rule 6's bound for the conjunct f = `<p> h` of a split's Z, h
-        closed: the entries of h's first `dep` condition with ys, or one
-        slot for every row when h has none, the rows a literal condition of
-        h bars given the entry (n, n) (see `_walk`), and the
-        coefficients (scale, rate, need).  None when the bound can drop
-        nothing: h has no such `dep` and bars no row, or h bars no row and p
-        <= 1/d for the d ys-values the rows take, so that g3(Zp) >= |Zp|/d
-        >= p*|Zp|."""
-        n = len(space.keys)
-        barred: set[int] = set()
-        dep = None
-        for g in _conditions(f.body):
-            if g.__class__ is not Dep:
-                barred.update(self._failing(g, space))
-            elif dep is None and g.ys:
-                dep = g
+        closed: h's g3 marks and the coefficients (scale, rate, need).
+        None when the bound can drop nothing: h has no `dep` condition with
+        ys and bars no row, or h bars no row and p <= 1/d for the d
+        ys-values the rows take, so that g3(Zp) >= |Zp|/d >= p*|Zp|."""
+        marks, dep, barred, _ = self._g3_marks(f.body, space)
         if f.p.absolute:
             scale, rate, need = 1, 0, f.p.value
         else:
             scale, rate, need = f.p.value.denominator, f.p.value.numerator, 0
-        if dep is not None:
-            if not barred and not need:
-                if scale >= rate * len({ys for _, ys in self._project(dep, space)}):
-                    return None
-            marks = self._dep_entries(dep, space, 0)[0]
-        elif barred:
-            marks = [(0, 0)] * n
-        else:
-            return None
-        if barred:
-            marks = [(n, n) if i in barred else e for i, e in enumerate(marks)]
+        if not barred:
+            if dep is None:
+                return None
+            if not need and scale >= rate * len({ys for _, ys in self._project(dep, space)}):
+                return None
         return marks, scale, rate, need
 
     def _deciders(self, f: Formula, space: _Space, checked: bool) -> list[_Node]:
@@ -931,9 +980,16 @@ class _Eval:
                            [self.node(g, space) for g in _lifted(f)])
         if isinstance(f, ExistsFrac):
             closed = self._closed(f.body)
+            marks = None
+            if closed:
+                marks, _, _, decided = self._g3_marks(f.body, space)
+                if not decided:
+                    marks = None
+                elif not self.explain:  # g3 decides f: nothing to walk
+                    return partial(self._exists_part, f, space, [], closed, None, marks)
             prune = self._prune(space, f.body) if closed else None
             return partial(self._exists_part, f, space,
-                           self._deciders(f.body, space, prune is not None), closed, prune)
+                           self._deciders(f.body, space, prune is not None), closed, prune, marks)
         if isinstance(f, ForallFrac):
             return partial(self._forall_part, f, space, self.node(f.body, space),
                            self._closed(f.body))
@@ -971,9 +1027,14 @@ class _Eval:
         body = self.run(body_node, ext.universal(counts, self.cfg.team_kind == "set"))
         return body and self._holds(f, space, counts, f"universal extension of {f.var}", body)
 
-    def _exists_part(self, f, space, body_nodes, closed, prune, counts):
+    def _exists_part(self, f, space, body_nodes, closed, prune, marks, counts):
         size = sum(counts)
         needed = f.p.min_size(size)
+        if marks is not None:  # the closed form: h holds on parts of every size up to g3
+            if _g3(marks, counts) < needed:
+                return False
+            if not self.explain:
+                return True
         parts = _walk(counts, prune, needed) if closed else part_vectors(counts, needed)
         for y in parts:
             body = self._all(body_nodes, y)

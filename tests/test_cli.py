@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,6 +129,8 @@ OVER_LONG = {  # (structure, team, formula or CNF, extra arguments)
     "fraction 1e400": (None, None, "p cnf 2 1\n1 2 0\n", ["--frac", "1e400"]),
     "fraction 1e5000": (None, None, "p cnf 2 1\n1 2 0\n", ["--frac", "1e5000"]),
     "fraction 1e-5000": (None, None, "p cnf 2 1\n1 2 0\n", ["--frac", "1e-5000"]),
+    "fraction 1e999999999": (None, None, "p cnf 2 1\n1 2 0\n", ["--frac", "1e999999999"]),
+    "fraction exponent": (None, None, "p cnf 2 1\n1 2 0\n", ["--frac", "1e" + "9" * 5000]),
 }
 
 
@@ -259,6 +262,41 @@ def test_generation_rejects_bad_requests(workspace, capsys):
     assert code == 2
     code, _, err = run(["gen", "3sat", workspace / "pair2.cnf"], capsys)
     assert code == 2
+
+
+HUGE_EXPONENTS = ["1e999999999", "1e" + "9" * 5000, "1e" + "0" * 4990 + "999999999",
+                  "1e-999999999", "0.1_0e999_999_999", " 3E+999999999 ", "5" * 4000 + "e-1"]
+
+
+@pytest.mark.parametrize("frac", HUGE_EXPONENTS)
+def test_a_fraction_with_a_huge_exponent_exits_two_at_once(frac, workspace):
+    # Fraction would work out the power of ten before any bound saw it
+    (workspace / "pair.cnf").write_text("p cnf 2 2\n1 -2 0\n-1 2 0\n")
+    start = time.perf_counter()
+    code, out, err = quiet_main(["gen", "max2sat", workspace / "pair.cnf", f"--frac={frac}",
+                                 "--out", workspace / "enc"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and err.startswith("error: ") and len(err) < 400, err[:400]
+
+
+def test_a_fraction_reads_the_same_in_every_form(workspace):
+    (workspace / "pair.cnf").write_text("p cnf 2 2\n1 -2 0\n-1 2 0\n")
+    written = {}
+    for frac in ("1/2", "0.5", "5e-1", "50E-2", " 5e-1 ", "0.000_5e3", "5_000e-4",
+                 "0", "0e999999999", "-0.0e-999999999", "7/10", "0.7", "7e-1", "1", "1e0"):
+        out_dir = workspace / f"enc{len(written)}"
+        code, _, _ = quiet_main(["gen", "max2sat", workspace / "pair.cnf", f"--frac={frac}",
+                                 "--out", out_dir])
+        assert code == 0, frac
+        written[frac] = [(out_dir / name).read_text() for name in sorted(os.listdir(out_dir))]
+    assert len({str(files) for files in written.values()}) == 4
+    assert written["0e999999999"] == written["-0.0e-999999999"] == written["0"]
+    assert written["0.5"] == written["0.000_5e3"] == written["1/2"]
+    assert written["7e-1"] == written["7/10"] and written["1e0"] == written["1"]
+    for frac in ("1e3/1e4", "1/2e1", "e5", ".e5", "0.5e", "1e400", "1.1", "1e-5000"):
+        code, out, err = quiet_main(["gen", "max2sat", workspace / "pair.cnf", f"--frac={frac}",
+                                     "--out", workspace / "bad"])
+        assert code == 2 and out == "" and err.startswith("error: "), frac
 
 
 def test_law_suites_run_from_the_command_line(workspace, capsys):

@@ -62,6 +62,24 @@ def test_the_files_digest_sees_one_changed_verdict(monkeypatch):
     assert len(calls) == 2 * 13 * 4 * 2  # teams, templates, modes, cache on and off
 
 
+def test_the_encodings_digest_sees_one_flipped_verdict(monkeypatch):
+    # evaluate decides a MAX-2SAT <k/m> by g3 where witness walks its parts,
+    # so the group hashes both
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    first = same_results.encodings_digest(4)
+    assert first == same_results.encodings_digest(4)
+    assert first != same_results.encodings_digest(8)
+    real, calls = semantics.evaluate, []
+
+    def one_flipped(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return not calls[-1] if len(calls) == 60 else calls[-1]  # MAX-2SAT, 6 clauses
+
+    monkeypatch.setattr(semantics, "evaluate", one_flipped)
+    assert same_results.encodings_digest(4) != first
+    assert len(calls) == (4 + 6 + 7 + 8 + 9) * 2 * 2  # encodings, modes, cache on and off
+
+
 def test_the_load_digest_sees_one_changed_error(monkeypatch):
     from multiteam import io as mio
     from multiteam.errors import ParseError

@@ -908,6 +908,115 @@ def test_a_lax_split_with_no_closed_side_runs_every_right_part(monkeypatch):
     assert runs.count(f.right) < len(tried)
 
 
+# --- the g3 closed form: evaluate decides <p> h by g3 when g3 decides h ---
+
+#: closed bodies g3 decides: literals and one dep with ys at most (dep(x ;)
+#: always holds), and closed bodies it does not
+G3_BODIES = ("dep(x ; y)", "dep(; x)", "dep(x ;)", "(dep(x ; y) & x != y)",
+             "(R(x) & dep(y ; x))", "x = y", "(R(x) & ~R(y))", "(dep(x ;) & dep(; y))")
+G3_OUTSIDE = ("(dep(x ; y) & dep(y ; x))", "excl(x ; y)", "(x != y | dep(x ; y))")
+#: #9 lies past the size of every team drawn here
+G3_THRESHOLDS = ("0", "1/3", "1/2", "1", "#0", "#2", "#9")
+#: the <p> alone, as a conjunct, and as the right side of an exact and a lax split
+G3_WRAPPERS = ("{}", "(x = x & {})", "(dep(x ; y) | {})", "(inc(x ; y) | {})")
+
+
+def g3_instances():
+    """(team, formula, cfg) for every body, threshold and wrapper on the
+    empty team and on one seeded team of up to 64 subteams, whose counts
+    reach 3 in the multi modes, in all four modes."""
+    empty = Multiteam.empty(("x", "y"))
+    for cfg in ALL_CFGS:
+        rng = random.Random(f"g3-{cfg.team_kind}-{cfg.strictness}")
+        mult = 3 if cfg.team_kind == "multi" else 1
+        for body in G3_BODIES + G3_OUTSIDE:
+            for p in G3_THRESHOLDS:
+                for wrapper in G3_WRAPPERS:
+                    f = parse(wrapper.format(f"<{p}> {body}"))
+                    t = random_team(rng, ("x", "y"), RULE_6_STRUCTURE, max_rows=5, max_mult=mult)
+                    while math.prod(m + 1 for _, m in t.row_items()) > 64:
+                        t = random_team(rng, ("x", "y"), RULE_6_STRUCTURE, max_rows=5,
+                                        max_mult=mult)
+                    yield empty, f, cfg
+                    yield t, f, cfg
+
+
+def test_the_g3_closed_form_keeps_the_verdicts_and_witness_trees(monkeypatch):
+    # 11 bodies x 7 thresholds x 4 wrappers x 2 teams x 4 modes = 2,464
+    # checks, each with the cache on and off, against the full search
+    checks = [(RULE_6_STRUCTURE, t, f, cfg) for t, f, cfg in g3_instances()]
+
+    def outcomes():
+        return ([evaluate(*check, use_cache=c) for check in checks for c in (True, False)],
+                [witness(*check, use_cache=c) for check in checks for c in (True, False)])
+
+    verdicts, trees = outcomes()
+    with unpruned(monkeypatch):
+        assert outcomes() == (verdicts, trees)
+    assert verdicts == [w.holds for w in trees]
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_g3_decides_the_bodies_of_its_fragment_alone():
+    t = Multiteam(("x", "y"), {("0", "0"): 2, ("0", "1"): 1, ("2", "1"): 3})
+    space, _ = _Space.rooted(t)
+    run = _Eval(RULE_6_STRUCTURE, LAX_MULTI, False)
+    for text in G3_BODIES + G3_OUTSIDE:
+        assert run._g3_marks(parse(text), space)[3] == (text in G3_BODIES), text
+
+
+def test_g3_is_the_largest_part_the_body_holds_on(monkeypatch):
+    # h is downward closed, so <p> h holds iff g3 reaches the bound: g3 must
+    # be the size of the largest part h holds on, found here by brute force
+    checked = 0
+    for cfg in ALL_CFGS:
+        rng = random.Random(f"g3 size-{cfg.team_kind}")
+        mult = 3 if cfg.team_kind == "multi" else 1
+        for _ in range(40):
+            t = random_team(rng, ("x", "y"), RULE_6_STRUCTURE, max_rows=5, max_mult=mult)
+            space, counts = _Space.rooted(t)
+            for text in G3_BODIES:
+                h = parse(text)
+                marks = _Eval(RULE_6_STRUCTURE, cfg, False)._g3_marks(h, space)[0]
+                with unpruned(monkeypatch):
+                    largest = max(sum(y) for y in _walk(counts, None)
+                                  if evaluate(RULE_6_STRUCTURE, space.team(y), h, cfg))
+                assert semantics._g3(marks, counts) == largest, (text, t, cfg)
+                checked += largest < sum(counts)
+    assert checked > 200
+
+
+def test_evaluate_walks_no_part_for_the_maxsat_bound(monkeypatch):
+    # evaluate answers the nested <k/m> dep(variable ; parity) by g3 alone,
+    # with no sized walk; witness still walks to name the first part
+    sized, decided = [], []
+    walk, g3 = semantics._walk, semantics._g3
+
+    def recording_walk(counts, prune, size=None):
+        if size is not None:
+            sized.append(size)
+        return walk(counts, prune, size)
+
+    def recording_g3(marks, counts):
+        decided.append(counts)
+        return g3(marks, counts)
+
+    monkeypatch.setattr(semantics, "_walk", recording_walk)
+    monkeypatch.setattr(semantics, "_g3", recording_g3)
+    true_checks = 0
+    for m, ladder in maxsat_ladders():
+        for k, inst in enumerate(ladder):
+            for cfg in (LAX_MULTI, STRICT_MULTI):
+                sized.clear()
+                held = evaluate(inst.structure, inst.team, inst.formula, cfg)
+                assert held == (k < m) and sized == [], (m, k, cfg)
+                w = witness(inst.structure, inst.team, inst.formula, cfg)
+                assert w.holds == held and bool(sized) == held, (m, k, cfg)
+                true_checks += held
+    assert true_checks == 2 * sum(range(3, 9))
+    assert len(decided) >= 2 * true_checks  # once per evaluate, once per witness
+
+
 def test_two_thousand_rows_are_walked_without_recursion(tmp_path, capsys):
     # each side of the split bars the other's rows, and the first part's
     # body refutes nothing, so one walk down the rows finds the first
