@@ -105,7 +105,7 @@ def _check_mult(v, m) -> int:
 class Multiset:
     """A finite multiset of string values with nonnegative integer counts."""
 
-    __slots__ = ("_entries", "_size", "_hash")
+    __slots__ = ("_entries", "_size", "_hash", "_support")
 
     def __init__(self, entries: Mapping[str, int] | Iterable[str] = ()):
         counts: dict[str, int] = {}
@@ -122,6 +122,7 @@ class Multiset:
         object.__setattr__(self, "_entries", counts)
         object.__setattr__(self, "_size", sum(counts.values()))
         object.__setattr__(self, "_hash", hash(frozenset(counts.items())))
+        object.__setattr__(self, "_support", tuple(sorted(counts)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Multiset is immutable")
@@ -137,7 +138,7 @@ class Multiset:
     @property
     def support(self) -> tuple[str, ...]:
         """The distinct values, sorted."""
-        return tuple(sorted(self._entries))
+        return self._support
 
     def items(self) -> list[tuple[str, int]]:
         """(value, multiplicity) pairs in sorted value order."""

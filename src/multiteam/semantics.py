@@ -209,6 +209,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from . import atoms
@@ -455,7 +456,8 @@ class _Prune:
     bar rows from Y (y_barred) or from Z (z_barred).  Each `dep` gives every
     row one (slot, value) entry for a table of `slots` slots (see
     `atoms.dep_entries`); per row, `y`, `z` and `yz` list the entries it adds
-    when Y counts it, when Z does, and when both do.  `bounds` holds, per
+    when Y counts it, when Z does, and when both do, zipped from the `dep`s'
+    entry lists once the prune is known to be useful.  `bounds` holds, per
     `dep` on Y with ys, its entries row by row, for the walk's g3 bound.
     `z_bound` holds rule 6's bound on an exact split's Z, if any: its
     entries row by row and the coefficients (scale, rate, need) of its
@@ -466,9 +468,9 @@ class _Prune:
     def __init__(self, n: int):
         self.y_barred = [False] * n
         self.z_barred = [False] * n
-        self.y: list[tuple] = [()] * n
-        self.z: list[tuple] = [()] * n
-        self.yz: list[tuple] = [()] * n
+        self.y: list[tuple] = []
+        self.z: list[tuple] = []
+        self.yz: list[tuple] = []
         self.slots = 0
         self.bounds: list[list[tuple[int, int]]] = []
         self.z_bound: Optional[tuple[list[tuple[int, int]], int, int, int]] = None
@@ -679,6 +681,8 @@ _CONDITIONS = frozenset({*_LITERALS, Dep})
 def _reach(f: Formula, through: tuple) -> list[Formula]:
     """The nodes f reaches through the connectives in `through` (some of `&`,
     `|`, `E`, `A`), other than those, left to right; each node object once."""
+    if f.__class__ not in through:
+        return [f]
     out, seen, stack = [], set(), [f]
     while stack:
         g = stack.pop()
@@ -689,12 +693,6 @@ def _reach(f: Formula, through: tuple) -> list[Formula]:
             else:
                 stack += (g.body,) if g.__class__ in (Exists, Forall) else (g.right, g.left)
     return out
-
-
-def _conditions(f: Optional[Formula]) -> list[Formula]:
-    """The literal and `dep` conjuncts of f, reached through `&` alone: each
-    is downward closed and holds wherever f does."""
-    return [g for g in _reach(f, (And,)) if g.__class__ in _CONDITIONS]
 
 
 def _lifted(f: Exists) -> list[Formula]:
@@ -742,18 +740,18 @@ def _g3(marks: list[tuple[int, int]], counts: Counts) -> int:
 
 class _Node:
     """One subformula over one row space.  `test` maps a count vector to the
-    node's answer; it is worked out on the node's first use.  `rows` holds a
-    dependency atom's projection of the space, once it is needed, `entries`
-    a `dep`'s incremental form (`atoms.dep_entries`), and `g3` a closed
-    body's g3 marks (`_Eval._g3_marks`)."""
+    node's answer; it is worked out on the node's first use, when a
+    dependency atom's node projects the space's rows.  `entries` holds a
+    `dep`'s incremental form (`atoms.dep_entries`), numbered from the row
+    keys once a walk or g3 needs it, and `g3` a closed body's g3 marks
+    (`_Eval._g3_marks`)."""
 
-    __slots__ = ("f", "space", "test", "rows", "entries", "g3")
+    __slots__ = ("f", "space", "test", "entries", "g3")
 
     def __init__(self, f: Formula, space: _Space):
         self.f = f
         self.space = space
         self.test = None
-        self.rows: Optional[atoms.Rows] = None
         self.entries: Optional[tuple[list[tuple[int, int]], int]] = None
         self.g3 = None
 
@@ -763,7 +761,7 @@ class _Eval:
     A node that fails returns False; one that holds returns True, or in a run
     for `witness` (explain set) the Witness of its first successful choice."""
 
-    __slots__ = ("structure", "cfg", "cache", "explain", "nodes")
+    __slots__ = ("structure", "cfg", "cache", "explain", "nodes", "conjuncts")
 
     def __init__(self, structure: Multistructure, cfg: SemanticsConfig, use_cache: bool,
                  explain: bool = False):
@@ -772,6 +770,7 @@ class _Eval:
         self.cache: Optional[dict] = {} if use_cache else None
         self.explain = explain
         self.nodes: dict[tuple[int, _Space], _Node] = {}
+        self.conjuncts: dict[int, tuple[Formula, list[Formula]]] = {}
 
     def search(self, f: Formula, team: Multiteam, keep: Optional[set[str]] = None):
         """Run f on team, or on team restricted to keep (a set team's
@@ -781,6 +780,7 @@ class _Eval:
             return self.run(self.node(f, space), counts), space, counts
         finally:  # the nodes' tests call back into this run: drop them
             self.nodes.clear()
+            self.conjuncts.clear()
             if self.cache is not None:
                 self.cache.clear()
 
@@ -808,6 +808,15 @@ class _Eval:
             return Witness(node.f, node.space.team(counts), True, "", ())
         return got
 
+    def _conjuncts(self, f: Optional[Formula]) -> list[Formula]:
+        """f's conjuncts through `&` (`_reach`), listed once per run for the
+        prunes, g3 marks and deciders that read them; the entry holds f, so
+        the id in its key is not reused."""
+        got = self.conjuncts.get(id(f))
+        if got is None:
+            got = self.conjuncts[id(f)] = f, _reach(f, (And,))
+        return got[1]
+
     def _closed(self, f: Formula) -> bool:
         """Whether f is known to be downward closed: true on every
         submultiteam of a multiteam it holds on.  Conservative."""
@@ -830,23 +839,15 @@ class _Eval:
         return [i for i, k in enumerate(space.keys)
                 if self.structure.has(f.name, tuple(k[j] for j in pos)) != want]
 
-    def _project(self, f: Formula, space: _Space) -> atoms.Rows:
-        """The rows of space projected onto the dependency atom f's groups,
-        kept on f's node: an atom that is both a node and a condition of the
-        walks above it is projected once per run."""
-        node = self.node(f, space)
-        if node.rows is None:
-            node.rows = atoms.project(space.keys,
-                                      [[space.index[x] for x in g] for g in f.groups])
-        return node.rows
-
     def _dep_entries(self, f: Dep, space: _Space, first_slot: int):
         """`atoms.dep_entries` of the `dep` f over space, slots counted from
         first_slot; worked out once per run and kept on f's node, as the
         walks of both sides of a split and of a `<p>` below it share them."""
         node = self.node(f, space)
         if node.entries is None:
-            node.entries = atoms.dep_entries(self._project(f, space))
+            at = space.index
+            node.entries = atoms.dep_entries(space.keys, [at[x] for x in f.xs],
+                                             [at[y] for y in f.ys])
         entries, slots = node.entries
         if first_slot:
             entries = [(slot + first_slot, value) for slot, value in entries]
@@ -859,16 +860,19 @@ class _Eval:
         exact, a split whose Z is t - Y, also rule 6's bound from z_side's
         first `<p>` conjunct that gives one.  None when nothing can fail, so
         the plain enumeration runs."""
-        prune = _Prune(len(space.keys))
+        n = len(space.keys)
+        prune = _Prune(n)
         useful = False
+        y_deps: list[list[tuple[int, int]]] = []  # per dep, its entries row by row
+        z_deps: list[list[tuple[int, int]]] = []
         for f, barred, deps, bounds, bounded in (
-                (y_side, prune.y_barred, prune.y, prune.bounds, False),
-                (z_side, prune.z_barred, prune.z, [], exact)):
-            for g in _reach(f, (And,)):
+                (y_side, prune.y_barred, y_deps, prune.bounds, False),
+                (z_side, prune.z_barred, z_deps, [], exact)):
+            for g in self._conjuncts(f):
                 cls = g.__class__
                 if cls is Dep:
                     entries, prune.slots = self._dep_entries(g, space, prune.slots)
-                    deps[:] = [d + (e,) for d, e in zip(deps, entries)]
+                    deps.append(entries)
                     if g.ys:
                         useful = True
                         bounds.append(entries)
@@ -879,8 +883,12 @@ class _Eval:
                       and self._closed(g.body)):
                     prune.z_bound = self._z_bound(g, space)
                     useful = useful or prune.z_bound is not None
-        prune.yz = [y + z for y, z in zip(prune.y, prune.z)]
-        return prune if useful else None
+        if not useful:
+            return None
+        prune.y = list(zip(*y_deps)) or [()] * n
+        prune.z = list(zip(*z_deps)) or [()] * n
+        prune.yz = list(zip(*y_deps, *z_deps)) or [()] * n
+        return prune
 
     def _g3_marks(self, h: Formula, space: _Space):
         """The g3 marks of the closed `<p>` body h over space, kept on h's
@@ -896,7 +904,7 @@ class _Eval:
             barred: set[int] = set()
             deps = []
             decided = True
-            for g in _reach(h, (And,)):
+            for g in self._conjuncts(h):
                 cls = g.__class__
                 if cls is Dep:
                     if g.ys:
@@ -926,7 +934,8 @@ class _Eval:
         if not barred:
             if dep is None:
                 return None
-            if not need and scale >= rate * len({ys for _, ys in self._project(dep, space)}):
+            ys = map(itemgetter(*[space.index[y] for y in dep.ys]), space.keys)
+            if not need and scale >= rate * len(set(ys)):
                 return None
         return marks, scale, rate, need
 
@@ -937,7 +946,8 @@ class _Eval:
         node."""
         if self.explain or not checked:
             return [self.node(f, space)]
-        return [self.node(g, space) for g in _reach(f, (And,)) if g.__class__ not in _CONDITIONS]
+        return [self.node(g, space) for g in self._conjuncts(f)
+                if g.__class__ not in _CONDITIONS]
 
     def _all(self, nodes: list[_Node], counts: Counts):
         """Run nodes on counts while they hold: the last answer, True if none."""
@@ -956,7 +966,7 @@ class _Eval:
             return partial(_none_counted, self._failing(f, space))
         atom = _ATOM_TESTS.get(type(f))
         if atom is not None:
-            rows = self._project(f, space)
+            rows = atoms.project(space.keys, [[space.index[x] for x in g] for g in f.groups])
             if isinstance(f, PCI):
                 return partial(atom, rows, shared=atoms.shared_pairs(f.ys, f.zs))
             return partial(atom, rows)

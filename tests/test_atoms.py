@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from multiteam.atoms import (eval_ci, eval_dep, eval_excl, eval_inc,
+from multiteam.atoms import (dep_entries, eval_ci, eval_dep, eval_excl, eval_inc,
                              eval_pci, eval_pinc)
 from multiteam.model import Multiteam
 
@@ -245,3 +245,53 @@ def test_self_conditioned_independence_is_dependence(data):
     t = data.draw(teams())
     xs, ys = data.draw(tuple_groups(t))
     assert eval_pci(t, xs, ys, ys) == eval_dep(t, xs, ys)
+
+
+# --- dep numbered from the row keys ---
+
+def numbered_from_scratch(keys, xs_pos, ys_pos, first_slot):
+    """dep's entries the plain way: each key's xs and ys tuples, slots and
+    values given in order of first appearance."""
+    slots, values, entries = [], [], []
+    for k in keys:
+        a, b = tuple(k[i] for i in xs_pos), tuple(k[i] for i in ys_pos)
+        if a not in slots:
+            slots.append(a)
+        if (a, b) not in values:
+            values.append((a, b))
+        entries.append((first_slot + slots.index(a), values.index((a, b))))
+    return entries, first_slot + len(slots)
+
+
+def check_numbering(keys, xs_pos, ys_pos, first_slot):
+    entries, next_slot = dep_entries(keys, xs_pos, ys_pos, first_slot)
+    assert (entries, next_slot) == numbered_from_scratch(keys, xs_pos, ys_pos, first_slot)
+    assert {s for s, _ in entries} == set(range(first_slot, next_slot))
+    assert entries[:1] in ([], [(first_slot, 0)])
+    assert all(v < len(keys) for _, v in entries)
+    for (s, v), k in zip(entries, keys):
+        for (s2, v2), k2 in zip(entries, keys):
+            if s == s2:  # one value iff the rows agree on ys
+                assert (v == v2) is all(k[i] == k2[i] for i in ys_pos)
+            else:
+                assert v != v2
+
+
+def test_dep_numbering_of_every_group_shape():
+    # dep(; y), dep(x ;), dep(;), dep(x,x ; x), and groups of several columns
+    keys = sorted(itertools.product(VALUES[:2], VALUES, VALUES[:2]))
+    shapes = [([], [1]), ([0], []), ([], []), ([0, 0], [0]), ([0, 2], [1]),
+              ([2, 0], [1, 1, 0]), ([1], [0, 2]), ([0, 1, 2], [])]
+    for (xs_pos, ys_pos), first_slot in itertools.product(shapes, (0, 3)):
+        check_numbering(keys, xs_pos, ys_pos, first_slot)
+        check_numbering(keys[::-1], xs_pos, ys_pos, first_slot)
+    assert dep_entries([], [0], [1], 4) == ([], 4)
+
+
+@given(st.data())
+def test_dep_numbering_matches_a_numbering_from_scratch(data):
+    width = data.draw(st.integers(min_value=1, max_value=4))
+    keys = data.draw(st.lists(st.tuples(*[st.sampled_from(VALUES)] * width), max_size=9))
+    group = st.lists(st.integers(min_value=0, max_value=width - 1), max_size=3)
+    check_numbering(keys, data.draw(group), data.draw(group),
+                    data.draw(st.integers(min_value=0, max_value=5)))

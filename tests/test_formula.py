@@ -15,7 +15,7 @@ from multiteam.formula import (ATOMS, CI, TRUE, And, Dep, Eq, Excl, Exists,
 from multiteam.generate import FRAGMENTS, random_formula
 from multiteam.model import Assignment, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
-from multiteam.semantics import (SemanticsConfig, _conditions, _Eval, _validate, evaluate,
+from multiteam.semantics import (_CONDITIONS, SemanticsConfig, _Eval, _validate, evaluate,
                                  evaluate_classical, witness)
 
 import reference_eval
@@ -563,7 +563,12 @@ def test_values_that_are_not_formulas_are_named_as_before():
 
 
 def test_closure_and_conditions_are_read_as_before():
-    closed = _Eval(Multistructure({"0": 1}), SemanticsConfig(), False)._closed
+    run = _Eval(Multistructure({"0": 1}), SemanticsConfig(), False)
+    closed = run._closed
+
+    def conditions(g):  # the run's conjunct list, filtered to conditions
+        return [c for c in run._conjuncts(g) if c.__class__ in _CONDITIONS]
+
     rng = random.Random("closure")
     cases = [(random_formula(rng, ("x", "y"), fragment=fragment, max_depth=depth), True)
              for fragment in sorted(FRAGMENTS) for depth in range(6) for _ in range(30)]
@@ -575,13 +580,13 @@ def test_closure_and_conditions_are_read_as_before():
         for g in {id(g): g for g in reference_eval.subformulas(f)}.values():
             assert closed(g) == reference_eval.closed(g)
             kinds.add((type(g), closed(g)))
-            got, want = _conditions(g), reference_eval.conditions(g)
+            got, want = conditions(g), reference_eval.conditions(g)
             if tree:
                 assert [id(c) for c in got] == [id(c) for c in want]
             else:  # a shared conjunct is listed once, where first met
                 assert [id(c) for c in got] == first_seen(want)
     assert {(cls, verdict) for cls in (And, Or, Exists, Forall) for verdict in (True, False)} <= kinds
-    assert _conditions(None) == reference_eval.conditions(None) == []
+    assert conditions(None) == reference_eval.conditions(None) == []
 
 
 def invalid_inputs():

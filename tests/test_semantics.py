@@ -25,7 +25,7 @@ from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
 from multiteam.reductions import (CnfFormula, encode_3sat, encode_maxsat,
                                   maxsat_oracle, sat_oracle)
-from multiteam.semantics import (SemanticsConfig, _conditions, _copy_choices, _Eval,
+from multiteam.semantics import (_CONDITIONS, SemanticsConfig, _copy_choices, _Eval,
                                  _Extension, _Space, _split_vectors, _walk,
                                  enum_or_splits, enum_supplements, evaluate,
                                  evaluate_classical, extend_universal, part_vectors,
@@ -432,6 +432,13 @@ def unpruned(monkeypatch):
         yield
 
 
+def conditions_of(f):
+    """The literal and `dep` conjuncts of f, reached through `&` alone: a
+    run's conjunct list (`_Eval._conjuncts`), filtered to conditions."""
+    return [g for g in _Eval(STRUCT01, LAX_MULTI, False)._conjuncts(f)
+            if g.__class__ in _CONDITIONS]
+
+
 def random_instances(seed, per_mode, fragments=("dep", "fo", "full")):
     """Seeded (structure, team, formula, cfg) draws in all four modes."""
     for fragment in fragments:
@@ -691,43 +698,44 @@ def test_conditions_no_supplement_changes_are_tested_on_the_team(monkeypatch):
 
 
 def test_each_atom_is_projected_once_per_run(monkeypatch):
-    # in the MAX-2SAT formula one dep atom is a node's own test and a
-    # condition of the walks on both sides above it; it is projected, and
-    # turned into the walks' entries, once
-    _, inst = unsatisfiable_encodings()
-    looked_up, projected, numbered = [], [], []
-    lookup, entries, project, dep_entries = (_Eval._project, _Eval._dep_entries,
-                                             atoms.project, atoms.dep_entries)
-
-    def recording_lookup(self, f, space):
-        looked_up.append((f, space))
-        return lookup(self, f, space)
+    # a walk or g3 numbers each dep straight from the row keys, once per
+    # (atom, space) per run, though the MAX-2SAT split's dep is a condition
+    # on both sides and the 3SAT body's first dep also gives g3's marks.  So
+    # an evaluate run of either encoding projects no rows at all, and a
+    # witness run projects only the atoms whose own nodes it tests, once each
+    looked_up, numbered, projected = [], [], []
+    entries, dep_entries, project = _Eval._dep_entries, atoms.dep_entries, atoms.project
 
     def recording_entries(self, f, space, first_slot):
-        looked_up.append((f, space))
+        looked_up.append((id(f), space))
         return entries(self, f, space, first_slot)
 
+    def recording_dep_entries(keys, xs_pos, ys_pos, first_slot=0):
+        numbered.append((xs_pos, ys_pos))
+        return dep_entries(keys, xs_pos, ys_pos, first_slot)
+
     def recording_project(keys, positions):
-        projected.append(positions)
+        projected.append(str(positions))
         return project(keys, positions)
 
-    def recording_dep_entries(rows, first_slot=0):
-        numbered.append(rows)
-        return dep_entries(rows, first_slot)
-
-    monkeypatch.setattr(_Eval, "_project", recording_lookup)
     monkeypatch.setattr(_Eval, "_dep_entries", recording_entries)
-    monkeypatch.setattr(atoms, "project", recording_project)
     monkeypatch.setattr(atoms, "dep_entries", recording_dep_entries)
-    for cfg in (LAX_MULTI, STRICT_MULTI):
-        looked_up.clear()
-        projected.clear()
-        numbered.clear()
-        run = _Eval(inst.structure, cfg, True)
-        assert not run.search(inst.formula, inst.team)[0]
-        pairs = {(id(f), space) for f, space in looked_up}
-        assert len(projected) == len(numbered) == len(pairs) < len(looked_up)
-        assert not run.nodes  # the projections are dropped with the nodes
+    monkeypatch.setattr(atoms, "project", recording_project)
+    instances = [*unsatisfiable_encodings(), *next(maxsat_ladders())[1]]
+    for inst, cfg in itertools.product(instances, (LAX_MULTI, STRICT_MULTI)):
+        for explain in (False, True):
+            looked_up.clear()
+            numbered.clear()
+            projected.clear()
+            run = _Eval(inst.structure, cfg, True, explain)
+            got = run.search(inst.formula, inst.team,
+                             None if explain else free_vars(inst.formula))[0]
+            assert len(numbered) == len(set(looked_up)) < len(looked_up)
+            assert not run.nodes and not run.conjuncts  # dropped at the run's end
+            if explain:  # a tree names each side's atoms on its part
+                assert len(projected) == len(set(projected)) and (projected or not got)
+            else:
+                assert projected == []
 
 
 # --- rule 6: an exact split's walk bounded by its right side's <p> ---
@@ -801,14 +809,14 @@ def rule_6_reference(t, f, cfg):
     run = _Eval(RULE_6_STRUCTURE, cfg, False)
     prune = run._prune(space, f.left, f.right, True)
     body = f.right if isinstance(f.right, ExistsFrac) else f.right.right
-    conditions = _conditions(body.body)
+    conditions = conditions_of(body.body)
     deps = [g for g in conditions if isinstance(g, Dep) and g.ys][:1]
     rows = [t.assignment(k) for k in space.keys]
     kept = [all(evaluate_classical(RULE_6_STRUCTURE, s, g) for g in conditions
                 if not isinstance(g, Dep)) for s in rows]
     if prune is None or not run._closed(body.body) or all(kept) and not deps:
         return None  # h gives no condition that can fail
-    z_lits = [g for g in _conditions(f.right) if not isinstance(g, Dep)]
+    z_lits = [g for g in conditions_of(f.right) if not isinstance(g, Dep)]
     low = [m if not all(evaluate_classical(RULE_6_STRUCTURE, s, g) for g in z_lits) else 0
            for s, m in zip(rows, counts)]
     p = body.p
@@ -1277,7 +1285,7 @@ def test_shared_subformulas_cost_their_distinct_nodes():
         with field_reads() as visits:
             got = (outcome(scan, f, MAX_DEPTH)[:2],
                    outcome(_Eval(STRUCT01, LAX_MULTI, False)._closed, f),
-                   len(outcome(_conditions, f)))
+                   len(outcome(conditions_of, f)))
         assert got == ((MAX_DEPTH, {"x"}), "#" not in label, label == "d"), label
         assert max(visits.values()) <= 6, label
     for f in (doubled_chain(MAX_DEPTH + 1), And(half, cases["d"]),
