@@ -1,27 +1,32 @@
 """Share of a benchmark pass spent in a check's set-up, measured in process.
 
-    python3 scripts/setup_share.py [--seeds 1,2] [--workloads encodings,search]
+    python3 scripts/setup_share.py [--seeds 1,2] [--workloads encodings,search,files]
         [--limit N] [--passes 3]
 
 For each workload and seed it builds the operations `bench/workloads.py`
 gives one worker (`search`: a quarter of the pool, as one of four workers),
-runs them once to warm up, then times `--passes` passes with three
-functions of `multiteam.semantics` wrapped: `_validate` (the entry check),
-`_Space.rooted` (the root row space and vector) and `_Eval._test` (a node's
-test, worked out on its first use: projections, `dep` numbering, prunes and
-g3 marks).  Only the outermost wrapped call is timed, so the shares do not
-overlap.  It prints, for the fastest pass, each share of the pass and the
-rest.  The wrappers' own cost falls in the shares, so read them as upper
-bounds.  Only the standard library is used, and nothing is written.
+runs them once to warm up, then times `--passes` passes with four
+functions wrapped: of `multiteam.semantics`, `_validate` (the entry
+check), `_Space.rooted` (the root row space and vector) and `_Eval._test`
+(a node's test, worked out on its first use: projections, `dep` numbering,
+prunes and g3 marks), and `io.load_multiteam` (a CSV team read by the CLI,
+as `cli` calls it too).  Only the outermost wrapped call is timed, so the
+shares do not overlap.  It prints, for the fastest pass, each share of the
+pass and the rest.  The wrappers' own cost falls in the shares, so read
+them as upper bounds.  Only the standard library is used.  `files` writes
+its inputs and `gen` outputs into a temporary directory, removed on exit;
+nothing is written in the checkout.
 """
 
 import argparse
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-LABELS = ("_validate", "_Space.rooted", "_Eval._test", "rest")
+LABELS = ("_validate", "_Space.rooted", "_Eval._test", "io.load_multiteam", "rest")
+WORKLOADS = ("encodings", "search", "files")
 
 
 class Timer:
@@ -52,28 +57,35 @@ def shares(mt, workload: str, seed: int, limit=None, passes: int = 3) -> dict:
     mt is the package as `bench/worker.py` imports it, and `bench` must be
     on the path."""
     import workloads
-    ops = workloads.build(workload, mt, seed, None, 0, 4 if workload == "search" else 1)
-    ops = ops[:limit]
     sem = mt.semantics
     timer = Timer()
-    saved = sem._validate, sem._Space.__dict__["rooted"], sem._Eval._test
-    sem._validate = timer.wrap("_validate", saved[0])
-    sem._Space.rooted = classmethod(timer.wrap("_Space.rooted", saved[1].__func__))
-    sem._Eval._test = timer.wrap("_Eval._test", saved[2])
+    saved = [(owner, name, label, vars(owner)[name]) for owner, name, label in (
+        (sem, "_validate", "_validate"), (sem._Space, "rooted", "_Space.rooted"),
+        (sem._Eval, "_test", "_Eval._test"), (mt.io, "load_multiteam", "io.load_multiteam"),
+        (mt.cli, "load_multiteam", "io.load_multiteam"))]
+    for owner, name, label, fn in saved:
+        if isinstance(fn, classmethod):
+            setattr(owner, name, classmethod(timer.wrap(label, fn.__func__)))
+        else:
+            setattr(owner, name, timer.wrap(label, fn))
     try:
-        for op in ops:  # warm-up
-            op.run()
-        best = None
-        for _ in range(passes):
-            timer.spent = dict.fromkeys(timer.spent, 0)
-            start = time.perf_counter_ns()
-            for op in ops:
+        with tempfile.TemporaryDirectory() as work_dir:
+            ops = workloads.build(workload, mt, seed, Path(work_dir), 0,
+                                  4 if workload == "search" else 1)[:limit]
+            for op in ops:  # warm-up
                 op.run()
-            total = time.perf_counter_ns() - start
-            if best is None or total < best[0]:
-                best = total, dict(timer.spent)
+            best = None
+            for _ in range(passes):
+                timer.spent = dict.fromkeys(timer.spent, 0)
+                start = time.perf_counter_ns()
+                for op in ops:
+                    op.run()
+                total = time.perf_counter_ns() - start
+                if best is None or total < best[0]:
+                    best = total, dict(timer.spent)
     finally:
-        sem._validate, sem._Space.rooted, sem._Eval._test = saved
+        for owner, name, _, fn in saved:
+            setattr(owner, name, fn)
     total, spent = best
     out = {label: ns / total for label, ns in spent.items()}
     out["rest"] = 1 - sum(out.values())
@@ -83,12 +95,12 @@ def shares(mt, workload: str, seed: int, limit=None, passes: int = 3) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--seeds", default="1", help="comma-separated seeds")
-    p.add_argument("--workloads", default="encodings,search")
+    p.add_argument("--workloads", default="encodings,search", help=",".join(WORKLOADS))
     p.add_argument("--limit", type=int, help="time only the first N operations")
     p.add_argument("--passes", type=int, default=3)
     args = p.parse_args(argv)
-    if not set(args.workloads.split(",")) <= {"encodings", "search"}:
-        p.error("--workloads takes encodings and search")
+    if not set(args.workloads.split(",")) <= set(WORKLOADS):
+        p.error(f"--workloads takes {', '.join(WORKLOADS)}")
     sys.dont_write_bytecode = True  # write no __pycache__ into the checkout
     sys.path.insert(0, str(ROOT / "bench"))
     import worker

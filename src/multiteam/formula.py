@@ -8,8 +8,9 @@ relational and equality atoms, so there is no negation node: the negated
 forms `x != y` and `~R(...)` are atoms of their own.
 
 The six dependency atoms share one base, `_Atom`: each declares its fields,
-which are its variable groups in text order, its keyword and whether its
-sides must be equally long, and `ATOMS` maps each keyword to its class for
+which are its variable groups in text order, its keyword, whether its
+sides must be equally long, and when its groups alone make it valid (true
+on every multiteam, `valid`), and `ATOMS` maps each keyword to its class for
 the parser and the generator.  `ind(xs ; ys ; zs)` conditions on the first
 group, i.e. it asserts that ys and zs are independent once xs is fixed, and
 likewise for `pind`.  `scan` reads height, free variables, relation atoms
@@ -225,13 +226,16 @@ class Forall(_Compound):
 class _Atom(Formula):
     """A dependency atom: `keyword` names it in the text form, its fields are
     its variable groups in text order (`groups`, see ATOMS), and
-    `same_length` says that its two sides must be equally long.  The checks
-    and the printed form are shared."""
+    `same_length` says that its two sides must be equally long.  `valid`
+    says whether the groups alone make the atom hold on every multiteam in
+    every mode; it is worked out on each read, so no node stores it.  The
+    checks and the printed form are shared."""
 
     __slots__ = ()
     keyword = ""
     same_length = False
     groups: tuple[tuple[str, ...], ...]
+    valid = False
 
     def __post_init__(self):
         for name in self.__match_args__:
@@ -245,6 +249,19 @@ class _Atom(Formula):
         return f"{self.keyword}({text})"
 
 
+def _same_sides(f) -> bool:
+    """Both sides are one variable tuple: each row's xs-value is its own
+    ys-value, counted as often."""
+    return f.xs == f.ys
+
+
+def _conditioned_away(f) -> bool:
+    """Trivial independence: ys or zs lies among the xs f conditions on, so
+    within one xs-value it takes one value, independent of the other."""
+    xs = set(f.xs)
+    return xs.issuperset(f.ys) or xs.issuperset(f.zs)
+
+
 @dataclass(frozen=True, slots=True)
 class Dep(_Atom):
     """Functional dependence: xs determines ys.  dep(; ys) asserts constancy."""
@@ -252,6 +269,8 @@ class Dep(_Atom):
     xs: tuple[str, ...]
     ys: tuple[str, ...]
     keyword = "dep"
+    # reflexivity: rows that agree on xs agree on any ys among xs
+    valid = property(lambda self: set(self.ys) <= set(self.xs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,6 +280,7 @@ class Inc(_Atom):
     xs: tuple[str, ...]
     ys: tuple[str, ...]
     keyword, same_length = "inc", True
+    valid = property(_same_sides)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,6 +300,7 @@ class CI(_Atom):
     ys: tuple[str, ...]
     zs: tuple[str, ...]
     keyword = "ind"
+    valid = property(_conditioned_away)
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,6 +310,7 @@ class PInc(_Atom):
     xs: tuple[str, ...]
     ys: tuple[str, ...]
     keyword, same_length = "pinc", True
+    valid = property(_same_sides)
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,6 +321,7 @@ class PCI(_Atom):
     ys: tuple[str, ...]
     zs: tuple[str, ...]
     keyword = "pind"
+    valid = property(_conditioned_away)
 
 
 #: The dependency atoms by keyword: the one place a keyword names a class.

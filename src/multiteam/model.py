@@ -406,8 +406,9 @@ class Multiteam:
         return Multiteam._from_table(self._vars, table)
 
     def is_flat(self) -> bool:
-        """True when every multiplicity is 1."""
-        return all(m <= 1 for m in self._rows.values())
+        """True when every multiplicity is 1: no row is stored counted 0, so
+        exactly when the size is the number of rows."""
+        return self._size == len(self._rows)
 
     def values_used(self) -> frozenset[str]:
         if self._values is None:  # on first use, unless the loader knew them

@@ -41,9 +41,10 @@ parts come from `itertools.product`: the same vectors, in one C call.
 
 The search skips candidates that cannot be the first success.  A formula
 is downward closed when it holds on every submultiteam of a multiteam it
-holds on; the evaluator treats as such the literals, `dep` and `excl`, and
-whatever `&`, `|`, `E` and `A` build from them, and nothing else.  Under a
-downward-closed subformula four cuts apply, in every mode:
+holds on; the evaluator treats as such the literals, `dep`, `excl` and the
+valid atoms (below), and whatever `&`, `|`, `E` and `A` build from them, and
+nothing else.  Under a downward-closed subformula four cuts apply, in every
+mode:
 
 1. lax `f | g` with f or g closed tries, for each left part Y, only the
    right part Z = t - Y (the strict split);
@@ -62,6 +63,26 @@ Z1 and is the first right part tried for Y1.  Rule 2: every lax supplement
 contains a strict one whose choice vector is below its own.  Rule 3: every
 larger part contains one of the bound size, which is enumerated earlier.
 Rule 4: t is the largest part and a [p] witness names no part.
+
+An atom is valid when its variable groups alone make it hold on every
+multiteam, in every mode (each atom class's `valid` in `formula`):
+- `dep(xs ; ys)` with every ys variable among xs: rows that agree on xs
+  agree on ys (reflexivity; Armstrong, IFIP 1974);
+- `inc(xs ; xs)`: each row's xs-value is its own ys-value; `pinc(xs ; xs)`:
+  each value is counted as often on both sides;
+- `ind(xs ; ys ; zs)` with every ys variable among xs: the rows of one
+  xs-value share one ys-value b, so each zs-value c among them comes from a
+  row with (b, c) (trivial independence; Geiger, Paz and Pearl, Inf. Comp.
+  91, 1991), and with zs among xs alike;
+- `pind(xs ; ys ; zs)` likewise: in an xs-group of n copies the one
+  ys-value b has all n, and each zs-value c as many copies as (b, c), so
+  n_b * n_c = n * n_bc, and with zs among xs alike.
+`excl` is never valid: it fails on a row whose xs-value is its ys-value.
+A valid atom's node answers true without projecting a row.  It holds on
+every submultiteam, so it is downward closed, and rules 1-4 apply above
+it: they ask no more of a subformula than that it be closed, and each keeps
+the first success, so verdicts and witness trees stay those of the full
+search.
 
 A fifth rule prunes inside an enumeration.  A necessary closed condition
 of a formula is a literal or `dep` conjunct of it, reached through `&`
@@ -93,7 +114,8 @@ first success.  The g3 bound drops only failures too: `dep` is downward
 closed, so in any completion on which it holds it holds on the rows from i
 on, and a part on which it holds takes at most g3 copies of those rows.  A
 prefix that needs more fails in every completion.  `E` supplements,
-`excl`, and closed conjuncts built with `|`, `E` or `A` give no condition.
+`excl`, valid atoms other than `dep`, and closed conjuncts built with `|`,
+`E` or `A` give no condition.
 
 A sixth rule bounds a split by a `<p>` conjunct of its right side, the
 classical MAX-SAT branch and bound (Borchers and Furman, J. Comb. Optim.
@@ -275,7 +297,7 @@ def _validate(structure: Multistructure, team: Multiteam, f: Formula,
     if cfg.team_kind == "set":
         if not team.is_flat():
             raise InputError("set semantics requires team multiplicities at most 1")
-        if any(n > 1 for _, n in structure.domain.items()):
+        if structure.domain.size != len(structure.domain.support):
             raise InputError("set semantics requires domain multiplicities at most 1")
     for sub in uses:
         if structure.arity(sub.name) != len(sub.args):
@@ -724,6 +746,10 @@ def _none_counted(failing: list[int], counts: Counts) -> bool:
     return True
 
 
+def _valid(counts: Counts) -> bool:
+    return True
+
+
 def _g3(marks: list[tuple[int, int]], counts: Counts) -> int:
     """The largest part of counts on which a `<p>` body with these g3 marks
     holds (see `_Eval._g3_marks`): per slot, the most copies of one value,
@@ -743,7 +769,8 @@ class _Node:
     node's answer; it is worked out on the node's first use, when a
     dependency atom's node projects the space's rows.  `entries` holds a
     `dep`'s incremental form (`atoms.dep_entries`), numbered from the row
-    keys once a walk or g3 needs it, and `g3` a closed body's g3 marks
+    keys once a walk or g3 needs it, with the first slot it was numbered
+    from, and `g3` a closed body's g3 marks
     (`_Eval._g3_marks`)."""
 
     __slots__ = ("f", "space", "test", "entries", "g3")
@@ -752,7 +779,7 @@ class _Node:
         self.f = f
         self.space = space
         self.test = None
-        self.entries: Optional[tuple[list[tuple[int, int]], int]] = None
+        self.entries: Optional[tuple[int, list[tuple[int, int]], int]] = None
         self.g3 = None
 
 
@@ -819,8 +846,12 @@ class _Eval:
 
     def _closed(self, f: Formula) -> bool:
         """Whether f is known to be downward closed: true on every
-        submultiteam of a multiteam it holds on.  Conservative."""
-        return {g.__class__ for g in _reach(f, (And, Or, Exists, Forall))} <= _CLOSED_ATOMS
+        submultiteam of a multiteam it holds on.  Conservative: built with
+        `&`, `|`, `E` and `A` from closed and valid atoms alone."""
+        leaves = _reach(f, (And, Or, Exists, Forall))
+        return {g.__class__ for g in leaves} <= _CLOSED_ATOMS or all(
+            g.__class__ in _CLOSED_ATOMS or (g.__class__ in _ATOM_TESTS and g.valid)
+            for g in leaves)
 
     def _holds(self, f: Formula, space: _Space, counts: Counts, choice: str, *parts):
         if self.explain:
@@ -842,16 +873,19 @@ class _Eval:
     def _dep_entries(self, f: Dep, space: _Space, first_slot: int):
         """`atoms.dep_entries` of the `dep` f over space, slots counted from
         first_slot; worked out once per run and kept on f's node, as the
-        walks of both sides of a split and of a `<p>` below it share them."""
+        walks of both sides of a split and of a `<p>` below it share them.
+        They are numbered from the first request's first_slot, and only a
+        request from another first slot shifts a copy."""
         node = self.node(f, space)
         if node.entries is None:
             at = space.index
-            node.entries = atoms.dep_entries(space.keys, [at[x] for x in f.xs],
-                                             [at[y] for y in f.ys])
-        entries, slots = node.entries
-        if first_slot:
-            entries = [(slot + first_slot, value) for slot, value in entries]
-        return entries, first_slot + slots
+            node.entries = first_slot, *atoms.dep_entries(
+                space.keys, [at[x] for x in f.xs], [at[y] for y in f.ys], first_slot)
+        base, entries, stop = node.entries
+        if first_slot != base:
+            shift = first_slot - base
+            entries = [(slot + shift, value) for slot, value in entries]
+        return entries, stop - base + first_slot
 
     def _prune(self, space: _Space, y_side: Formula, z_side: Optional[Formula] = None,
                exact: bool = False) -> Optional[_Prune]:
@@ -966,6 +1000,8 @@ class _Eval:
             return partial(_none_counted, self._failing(f, space))
         atom = _ATOM_TESTS.get(type(f))
         if atom is not None:
+            if f.valid:  # true on every vector: nothing to project
+                return _valid
             rows = atoms.project(space.keys, [[space.index[x] for x in g] for g in f.groups])
             if isinstance(f, PCI):
                 return partial(atom, rows, shared=atoms.shared_pairs(f.ys, f.zs))

@@ -9,7 +9,7 @@ counterpart of `semantics.witness`.  `reference_extension` is the
 sort-based construction of an extended row space that `semantics._Extension`
 replaced.  The formula walks `formula.scan`, `semantics._reach` and the
 functions built on them replaced are kept too: `height`, the recursive
-`free_vars`, `subformulas`, `closed` and `conditions`, and
+`free_vars`, `subformulas`, `closed` (with `valid`) and `conditions`, and
 `reference_validate`, the entry check that read them.  So are the
 recursive count-vector enumerators `semantics._walk` replaced, and
 `reference_estimate_cost`, `generate.estimate_cost` as it was before it
@@ -81,13 +81,28 @@ def subformulas(f):
         yield from subformulas(f.right)
 
 
+def valid(f):
+    """Whether the atom f holds on every multiteam by its variable groups
+    alone, read off the atom definitions below: `dep` when each ys variable
+    is an xs variable, `inc` and `pinc` when both sides are one variable
+    tuple, `ind` and `pind` when every ys or every zs variable is an xs
+    variable; no `excl`."""
+    if isinstance(f, Dep):
+        return all(y in f.xs for y in f.ys)
+    if isinstance(f, (Inc, PInc)):
+        return f.xs == f.ys
+    if isinstance(f, (CI, PCI)):
+        return all(y in f.xs for y in f.ys) or all(z in f.xs for z in f.zs)
+    return False
+
+
 def closed(f):
     """Whether f is known to be downward closed (see `semantics._Eval._closed`)."""
     if isinstance(f, (And, Or)):
         return closed(f.left) and closed(f.right)
     if isinstance(f, (Exists, Forall)):
         return closed(f.body)
-    return isinstance(f, _CLOSED_ATOMS)
+    return isinstance(f, _CLOSED_ATOMS) or valid(f)
 
 
 def conditions(f):

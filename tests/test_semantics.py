@@ -14,12 +14,14 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import reference_eval
 from multiteam import atoms, cli, semantics
 from multiteam.errors import InputError
-from multiteam.formula import (And, Dep, Eq, Exists, ExistsFrac, Forall,
-                               ForallFrac, ImplFrac, Inc, Neq, NegRel, Or, PInc, Rel,
-                               Threshold, free_vars, scan)
-from multiteam.generate import budgeted_formula, random_structure, random_team
+from multiteam.formula import (ATOMS, CI, PCI, And, Dep, Eq, Excl, Exists, ExistsFrac,
+                               Forall, ForallFrac, ImplFrac, Inc, Neq, NegRel, Or, PInc,
+                               Rel, Threshold, free_vars, scan)
+from multiteam.generate import (FRACTIONS, budgeted_formula, estimate_cost, random_formula,
+                                random_structure, random_team)
 from multiteam.io import dump_multiteam, dump_structure, load_multiteam, load_structure
 from multiteam.model import Assignment, Multiset, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
@@ -738,6 +740,27 @@ def test_each_atom_is_projected_once_per_run(monkeypatch):
                 assert projected == []
 
 
+def test_a_dep_numbered_once_serves_every_first_slot(monkeypatch):
+    # the entries are numbered at the first request's first slot and
+    # shifted for a request from another one, as a fresh numbering would be
+    t = Multiteam(("x", "y"), {("0", "0"): 1, ("0", "1"): 2, ("1", "1"): 1, ("2", "0"): 1})
+    space = _Space.rooted(t)[0]
+    f = Dep(("x",), ("y",))
+    dep_entries = atoms.dep_entries
+    for order in ([0, 3, 0, 5], [4, 4, 0, 2]):
+        numbered = []
+
+        def recording(*args):
+            numbered.append(args[-1])
+            return dep_entries(*args)
+
+        monkeypatch.setattr(atoms, "dep_entries", recording)
+        run = _Eval(STRUCT01, LAX_MULTI, False)
+        for first in order:
+            assert run._dep_entries(f, space, first) == dep_entries(space.keys, [0], [1], first)
+        assert numbered == order[:1]
+
+
 # --- rule 6: an exact split's walk bounded by its right side's <p> ---
 
 @contextlib.contextmanager
@@ -1091,10 +1114,16 @@ def test_formulas_classified_downward_closed_are(monkeypatch):
 def test_the_classifier_rejects_what_is_not_downward_closed():
     closed = _Eval(STRUCT01, LAX_MULTI, False)._closed
     for text in ["x=y", "x!=y", "R(x)", "~R(x)", "dep(x ; y)", "excl(x ; y)",
-                 "(dep(x ; y) & E u. (excl(x ; u) | A w. w=w))"]:
+                 "(dep(x ; y) & E u. (excl(x ; u) | A w. w=w))",
+                 # valid atoms hold on every multiteam, so are closed
+                 "ind(x ; y ; x)", "ind(x,y ; ; z)", "pind(x ; x ; y)", "pind(y,x ; z ; x,y)",
+                 "inc(x,y ; x,y)", "pinc(x ; x)", "pinc(;)",
+                 "(inc(x ; x) & E u. (pind(u ; u ; y) | A w. ind(w ; y ; w)))"]:
         assert closed(parse(text)), text
-    rejected = ["<1/2> dep(x ; y)", "[1/2] x = y", "inc(x ; y)", "ind(x ; y ; x)",
-                "pinc(x ; y)", "pind(; x ; y)", "(x=y ->{1/2} x=y)"]
+    rejected = ["<1/2> dep(x ; y)", "[1/2] x = y", "inc(x ; y)", "ind(x ; y ; z)",
+                "pinc(x ; y)", "pind(; x ; y)", "(x=y ->{1/2} x=y)",
+                # near misses of the valid shapes
+                "inc(x,y ; y,x)", "pinc(x,x ; x,y)", "ind(x ; x,y ; y,z)", "pind(; x ; x)"]
     for text in rejected:
         for wrapped in (text, f"(x=y & {text})", f"({text} | dep(x ; y))",
                         f"E u. (x=u | {text})", f"A u. ({text} & x=u)"):
@@ -1119,6 +1148,174 @@ def test_lax_supplements_still_give_a_copy_several_values():
     assert evaluate(STRUCT01, t, f, LAX_MULTI) and evaluate(STRUCT01, t, f, LAX_SET)
     assert not evaluate(STRUCT01, t, f, STRICT_MULTI)
     assert not evaluate(STRUCT01, t, f, STRICT_SET)
+
+
+# --- valid atoms: true on every multiteam by their variable groups ---
+
+#: Each atom class's test on `Multiteam` rows, from the reference search,
+#: which knows no atom to be valid.
+REFERENCE_ATOMS = {Dep: reference_eval.dep, Inc: reference_eval.inc,
+                   Excl: functools.partial(reference_eval.inc, negate=True),
+                   CI: reference_eval.ci, PInc: reference_eval.pinc, PCI: reference_eval.pci}
+
+
+def atoms_over_x_and_y():
+    """Every atom whose groups are 0-2 names from {x, y}."""
+    groups = [g for n in range(3) for g in itertools.product("xy", repeat=n)]
+    for cls in ATOMS.values():
+        for shape in itertools.product(groups, repeat=len(cls.__match_args__)):
+            if not cls.same_length or len(shape[0]) == len(shape[1]):
+                yield cls(*shape)
+
+
+def test_an_atom_is_valid_iff_it_holds_on_every_small_team():
+    # the 81 teams over x, y with domain {0,1} and counts at most 2, and
+    # their 16 flat ones for the set modes; the truth is the reference's
+    # atom test, and evaluate must give it in every mode
+    rows = list(itertools.product("01", repeat=2))
+    teams = [Multiteam(("x", "y"), dict(zip(rows, counts)))
+             for counts in itertools.product(range(3), repeat=4)]
+    flat = [t for t in teams if t.is_flat()]
+    assert (len(teams), len(flat)) == (81, 16)
+    shapes = collections.Counter()
+    for f in atoms_over_x_and_y():
+        truth = {t: REFERENCE_ATOMS[type(f)](t, *f.groups) for t in teams}
+        assert f.valid is all(truth.values()), f
+        for cfg in ALL_CFGS:
+            pool = teams if cfg.team_kind == "multi" else flat
+            assert f.valid is all(truth[t] for t in pool), (f, cfg)
+            for t in pool:
+                assert evaluate(STRUCT01, t, f, cfg) is truth[t], (f, t, cfg)
+        shapes[type(f).__name__, f.valid] += 1
+    # every class but excl has valid and invalid shapes
+    assert shapes == {("Dep", True): 27, ("Dep", False): 22, ("Inc", True): 7,
+                      ("Inc", False): 14, ("Excl", False): 21, ("PInc", True): 7,
+                      ("PInc", False): 14, ("CI", True): 243, ("CI", False): 100,
+                      ("PCI", True): 243, ("PCI", False): 100}
+
+
+def valid_atom(rng, scope):
+    """A random atom of one of its class's valid shapes."""
+    xs = tuple(rng.choice(scope) for _ in range(rng.randint(0, 2)))
+    kind = rng.choice(("dep", "inc", "pinc", "ind", "pind"))
+    inner = tuple(rng.choice(xs) for _ in range(rng.randint(0, 2))) if xs else ()
+    if kind == "dep":
+        return Dep(xs, inner)
+    if kind in ("inc", "pinc"):
+        return ATOMS[kind](xs, xs)
+    other = tuple(rng.choice(scope) for _ in range(rng.randint(0, 2)))
+    return ATOMS[kind](xs, *((inner, other) if rng.random() < 0.5 else (other, inner)))
+
+
+def valid_rich_formula(rng, scope, depth=2):
+    """A formula under `[p]`, `<p>`, `->{p}`, `|`, `E` or `A` whose leaves
+    are mostly valid atoms, the rest any leaf."""
+    def body(scope, depth):
+        if depth and rng.random() < 0.6:
+            return rng.choice((And, And, Or))(body(scope, depth - 1), body(scope, depth - 1))
+        if rng.random() < 0.5:
+            return valid_atom(rng, scope)
+        return random_formula(rng, scope, fragment="full", max_depth=0)
+
+    def inner(scope):
+        return valid_rich_formula(rng, scope, depth - 1) if depth > 1 else body(scope, 1)
+
+    kind = rng.choice(("[p]", "<p>", "->{p}", "|", "E", "E", "A"))
+    p = Threshold(rng.choice(FRACTIONS))
+    if kind == "[p]":
+        return ForallFrac(p, inner(scope))
+    if kind == "<p>":
+        return ExistsFrac(p, inner(scope))
+    if kind == "->{p}":
+        return ImplFrac(p, inner(scope), body(scope, 1))
+    if kind == "|":
+        return Or(inner(scope), body(scope, 1))
+    var = rng.choice(("u", "x"))
+    return (Exists if kind == "E" else Forall)(var, inner(scope + (var,) * (var not in scope)))
+
+
+def valid_rich_instances(seed, per_mode):
+    """Seeded (structure, team, formula, cfg) draws in all four modes, each
+    formula holding a valid atom of a class that is not closed on its own."""
+    for cfg in ALL_CFGS:
+        rng = random.Random(f"{seed}-{cfg.team_kind}-{cfg.strictness}")
+        mult = 2 if cfg.team_kind == "multi" else 1
+        drawn = 0
+        while drawn < per_mode:
+            structure = random_structure(rng, max_dom=2)
+            t = random_team(rng, ("x", "y"), structure, max_rows=3, max_mult=mult)
+            f = valid_rich_formula(rng, ("x", "y"))
+            if (any(g.valid for g in reference_eval.subformulas(f)
+                    if isinstance(g, (Inc, PInc, CI, PCI)))
+                    and estimate_cost(f, rows=3, mult=mult, dom_size=2, cfg=cfg) <= 1_000_000):
+                drawn += 1
+                yield structure, t, f, cfg
+
+
+def test_valid_atoms_keep_the_reference_witness_trees():
+    # 4 modes x 200 draws, each with the cache on and off, against the
+    # search that builds a Multiteam per candidate
+    instances = list(valid_rich_instances("valid", 200))
+    kinds = collections.Counter(type(f).__name__ for _, _, f, _ in instances)
+    assert set(kinds) == {"ForallFrac", "ExistsFrac", "ImplFrac", "Or", "Exists", "Forall"}
+    held = newly_closed = 0
+    for s, t, f, cfg in instances:
+        for c in (True, False):
+            got = witness(s, t, f, cfg, use_cache=c)
+            assert got == reference_witness(s, t, f, cfg, use_cache=c), (str(f), t, cfg, c)
+            held += got.holds
+        sub = f.left if isinstance(f, (Or, ImplFrac)) else f.body
+        closed = _Eval(s, cfg, False)._closed(sub)
+        newly_closed += closed and not set(map(type, semantics._reach(
+            sub, (And, Or, Exists, Forall)))) <= semantics._CLOSED_ATOMS
+    assert 0 < held < 2 * len(instances)
+    assert newly_closed > len(instances) // 4, newly_closed
+
+
+def test_a_valid_atom_is_never_projected(monkeypatch):
+    # a valid atom's test answers true with no look at the rows
+    testing, projected = [], []
+    test, project = _Eval._test, atoms.project
+
+    def recording_test(self, f, space):
+        testing.append(f)
+        try:
+            return test(self, f, space)
+        finally:
+            testing.pop()
+
+    def recording_project(keys, positions):
+        projected.append(testing[-1])
+        return project(keys, positions)
+
+    monkeypatch.setattr(_Eval, "_test", recording_test)
+    monkeypatch.setattr(atoms, "project", recording_project)
+    for s, t, f, cfg in valid_rich_instances("projected", 40):
+        evaluate(s, t, f, cfg)
+        witness(s, t, f, cfg)
+    assert projected and not any(g.valid for g in projected)
+
+
+def test_a_valid_body_of_a_part_bound_runs_once(monkeypatch):
+    # [1/2] over a valid body is that body on the team (rule 4), not on
+    # each of the team's parts of at least half its size
+    f = parse("[1/2] ind(x ; y ; x)")
+    t = Multiteam(("x", "y"), {("0", "0"): 1, ("0", "1"): 1, ("1", "0"): 1, ("1", "1"): 1})
+    ran = []
+    run = _Eval.run
+
+    def counting_run(self, node, counts):
+        if node.f is f.body:
+            ran.append(counts)
+        return run(self, node, counts)
+
+    monkeypatch.setattr(_Eval, "run", counting_run)
+    for cfg in ALL_CFGS:
+        for check in (evaluate, witness):
+            ran.clear()
+            got = check(STRUCT01, t, f, cfg, use_cache=False)
+            assert (got if check is evaluate else got.holds) is True
+            assert ran == [(1, 1, 1, 1)], (check.__name__, cfg)
 
 
 # --- the single-assignment evaluator itself ---
