@@ -769,8 +769,7 @@ class _Node:
     node's answer; it is worked out on the node's first use, when a
     dependency atom's node projects the space's rows.  `entries` holds a
     `dep`'s incremental form (`atoms.dep_entries`), numbered from the row
-    keys once a walk or g3 needs it, with the first slot it was numbered
-    from, and `g3` a closed body's g3 marks
+    keys once a walk or g3 needs it, and `g3` a closed body's g3 marks
     (`_Eval._g3_marks`)."""
 
     __slots__ = ("f", "space", "test", "entries", "g3")
@@ -779,7 +778,7 @@ class _Node:
         self.f = f
         self.space = space
         self.test = None
-        self.entries: Optional[tuple[int, list[tuple[int, int]], int]] = None
+        self.entries: Optional[tuple[list[tuple[int, int]], int]] = None
         self.g3 = None
 
 
@@ -848,10 +847,8 @@ class _Eval:
         """Whether f is known to be downward closed: true on every
         submultiteam of a multiteam it holds on.  Conservative: built with
         `&`, `|`, `E` and `A` from closed and valid atoms alone."""
-        leaves = _reach(f, (And, Or, Exists, Forall))
-        return {g.__class__ for g in leaves} <= _CLOSED_ATOMS or all(
-            g.__class__ in _CLOSED_ATOMS or (g.__class__ in _ATOM_TESTS and g.valid)
-            for g in leaves)
+        return all(g.__class__ in _CLOSED_ATOMS or (g.__class__ in _ATOM_TESTS and g.valid)
+                   for g in _reach(f, (And, Or, Exists, Forall)))
 
     def _holds(self, f: Formula, space: _Space, counts: Counts, choice: str, *parts):
         if self.explain:
@@ -873,19 +870,16 @@ class _Eval:
     def _dep_entries(self, f: Dep, space: _Space, first_slot: int):
         """`atoms.dep_entries` of the `dep` f over space, slots counted from
         first_slot; worked out once per run and kept on f's node, as the
-        walks of both sides of a split and of a `<p>` below it share them.
-        They are numbered from the first request's first_slot, and only a
-        request from another first slot shifts a copy."""
+        walks of both sides of a split and of a `<p>` below it share them."""
         node = self.node(f, space)
         if node.entries is None:
             at = space.index
-            node.entries = first_slot, *atoms.dep_entries(
-                space.keys, [at[x] for x in f.xs], [at[y] for y in f.ys], first_slot)
-        base, entries, stop = node.entries
-        if first_slot != base:
-            shift = first_slot - base
-            entries = [(slot + shift, value) for slot, value in entries]
-        return entries, stop - base + first_slot
+            node.entries = atoms.dep_entries(space.keys, [at[x] for x in f.xs],
+                                             [at[y] for y in f.ys])
+        entries, slots = node.entries
+        if first_slot:
+            entries = [(slot + first_slot, value) for slot, value in entries]
+        return entries, first_slot + slots
 
     def _prune(self, space: _Space, y_side: Formula, z_side: Optional[Formula] = None,
                exact: bool = False) -> Optional[_Prune]:

@@ -740,27 +740,6 @@ def test_each_atom_is_projected_once_per_run(monkeypatch):
                 assert projected == []
 
 
-def test_a_dep_numbered_once_serves_every_first_slot(monkeypatch):
-    # the entries are numbered at the first request's first slot and
-    # shifted for a request from another one, as a fresh numbering would be
-    t = Multiteam(("x", "y"), {("0", "0"): 1, ("0", "1"): 2, ("1", "1"): 1, ("2", "0"): 1})
-    space = _Space.rooted(t)[0]
-    f = Dep(("x",), ("y",))
-    dep_entries = atoms.dep_entries
-    for order in ([0, 3, 0, 5], [4, 4, 0, 2]):
-        numbered = []
-
-        def recording(*args):
-            numbered.append(args[-1])
-            return dep_entries(*args)
-
-        monkeypatch.setattr(atoms, "dep_entries", recording)
-        run = _Eval(STRUCT01, LAX_MULTI, False)
-        for first in order:
-            assert run._dep_entries(f, space, first) == dep_entries(space.keys, [0], [1], first)
-        assert numbered == order[:1]
-
-
 # --- rule 6: an exact split's walk bounded by its right side's <p> ---
 
 @contextlib.contextmanager
@@ -1252,18 +1231,24 @@ def valid_rich_instances(seed, per_mode):
                 yield structure, t, f, cfg
 
 
-def test_valid_atoms_keep_the_reference_witness_trees():
-    # 4 modes x 200 draws, each with the cache on and off, against the
-    # search that builds a Multiteam per candidate
+def test_valid_atoms_keep_the_unpruned_and_reference_witness_trees(monkeypatch):
+    # 4 modes x 200 draws, each with the cache on and off, against the same
+    # search with its closure-aware cuts off (`unpruned`), and against the
+    # search that builds a Multiteam per candidate, whose own closure test
+    # knows the valid atoms and so makes the same cuts
     instances = list(valid_rich_instances("valid", 200))
     kinds = collections.Counter(type(f).__name__ for _, _, f, _ in instances)
     assert set(kinds) == {"ForallFrac", "ExistsFrac", "ImplFrac", "Or", "Exists", "Forall"}
-    held = newly_closed = 0
+    runs = [(s, t, f, cfg, c) for s, t, f, cfg in instances for c in (True, False)]
+    pruned = [witness(s, t, f, cfg, use_cache=c) for s, t, f, cfg, c in runs]
+    with unpruned(monkeypatch):
+        full = [witness(s, t, f, cfg, use_cache=c) for s, t, f, cfg, c in runs]
+    for (s, t, f, cfg, c), got, want in zip(runs, pruned, full):
+        assert got == want, (str(f), t, cfg, c)
+        assert got == reference_witness(s, t, f, cfg, use_cache=c), (str(f), t, cfg, c)
+    held = sum(w.holds for w in pruned)
+    newly_closed = 0
     for s, t, f, cfg in instances:
-        for c in (True, False):
-            got = witness(s, t, f, cfg, use_cache=c)
-            assert got == reference_witness(s, t, f, cfg, use_cache=c), (str(f), t, cfg, c)
-            held += got.holds
         sub = f.left if isinstance(f, (Or, ImplFrac)) else f.body
         closed = _Eval(s, cfg, False)._closed(sub)
         newly_closed += closed and not set(map(type, semantics._reach(
