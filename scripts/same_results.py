@@ -21,7 +21,11 @@ with its own `src` and `bench` first on the path, and hashes seven groups:
 - load: what `io.load_multiteam` makes of each `files` CSV drawn for seed
   0 and of single-line mutations of it (a ragged row, a non-integer count,
   a negative count, padded fields, a blank line, a value outside the
-  alphabet): the team's `repr` and row order, or the error's type and text;
+  alphabet, a quoted field, a line ending in a carriage return, a field
+  padded with U+00A0, a count `1_0`, an empty field): the team's `repr` and
+  row order, or the error's type and text.  The unchanged CSVs and the
+  mutations with no quote, carriage return or padding are read by the split
+  of `io`, the others by `csv`, so the group covers both ways of reading;
 - encodings: the witness trees and the `evaluate` verdicts of seeded 3SAT
   and MAX-2SAT encodings in multi lax and strict, cache on and off, among
   them MAX-2SAT encodings of 6-8 clauses one short of satisfiable at every
@@ -118,6 +122,11 @@ MUTATIONS = (
     lambda f: ",".join(f" {v}\t" for v in f),  # every field padded
     lambda f: "\n" + ",".join(f),  # a blank line before it
     lambda f: ",".join(["v*0"] + f[1:]),  # a value outside the alphabet
+    lambda f: ",".join([f'"{f[0]}"'] + f[1:]),  # a quoted field
+    lambda f: ",".join(f) + "\r",  # a line ending in a carriage return
+    lambda f: ",".join(f[:-1] + [f"\u00a0{f[-1]}\u00a0"]),  # a field padded with U+00A0
+    lambda f: ",".join(f[:-1] + ["1_0"]),  # a count (or value) 1_0
+    lambda f: ",".join(f[:1] + [""] + f[2:]),  # an empty field
 )
 
 

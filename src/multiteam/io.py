@@ -9,22 +9,35 @@ order - so dumps are diffable.  Every value and name lies in the alphabet
 `multiteam.model` checks at construction, so both dumps always succeed and a
 dump loads back as an equal multiteam or multistructure.
 
-A CSV multiteam is read in column passes, each a chain of `map`s run in C,
-straight into the table a `Multiteam` keeps: the records are taken as tuples,
-their widths checked as one set, the count column parsed, and each sorted
-variable's column stripped and zipped into the keys.  Counts are summed again
-only when a row repeats, and each distinct value is checked against the
-alphabet once.  Only when a check fails is the text read again record by
-record, to name the first bad record at its physical line.  Tuples, not the
-lists csv makes, are held: a thousand lists held across a load set off the
-cyclic collector, as `zip(*rows)` would by making an iterator per row.  A row
-counted 0 is checked like any other and then not stored.
+A CSV multiteam is read in column passes, each a chain of C calls, straight
+into the table a `Multiteam` keeps.  The fields are got one of two ways.  A
+text that is ASCII, holds no `"`, no NUL and no whitespace but the line
+break, and no line longer than csv's field size limit is split: its lines at
+the line break, each line's field count checked as one set of comma counts,
+then one flat field list sliced into columns.  RFC 4180 gives a quote
+meaning only where one is written, and csv ends a record only at a line
+break or `CR`, so csv reads such a text as the same records, and with
+nothing to strip the fields are the same strings; a blank first line is the
+empty header and later blank lines are skipped, as csv reads them.  Every
+other text is read by `csv`, its records taken as tuples and each column
+stripped.  From the fields on, the two share one path: the count column is
+parsed, each sorted variable's column zipped into the keys, counts summed
+again only when a row repeats, and each distinct value checked against the
+alphabet once.  The split refuses no text by itself: a record of the wrong
+width or a bad count sends either way to the text read again by csv record
+by record, to name the first bad record at its physical line, so the errors,
+row order and values are the same whichever way the fields came.  Tuples,
+not the lists csv makes, are held: a thousand lists held across a load set
+off the cyclic collector, as `zip(*rows)` would by making an iterator per
+row.  A row counted 0 is checked like any other and then not stored.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _stringio
+from functools import partial
+from itertools import repeat
 from operator import itemgetter
 
 from .errors import ParseError
@@ -40,18 +53,56 @@ def load_multiteam(text: str) -> Multiteam:
     carriage return in a field, a field over csv's size limit), one with too
     many or too few fields, and a count that is not a nonnegative integer
     are each a ParseError at the reader's physical line."""
+    lines = text.split("\n")
+    if text and _plain(text, lines):
+        header = lines[0].split(",") if lines[0] else []
+        return _read_multiteam(text, header, partial(_split_records, lines[1:]))
     reader = csv.reader(_stringio.StringIO(text))
     try:
-        return _read_multiteam(reader, text)
+        return _read_multiteam(text, next(reader, None), partial(_csv_records, reader))
     except csv.Error as exc:
         raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
 
 
-def _read_multiteam(reader, text: str) -> Multiteam:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("multiteam CSV needs a header row") from None
+#: what csv reads otherwise than a split at `,` and `\n`, or what it strips:
+#: the quote, whitespace other than the line break, and NUL, which csv
+#: refuses before Python 3.11
+_CSV_ONLY = '"\0' + "".join(c for c in map(chr, range(128)) if c.isspace() and c != "\n")
+
+
+def _plain(text: str, lines: list[str]) -> bool:
+    """Whether csv reads text's lines as their splits at `,`, each field
+    unstripped: text is ASCII, holds none of `_CSV_ONLY`, and no line could
+    hold a field over csv's size limit (read at each call, as csv does;
+    lines are measured only when the whole text is over it)."""
+    limit = csv.field_size_limit()
+    return (text.isascii() and not any(c in text for c in _CSV_ONLY)
+            and (len(text) <= limit or max(map(len, lines)) <= limit))
+
+
+def _split_records(lines: list[str], width: int):
+    """The nonblank lines' fields as (count, column): column(j) lists every
+    record's field j.  ValueError when a record has other than width fields."""
+    body = list(filter(None, lines))
+    if not set(map(str.count, body, repeat(","))) <= {width - 1}:
+        raise ValueError("a record's width differs")
+    fields = ",".join(body).split(",") if body else []
+    return len(body), lambda j: fields[j::width]
+
+
+def _csv_records(reader, width: int):
+    """The nonblank records of reader as (count, column): column(j) iterates
+    over every record's field j, stripped.  ValueError when a record has
+    other than width fields."""
+    rows = list(filter(None, map(tuple, reader)))
+    if not set(map(len, rows)) <= {width}:
+        raise ValueError("a record's width differs")
+    return len(rows), lambda j: map(str.strip, map(itemgetter(j), rows))
+
+
+def _read_multiteam(text: str, header, records) -> Multiteam:
+    if header is None:
+        raise ParseError("multiteam CSV needs a header row")
     header = [h.strip() for h in header]
     width = len(header)
     counted = bool(header) and header[-1] == COUNT_COLUMN
@@ -61,19 +112,18 @@ def _read_multiteam(reader, text: str) -> Multiteam:
     if COUNT_COLUMN in variables:
         raise ParseError(f"{COUNT_COLUMN} may only be the final column")
     try:
-        rows = list(filter(None, map(tuple, reader)))
-        counts = (list(map(int, map(str.strip, map(itemgetter(-1), rows)))) if counted
-                  else [1] * len(rows))
-        ok = set(map(len, rows)) <= {width} and min(counts, default=0) >= 0
+        n, column = records(width)
+        counts = list(map(int, column(width - 1))) if counted else [1] * n
+        ok = min(counts, default=0) >= 0
     except (csv.Error, ValueError):
         ok = False
     if not ok:
         _raise_first_bad(text, width, counted)
     svars = tuple(sorted(variables))
-    columns = [map(str.strip, map(itemgetter(variables.index(x)), rows)) for x in svars]
-    keys = list(zip(*columns)) if columns else [()] * len(rows)
+    columns = [column(variables.index(x)) for x in svars]
+    keys = list(zip(*columns)) if columns else [()] * n
     table = dict(zip(keys, counts))
-    if len(table) < len(rows):  # a row repeats: sum the counts
+    if len(table) < n:  # a row repeats: sum the counts
         table = dict.fromkeys(table, 0)
         for key, count in zip(keys, counts):
             table[key] += count

@@ -26,7 +26,7 @@ import re
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import InputError
 
@@ -93,6 +93,14 @@ def _check_table(names: Sequence[str], svars: Sequence[str],
             for i in order:
                 _check_value(key[i])
     return distinct
+
+
+def _cutter(pos: Sequence[int]) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
+    """The function that cuts a key to the slots pos, in that order."""
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    # a slice, so that one slot or none still cuts a tuple
+    return itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
 
 
 def _check_mult(v, m) -> int:
@@ -378,10 +386,7 @@ class Multiteam:
     def _projected(self, pos: Sequence[int]) -> dict[tuple[str, ...], int]:
         """Internal: the table of the rows cut to the slots pos, in that
         order, the counts of rows that agree there summed."""
-        if len(pos) > 1:
-            cut = itemgetter(*pos)
-        else:  # a slice, so that one slot or none still cuts a tuple
-            cut = itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
+        cut = _cutter(pos)
         table: dict[tuple[str, ...], int] = {}
         for k, m in self._rows.items():
             key = cut(k)

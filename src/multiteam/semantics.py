@@ -85,8 +85,9 @@ the first success, so verdicts and witness trees stay those of the full
 search.
 
 A fifth rule prunes inside an enumeration.  A necessary closed condition
-of a formula is a literal or `dep` conjunct of it, reached through `&`
-alone: it is downward closed and holds wherever the formula does.
+of a formula is a literal or a `dep` that is not valid, a conjunct of it
+reached through `&` alone: it is downward closed and holds wherever the
+formula does.
 
 5. The left parts Y of `f | g` and the exact-size parts Y of `<p> f` with f
    closed are walked one row at a time, in row-vector order, and every
@@ -114,8 +115,8 @@ first success.  The g3 bound drops only failures too: `dep` is downward
 closed, so in any completion on which it holds it holds on the rows from i
 on, and a part on which it holds takes at most g3 copies of those rows.  A
 prefix that needs more fails in every completion.  `E` supplements,
-`excl`, valid atoms other than `dep`, and closed conjuncts built with `|`,
-`E` or `A` give no condition.
+`excl`, valid atoms (a valid `dep`, `dep(xs ;)` among them, never fails),
+and closed conjuncts built with `|`, `E` or `A` give no condition.
 
 A sixth rule bounds a split by a `<p>` conjunct of its right side, the
 classical MAX-SAT branch and bound (Borchers and Furman, J. Comb. Optim.
@@ -124,8 +125,8 @@ classical MAX-SAT branch and bound (Borchers and Furman, J. Comb. Optim.
 6. An exact split of `f | g` (strict mode, or rule 1) walks its left parts
    Y with Z = t - Y.  Take the first conjunct `<p> h` of g, reached
    through `&` alone, with h closed and with a `dep(xs ; ys)` condition
-   with ys or a literal condition that bars a row.  The walk keeps g3 of
-   Z's fixed prefix Zp, by h's g3 marks (see the closed form below): for
+   or a literal condition that bars a row.  The walk keeps g3 of Z's
+   fixed prefix Zp, by h's g3 marks (see the closed form below): for
    h's first such `dep`, the sum over xs-values of the most copies of one
    ys-value, the rows a literal condition of h bars left out (with no such
    `dep`, the copies of the rows not barred), updated per row and undone
@@ -151,21 +152,21 @@ are `[p]` and `->{p}`, and a split with no bound walks as under rule 5.
 The g3 closed form decides a `<p>` with no walk at all: `<p> h` over a
 `dep` is Väänänen's approximate dependence atom, and g3 decides it.  Let h
 be closed with every conjunct, reached through `&` alone, a literal or a
-`dep`, and with ys in one `dep` at most (`dep(xs ;)` always holds).  Then h
-holds on a part exactly when the part counts no row a literal of h bars
-and the `dep` holds on it.  The largest such part takes, per xs-value, the
-copies of its most common ys-value among the rows not barred (all of
-them, with no `dep`): g3 of rule 5, summed in one pass over the rows.  h
-is downward closed, so dropping copies one at a time from that part gives
-parts on which h holds of every size from g3 down to 0, and none larger.
-So `<p> h` holds on t iff g3 reaches the bound.  The node works out h's g3
-marks once per row space: the `dep`'s entries, the rows barred given a
-slot of their own, which rule 6's bound shares.  It fails when g3 falls
-short.  Otherwise a run for `evaluate` holds at once and builds no walk,
-conditions or body node for h; a run for `witness` walks the parts as
-under rule 3 to name the first, so its trees are unchanged.  With a second
-`dep` (the 3SAT body `<1/3>(dep & dep)`), `excl`, or a conjunct built with
-`|`, `E` or `A`, the walk runs as before.
+`dep`, and with one `dep` at most that is not valid (a valid one always
+holds).  Then h holds on a part exactly when the part counts no row a
+literal of h bars and that `dep` holds on it.  The largest such part
+takes, per xs-value, the copies of its most common ys-value among the rows
+not barred (all of them, with no `dep`): g3 of rule 5, summed in one pass
+over the rows.  h is downward closed, so dropping copies one at a time
+from that part gives parts on which h holds of every size from g3 down to
+0, and none larger.  So `<p> h` holds on t iff g3 reaches the bound.  The
+node works out h's g3 marks once per row space: the `dep`'s entries, the
+rows barred given a slot of their own, which rule 6's bound shares.  It
+fails when g3 falls short.  Otherwise a run for `evaluate` holds at once
+and builds no walk, conditions or body node for h; a run for `witness`
+walks the parts as under rule 3 to name the first, so its trees are
+unchanged.  With a second `dep` (the 3SAT body `<1/3>(dep & dep)`),
+`excl`, or a conjunct built with `|`, `E` or `A`, the walk runs as before.
 
 What the walk checked is not tested again.  Every part it yields meets the
 conditions of f, and with a strict split (strict mode or rule 1) Z = t - Y
@@ -239,7 +240,7 @@ from .errors import InputError
 from .formula import (CI, And, Dep, Eq, Excl, Exists, ExistsFrac, Forall,
                       ForallFrac, Formula, ImplFrac, Inc, Neq, NegRel, Or,
                       PCI, PInc, Rel, free_vars, scan)
-from .model import Assignment, Multiset, Multiteam, Multistructure, _shown
+from .model import Assignment, Multiset, Multiteam, Multistructure, _cutter, _shown
 from .parser import MAX_DEPTH
 
 __all__ = ["SemanticsConfig", "Instance", "evaluate", "evaluate_classical",
@@ -330,12 +331,13 @@ class _Space:
         set of t's variables, of t restricted to keep, the counts of rows
         that agree on keep summed.  With flat, t is a set team and every
         count is 1, so its restriction is a set too (see the module
-        docstring)."""
+        docstring), and only its distinct cut keys are kept."""
         variables, table = t.variables, t._rows
         if keep is not None and len(keep) < len(variables):
             # t's variables are sorted, so the kept ones are too
             pos = [i for i, x in enumerate(variables) if x in keep]
-            variables, table = tuple([variables[i] for i in pos]), t._projected(pos)
+            variables = tuple([variables[i] for i in pos])
+            table = dict.fromkeys(map(_cutter(pos), table)) if flat else t._projected(pos)
         keys = sorted(table)
         counts = (1,) * len(keys) if flat else tuple(map(table.__getitem__, keys))
         return cls(variables, keys), counts
@@ -480,7 +482,7 @@ class _Prune:
     `atoms.dep_entries`); per row, `y`, `z` and `yz` list the entries it adds
     when Y counts it, when Z does, and when both do, zipped from the `dep`s'
     entry lists once the prune is known to be useful.  `bounds` holds, per
-    `dep` on Y with ys, its entries row by row, for the walk's g3 bound.
+    `dep` on Y, its entries row by row, for the walk's g3 bound.
     `z_bound` holds rule 6's bound on an exact split's Z, if any: its
     entries row by row and the coefficients (scale, rate, need) of its
     inequality (see `_walk`)."""
@@ -884,10 +886,10 @@ class _Eval:
     def _prune(self, space: _Space, y_side: Formula, z_side: Optional[Formula] = None,
                exact: bool = False) -> Optional[_Prune]:
         """The necessary closed conditions of y_side on a part Y and of z_side
-        on Z = t - Y, over space: their literal and `dep` conjuncts; with
-        exact, a split whose Z is t - Y, also rule 6's bound from z_side's
-        first `<p>` conjunct that gives one.  None when nothing can fail, so
-        the plain enumeration runs."""
+        on Z = t - Y, over space: their literal conjuncts and `dep`
+        conjuncts that are not valid; with exact, a split whose Z is t - Y,
+        also rule 6's bound from z_side's first `<p>` conjunct that gives
+        one.  None when nothing can fail, so the plain enumeration runs."""
         n = len(space.keys)
         prune = _Prune(n)
         useful = False
@@ -899,11 +901,11 @@ class _Eval:
             for g in self._conjuncts(f):
                 cls = g.__class__
                 if cls is Dep:
-                    entries, prune.slots = self._dep_entries(g, space, prune.slots)
-                    deps.append(entries)
-                    if g.ys:
-                        useful = True
+                    if not g.valid:  # a valid `dep`, `dep(xs ;)` among them, never fails
+                        entries, prune.slots = self._dep_entries(g, space, prune.slots)
+                        deps.append(entries)
                         bounds.append(entries)
+                        useful = True
                 elif cls in _LITERALS:
                     for i in self._failing(g, space):
                         barred[i] = useful = True
@@ -920,12 +922,13 @@ class _Eval:
 
     def _g3_marks(self, h: Formula, space: _Space):
         """The g3 marks of the closed `<p>` body h over space, kept on h's
-        node: the entries of h's first `dep` condition with ys, or one slot
-        for every row when h has none, the rows a literal condition of h
-        bars given the entry (n, n) (see `_walk` and `_g3`).  Returned with
+        node: the entries of h's first `dep` condition, or one slot for
+        every row when h has none, the rows a literal condition of h bars
+        given the entry (n, n) (see `_walk` and `_g3`).  Returned with
         that `dep` (or None), whether h bars a row, and whether g3 decides
-        h: every conjunct of h is a condition, and one `dep` at most has
-        ys (a `dep(xs ;)` always holds)."""
+        h: every conjunct of h is a literal or a `dep`, and one `dep` at
+        most is not valid (a valid one, `dep(xs ;)` among them, gives no
+        condition)."""
         node = self.node(h, space)
         if node.g3 is None:
             n = len(space.keys)
@@ -935,7 +938,7 @@ class _Eval:
             for g in self._conjuncts(h):
                 cls = g.__class__
                 if cls is Dep:
-                    if g.ys:
+                    if not g.valid:
                         deps.append(g)
                 elif cls in _LITERALS:
                     barred.update(self._failing(g, space))

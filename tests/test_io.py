@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multiteam import io as io_module
 from multiteam.errors import InputError, ParseError
 from multiteam.io import (dump_multiteam, dump_structure, load_multiteam,
                           load_structure)
@@ -202,8 +203,15 @@ def reference_load(text):
     every row is parsed into a dict keyed in header order, then coerced
     again by the Multiteam constructor.  A row or count error names the
     physical line the record ends on, which is the record's number until a
-    quoted field spans lines."""
+    quoted field spans lines; so does a record csv cannot read."""
     reader = csv.reader(io.StringIO(text))
+    try:
+        return _reference_rows(reader)
+    except csv.Error as exc:
+        raise ParseError(f"unreadable CSV: {exc}", line=reader.line_num) from None
+
+
+def _reference_rows(reader):
     try:
         header = next(reader)
     except StopIteration:
@@ -275,6 +283,39 @@ def random_csv(rng):
     return "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
 
 
+def plain_csv(rng):
+    """CSV text with no quote, no padding and no whitespace but the line
+    break: shuffled headers, ragged, blank and duplicate lines (a blank
+    header too), zero and bad counts, empty fields, a value outside the
+    alphabet, header-only texts, and now and then a line past csv's field
+    size limit."""
+    names = rng.sample(["x", "y", "z", "b1", "a"], rng.randint(0, 4))
+    if names and rng.random() < 0.05:
+        names.append(rng.choice(names))  # a duplicate name
+    if rng.random() < 0.05:
+        names.insert(rng.randint(0, len(names)), "#count")  # not last
+    counted = rng.random() < 0.5
+    header = names + (["#count"] if counted else [])
+    lines = ["" if rng.random() < 0.05 else ",".join(header)]
+    for _ in range(rng.choice((0, rng.randint(1, 8)))):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append("")
+        elif roll < 0.2 and len(lines) > 1:
+            lines.append(rng.choice(lines[1:]))  # a duplicate row
+        elif roll < 0.21:
+            lines.append("a" * (csv.field_size_limit() + 1))
+        else:
+            width = len(header) + (rng.choice((-1, 1)) if roll < 0.26 else 0)
+            fields = [rng.choice(("0", "1", "v")) if rng.random() < 0.96 else
+                      rng.choice(("", "v*0")) for _ in range(width)]
+            if counted and width == len(header) and width:
+                fields[-1] = rng.choice(("0", "1", "2", "3", "007", "0", "1", "2", "3", "007",
+                                         "-1", "two", "", "1_0"))
+            lines.append(",".join(fields))
+    return "\n".join(lines) + rng.choice(("", "\n", "\n\n"))
+
+
 def _outcome(load, text):
     try:
         t = load(text)
@@ -293,6 +334,55 @@ def test_the_one_pass_loader_reads_what_the_old_loader_read():
         assert _outcome(load_multiteam, text) == want, text
         failed += isinstance(want[0], type)
     assert 300 < failed < 2700  # both the errors and the teams are exercised
+
+
+def test_the_split_reads_what_csv_reads(monkeypatch):
+    """A text with no quote and no padding is read by splitting; it loads,
+    or is refused with the same error, as the loader before the split."""
+    rng = random.Random(29)
+    texts = ["\n", "\n\n", "x\n", "x,#count", ",\n", "\nx\n0\n", "x\n\n0\n\n",
+             "x,#count\n0,1_0\n", "x\n" + "a" * 131_073 + "\n"]
+    texts += [plain_csv(rng) for _ in range(3000)]
+    read = []
+    reader = csv.reader
+    monkeypatch.setattr(csv, "reader", lambda *args: read.append(1) or reader(*args))
+    failed = split = 0
+    for text in texts:
+        want = _outcome(reference_load, text)
+        read.clear()
+        assert _outcome(load_multiteam, text) == want, text
+        failed += isinstance(want[0], type)
+        split += not read
+    assert 900 < failed < 2100 and split > 1500, (failed, split)
+
+
+def test_only_text_the_split_cannot_read_reaches_csv(monkeypatch, tmp_path):
+    """With csv's reader broken, every team the `files` workload writes
+    still loads; a quote, a carriage return, padding of any whitespace and
+    an over-long line each go to csv."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import worker
+    import workloads
+    workloads.build("files", worker.import_program(), 0, tmp_path)
+    paths = sorted(tmp_path.glob("*.csv"))
+    texts = [p.read_text(encoding="utf-8") for p in paths if p.name != "ragged.csv"]
+    want = [_outcome(load_multiteam, text) for text in texts]
+
+    class Unread(Exception):
+        pass
+
+    def unread(*args):
+        raise Unread
+
+    monkeypatch.setattr(io_module.csv, "reader", unread)
+    assert len(texts) == 9 and all(isinstance(w[2], int) for w in want)
+    assert [_outcome(load_multiteam, text) for text in texts] == want
+    for text in ('x\n"a"\n', "x\r\na\r\n", "x\na \n", "x\n\ta\n", "x\na\u00a0\n",
+                 "x\na\x1c\n", "x\n" + "a" * 131_073 + "\n", "x\na\x00\n", " x\na\n"):
+        with pytest.raises(Unread):
+            load_multiteam(text)
+    with pytest.raises(Unread):  # naming a ragged row's line is csv's work
+        load_multiteam((tmp_path / "ragged.csv").read_text(encoding="utf-8"))
 
 
 def test_the_column_loader_reads_the_wide_teams_as_the_old_loader_did(monkeypatch):

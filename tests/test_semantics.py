@@ -761,10 +761,11 @@ def maxsat_ladders():
 
 RULE_6_STRUCTURE = Multistructure({"0": 1, "1": 1, "2": 1}, {"R": (1, [("0",), ("2",)])})
 #: closed bodies h: one dep, deps with literals that bar rows, two deps, a
-#: literal alone, and one with no condition, which gives no bound
+#: valid dep before one that is not, a literal alone, and one with no
+#: condition, which gives no bound
 RULE_6_BODIES = ("dep(x ; y)", "(dep(y ; x) & x != y)", "(R(x) & dep(x ; y))",
-                 "(dep(x ; y) & dep(y ; x))", "(dep(; x) & ~R(y))", "x = y",
-                 "(x != y | dep(x ; y))")
+                 "(dep(x ; y) & dep(y ; x))", "(dep(x, y ; x) & dep(y ; x))",
+                 "(dep(; x) & ~R(y))", "x = y", "(x != y | dep(x ; y))")
 #: left sides, closed (rule 1 makes a lax split exact) and not
 RULE_6_LEFTS = ("dep(x ; y)", "x = y", "(~R(x) & dep(y ; x))", "inc(x ; y)", "pinc(y ; x)")
 RULE_6_THRESHOLDS = ("0", "1/3", "1/2", "2/3", "3/4", "1", "#0", "#1", "#2", "#4")
@@ -806,13 +807,13 @@ def test_rule_6_keeps_the_witness_trees(monkeypatch):
 def rule_6_reference(t, f, cfg):
     """The left parts of f's split that rule 5 keeps and whose Z = t - Y
     passes rule 6 on every prefix, g3 worked out from scratch for the first
-    `dep` of h with ys; None when rule 6 does not apply."""
+    `dep` of h that is not valid; None when rule 6 does not apply."""
     space, counts = _Space.rooted(t)
     run = _Eval(RULE_6_STRUCTURE, cfg, False)
     prune = run._prune(space, f.left, f.right, True)
     body = f.right if isinstance(f.right, ExistsFrac) else f.right.right
     conditions = conditions_of(body.body)
-    deps = [g for g in conditions if isinstance(g, Dep) and g.ys][:1]
+    deps = [g for g in conditions if isinstance(g, Dep) and not g.valid][:1]
     rows = [t.assignment(k) for k in space.keys]
     kept = [all(evaluate_classical(RULE_6_STRUCTURE, s, g) for g in conditions
                 if not isinstance(g, Dep)) for s in rows]
@@ -1231,21 +1232,55 @@ def valid_rich_instances(seed, per_mode):
                 yield structure, t, f, cfg
 
 
+def valid_dep_instances(seed, per_mode):
+    """Seeded (structure, team, formula, cfg) draws in all four modes: a `|`
+    or a `<p>` with a valid `dep` with ys as an `&` conjunct of one side or
+    of the body, beside a `dep` that is not valid or a leaf, so that the
+    walk's conditions lose that `dep` and keep the rest."""
+    scope = ("x", "y")
+    for cfg in ALL_CFGS:
+        rng = random.Random(f"{seed}-{cfg.team_kind}-{cfg.strictness}")
+        mult = 2 if cfg.team_kind == "multi" else 1
+
+        def other():
+            return (Dep(*([x] for x in rng.sample(scope, 2))) if rng.random() < 0.6
+                    else random_formula(rng, scope, fragment="full", max_depth=0))
+
+        for _ in range(per_mode):
+            structure = random_structure(rng, max_dom=2)
+            t = random_team(rng, scope, structure, max_rows=4, max_mult=mult)
+            xs = tuple(rng.sample(scope, rng.randint(1, 2)))
+            valid = Dep(xs, tuple(rng.sample(xs, rng.randint(1, len(xs)))))
+            side = rng.choice((And(valid, other()), And(other(), valid)))
+            if rng.random() < 0.4:
+                f = ExistsFrac(Threshold(rng.choice(FRACTIONS)), side)
+            else:
+                rest = And(other(), other())
+                f = rng.choice((Or(side, rest), Or(rest, side)))
+            yield structure, t, f, cfg
+
+
 def test_valid_atoms_keep_the_unpruned_and_reference_witness_trees(monkeypatch):
     # 4 modes x 200 draws, each with the cache on and off, against the same
     # search with its closure-aware cuts off (`unpruned`), and against the
     # search that builds a Multiteam per candidate, whose own closure test
-    # knows the valid atoms and so makes the same cuts
+    # knows the valid atoms and so makes the same cuts; and 4 x 60 draws with
+    # a valid `dep` under `|` or `<p>`, which gives no walk condition; the
+    # `evaluate` verdicts against the unpruned witnesses
     instances = list(valid_rich_instances("valid", 200))
     kinds = collections.Counter(type(f).__name__ for _, _, f, _ in instances)
     assert set(kinds) == {"ForallFrac", "ExistsFrac", "ImplFrac", "Or", "Exists", "Forall"}
-    runs = [(s, t, f, cfg, c) for s, t, f, cfg in instances for c in (True, False)]
+    deps = list(valid_dep_instances("valid-dep", 60))
+    assert {type(f).__name__ for _, _, f, _ in deps} == {"ExistsFrac", "Or"}
+    runs = [(s, t, f, cfg, c) for s, t, f, cfg in instances + deps for c in (True, False)]
     pruned = [witness(s, t, f, cfg, use_cache=c) for s, t, f, cfg, c in runs]
     with unpruned(monkeypatch):
         full = [witness(s, t, f, cfg, use_cache=c) for s, t, f, cfg, c in runs]
     for (s, t, f, cfg, c), got, want in zip(runs, pruned, full):
         assert got == want, (str(f), t, cfg, c)
         assert got == reference_witness(s, t, f, cfg, use_cache=c), (str(f), t, cfg, c)
+        # `evaluate` skips what the walk checked, `witness` runs it again
+        assert evaluate(s, t, f, cfg, use_cache=c) is want.holds, (str(f), t, cfg, c)
     held = sum(w.holds for w in pruned)
     newly_closed = 0
     for s, t, f, cfg in instances:
@@ -1253,8 +1288,27 @@ def test_valid_atoms_keep_the_unpruned_and_reference_witness_trees(monkeypatch):
         closed = _Eval(s, cfg, False)._closed(sub)
         newly_closed += closed and not set(map(type, semantics._reach(
             sub, (And, Or, Exists, Forall)))) <= semantics._CLOSED_ATOMS
-    assert 0 < held < 2 * len(instances)
+    assert 0 < held < len(runs)
     assert newly_closed > len(instances) // 4, newly_closed
+
+
+def test_a_valid_dep_gives_no_walk_condition():
+    # a valid `dep` never fails, so like `dep(xs ;)` it adds no table, no g3
+    # bound and no rule 6 `dep`, and leaves a split with nothing to check
+    t = Multiteam(("x", "y"), {("0", "0"): 2, ("0", "1"): 1, ("1", "1"): 1})
+    space, _ = _Space.rooted(t)
+    for cfg in ALL_CFGS:
+        run = _Eval(STRUCT01, cfg, False)
+        assert run._prune(space, parse("dep(x,y ; x)"), parse("dep(x,y ; y)"), True) is None
+        assert run._prune(space, parse("dep(x ; x) & dep(y, x ; x, y)")) is None
+        assert run._prune(space, parse("dep(y ; y)"), parse("<1/2> dep(x,y ; y)"), True) is None
+        prune = run._prune(space, parse("dep(x,y ; x) & dep(x ; y)"),
+                           parse("dep(y ; y) & dep(y ; x)"), True)
+        assert (len(prune.bounds), len(prune.y[0]), len(prune.z[0])) == (1, 1, 1)
+        _, dep, barred, decided = run._g3_marks(parse("dep(x,y ; y) & dep(x ; y)"), space)
+        assert (str(dep), barred, decided) == ("dep(x ; y)", False, True)
+        _, dep, _, decided = run._g3_marks(parse("dep(x ; x) & dep(x,y ; x,y)"), space)
+        assert (dep, decided) == (None, True)
 
 
 def test_a_valid_atom_is_never_projected(monkeypatch):
