@@ -53,10 +53,10 @@ def load_multiteam(text: str) -> Multiteam:
     carriage return in a field, a field over csv's size limit), one with too
     many or too few fields, and a count that is not a nonnegative integer
     are each a ParseError at the reader's physical line."""
-    lines = text.split("\n")
-    if text and _plain(text, lines):
-        header = lines[0].split(",") if lines[0] else []
-        return _read_multiteam(text, header, partial(_split_records, lines[1:]))
+    if text and _plain(text):
+        header, *lines = text.split("\n")
+        return _read_multiteam(text, header.split(",") if header else [],
+                               partial(_split_records, lines))
     reader = csv.reader(_stringio.StringIO(text))
     try:
         return _read_multiteam(text, next(reader, None), partial(_csv_records, reader))
@@ -70,14 +70,14 @@ def load_multiteam(text: str) -> Multiteam:
 _CSV_ONLY = '"\0' + "".join(c for c in map(chr, range(128)) if c.isspace() and c != "\n")
 
 
-def _plain(text: str, lines: list[str]) -> bool:
+def _plain(text: str) -> bool:
     """Whether csv reads text's lines as their splits at `,`, each field
     unstripped: text is ASCII, holds none of `_CSV_ONLY`, and no line could
     hold a field over csv's size limit (read at each call, as csv does;
     lines are measured only when the whole text is over it)."""
     limit = csv.field_size_limit()
     return (text.isascii() and not any(c in text for c in _CSV_ONLY)
-            and (len(text) <= limit or max(map(len, lines)) <= limit))
+            and (len(text) <= limit or max(map(len, text.split("\n"))) <= limit))
 
 
 def _split_records(lines: list[str], width: int):

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiteam import io as io_module
 from multiteam.errors import InputError, ParseError
 from multiteam.io import (dump_multiteam, dump_structure, load_multiteam,
                           load_structure)
@@ -374,7 +373,7 @@ def test_only_text_the_split_cannot_read_reaches_csv(monkeypatch, tmp_path):
     def unread(*args):
         raise Unread
 
-    monkeypatch.setattr(io_module.csv, "reader", unread)
+    monkeypatch.setattr(csv, "reader", unread)  # the module `multiteam.io` reads with
     assert len(texts) == 9 and all(isinstance(w[2], int) for w in want)
     assert [_outcome(load_multiteam, text) for text in texts] == want
     for text in ('x\n"a"\n', "x\r\na\r\n", "x\na \n", "x\n\ta\n", "x\na\u00a0\n",
