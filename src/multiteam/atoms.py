@@ -15,11 +15,13 @@ to no assignment and are skipped.
 Each atom is one test over a count vector: `*_holds(rows, counts)` takes the
 rows' projections onto the atom's variable groups (`project`) and one count
 per row, and looks only at rows counted at least once.  The evaluator
-projects a row space once per atom and then tests every candidate subteam's
-vector; the `eval_*` functions are the same tests read off a `Multiteam`.
-`dep` also has an incremental form (`dep_entries`) for the evaluator's
-row-by-row walk, which tests each row as it is added to a part; it numbers
-the row keys directly, with no projected rows.
+projects a row space once per atom other than `dep` and then tests every
+candidate subteam's vector; the `eval_*` functions are the same tests read
+off a `Multiteam`.  `dep` is numbered instead (`dep_entries`): each row key
+gets a (slot, value) pair straight from its columns, with no projected
+rows.  `dep_holds` over those pairs is `dep_holds` over the projection, and
+the evaluator's row-by-row walk reads the same pairs to test each row as it
+is added to a part.
 """
 
 from __future__ import annotations

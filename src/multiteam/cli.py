@@ -22,7 +22,7 @@ from .io import dump_multiteam, dump_structure, load_multiteam, load_structure
 from .model import Multiteam, _shown
 from .parser import parse
 from .reductions import encode_3sat, encode_maxsat, parse_dimacs
-from .semantics import SemanticsConfig, Witness, evaluate, witness
+from .semantics import STRICTNESS, TEAM_KINDS, SemanticsConfig, Witness, evaluate, witness
 from .suites import SUITES, run_suite
 
 # each `props` bound and its least value; `--jobs 0` means the default
@@ -170,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "holding it if the text does not parse")
     c.add_argument("--team", help="multiteam CSV file; omitted: the "
                                   "one-row team of the empty assignment")
-    c.add_argument("--team-kind", choices=("set", "multi"), default="multi")
-    c.add_argument("--strictness", choices=("lax", "strict"), default="lax")
+    c.add_argument("--team-kind", choices=TEAM_KINDS, default="multi")
+    c.add_argument("--strictness", choices=STRICTNESS, default="lax")
     c.add_argument("--witness", action="store_true",
                    help="print the first witnessing choices on success")
     c.set_defaults(run=cmd_check)

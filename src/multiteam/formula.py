@@ -270,7 +270,7 @@ class Dep(_Atom):
     ys: tuple[str, ...]
     keyword = "dep"
     # reflexivity: rows that agree on xs agree on any ys among xs
-    valid = property(lambda self: set(self.ys) <= set(self.xs))
+    valid = property(lambda self: set(self.xs).issuperset(self.ys))
 
 
 @dataclass(frozen=True, slots=True)

@@ -310,10 +310,6 @@ class Multiteam:
         """Internal: the team counting keys[i] counts[i] times, zero rows left out."""
         return cls._from_table(svars, {k: c for k, c in zip(keys, counts) if c})
 
-    @classmethod
-    def empty(cls, variables: Iterable[str] = ()) -> "Multiteam":
-        return cls(variables, ())
-
     def __setattr__(self, name, value):
         raise AttributeError("Multiteam is immutable")
 
@@ -488,9 +484,6 @@ class Multistructure:
 
     def arity(self, name: str) -> int:
         return self._rel(name)[0]
-
-    def tuples(self, name: str) -> frozenset[tuple[str, ...]]:
-        return self._rel(name)[1]
 
     def has(self, name: str, values: Sequence[str]) -> bool:
         arity, tuples = self._rel(name)

@@ -24,12 +24,13 @@ the row space: each row space has one child per variable, listing every row
 extended by every domain value, and each supplement and the universal
 extension is a vector over it (clipped to counts of 1 in set mode).  A row
 counted 0 is absent, so every order and verdict is the one over the team's
-own rows.  Each subformula is worked out once per row space (a node): atoms
-project the rows once and then test any vector.  No `Multiteam` is built for
-a candidate, only for the `Witness` nodes of a run from `witness`.  An
-optional memo cache keyed by (node, vector), that is by (subformula
-identity, row space, vector), is on by default and is semantics-transparent;
-pass use_cache=False for the plain recursion.
+own rows.  Each subformula is worked out once per row space (a node): a
+`dep` reads its node's numbering of the rows (`atoms.dep_entries`), the
+other atoms project the rows once, and each then tests any vector.  No
+`Multiteam` is built for a candidate, only for the `Witness` nodes of a run
+from `witness`.  An optional memo cache keyed by (node, vector), that is by
+(subformula identity, row space, vector), is on by default and is
+semantics-transparent; pass use_cache=False for the plain recursion.
 
 One walk, `_walk`, lists the count vectors below a vector in row-vector
 order, all of them or those of one size.  The parts that `<p>`, `[p]` and
@@ -272,11 +273,9 @@ class Instance:
     structure: Multistructure
     team: Multiteam
     formula: Formula
-    cfg: SemanticsConfig = SemanticsConfig()
 
-    def check(self, cfg: SemanticsConfig | None = None, *, use_cache: bool = True) -> bool:
-        return evaluate(self.structure, self.team, self.formula,
-                        cfg or self.cfg, use_cache=use_cache)
+    def check(self, cfg: SemanticsConfig | None = None) -> bool:
+        return evaluate(self.structure, self.team, self.formula, cfg)
 
 
 def _validate(structure: Multistructure, team: Multiteam, f: Formula,
@@ -768,19 +767,20 @@ def _g3(marks: list[tuple[int, int]], counts: Counts) -> int:
 
 class _Node:
     """One subformula over one row space.  `test` maps a count vector to the
-    node's answer; it is worked out on the node's first use, when a
-    dependency atom's node projects the space's rows.  `entries` holds a
-    `dep`'s incremental form (`atoms.dep_entries`), numbered from the row
-    keys once a walk or g3 needs it, and `g3` a closed body's g3 marks
-    (`_Eval._g3_marks`)."""
+    node's answer; it is worked out on the node's first use.  `entries`
+    holds a `dep`'s numbering of the row keys (`atoms.dep_entries`), made
+    once for its test, its walks and its g3; `sort` the formula's conjuncts
+    through `&`, sorted once for the walks, g3 and deciders that read them
+    (`_Eval._sort`); and `g3` a closed body's g3 marks (`_Eval._g3_marks`)."""
 
-    __slots__ = ("f", "space", "test", "entries", "g3")
+    __slots__ = ("f", "space", "test", "entries", "sort", "g3")
 
     def __init__(self, f: Formula, space: _Space):
         self.f = f
         self.space = space
         self.test = None
         self.entries: Optional[tuple[list[tuple[int, int]], int]] = None
+        self.sort: Optional[tuple[list[int], list[Dep], list[Formula]]] = None
         self.g3 = None
 
 
@@ -789,7 +789,7 @@ class _Eval:
     A node that fails returns False; one that holds returns True, or in a run
     for `witness` (explain set) the Witness of its first successful choice."""
 
-    __slots__ = ("structure", "cfg", "cache", "explain", "nodes", "conjuncts")
+    __slots__ = ("structure", "cfg", "cache", "explain", "nodes")
 
     def __init__(self, structure: Multistructure, cfg: SemanticsConfig, use_cache: bool,
                  explain: bool = False):
@@ -798,7 +798,6 @@ class _Eval:
         self.cache: Optional[dict] = {} if use_cache else None
         self.explain = explain
         self.nodes: dict[tuple[int, _Space], _Node] = {}
-        self.conjuncts: dict[int, tuple[Formula, list[Formula]]] = {}
 
     def search(self, f: Formula, team: Multiteam, keep: Optional[set[str]] = None):
         """Run f on team, or on team restricted to keep (a set team's
@@ -808,7 +807,6 @@ class _Eval:
             return self.run(self.node(f, space), counts), space, counts
         finally:  # the nodes' tests call back into this run: drop them
             self.nodes.clear()
-            self.conjuncts.clear()
             if self.cache is not None:
                 self.cache.clear()
 
@@ -836,15 +834,6 @@ class _Eval:
             return Witness(node.f, node.space.team(counts), True, "", ())
         return got
 
-    def _conjuncts(self, f: Optional[Formula]) -> list[Formula]:
-        """f's conjuncts through `&` (`_reach`), listed once per run for the
-        prunes, g3 marks and deciders that read them; the entry holds f, so
-        the id in its key is not reused."""
-        got = self.conjuncts.get(id(f))
-        if got is None:
-            got = self.conjuncts[id(f)] = f, _reach(f, (And,))
-        return got[1]
-
     def _closed(self, f: Formula) -> bool:
         """Whether f is known to be downward closed: true on every
         submultiteam of a multiteam it holds on.  Conservative: built with
@@ -869,10 +858,29 @@ class _Eval:
         return [i for i, k in enumerate(space.keys)
                 if self.structure.has(f.name, tuple(k[j] for j in pos)) != want]
 
+    def _sort(self, f: Formula, space: _Space):
+        """f's conjuncts through `&` over space, sorted once on f's node: the
+        rows a literal conjunct fails on, in order; the `dep` conjuncts that
+        are not valid; and the conjuncts that are not conditions."""
+        node = self.node(f, space)
+        if node.sort is None:
+            failing: set[int] = set()
+            deps, rest = [], []
+            for g in _reach(f, (And,)):
+                cls = g.__class__
+                if cls in _LITERALS:
+                    failing.update(self._failing(g, space))
+                elif cls is not Dep:
+                    rest.append(g)
+                elif not g.valid:
+                    deps.append(g)
+            node.sort = sorted(failing), deps, rest
+        return node.sort
+
     def _dep_entries(self, f: Dep, space: _Space, first_slot: int):
         """`atoms.dep_entries` of the `dep` f over space, slots counted from
-        first_slot; worked out once per run and kept on f's node, as the
-        walks of both sides of a split and of a `<p>` below it share them."""
+        first_slot; worked out once per run and kept on f's node, as its
+        test, g3 and the walks of both sides of a split share them."""
         node = self.node(f, space)
         if node.entries is None:
             at = space.index
@@ -895,26 +903,26 @@ class _Eval:
         useful = False
         y_deps: list[list[tuple[int, int]]] = []  # per dep, its entries row by row
         z_deps: list[list[tuple[int, int]]] = []
-        for f, barred, deps, bounds, bounded in (
-                (y_side, prune.y_barred, y_deps, prune.bounds, False),
-                (z_side, prune.z_barred, z_deps, [], exact)):
-            for g in self._conjuncts(f):
-                cls = g.__class__
-                if cls is Dep:
-                    if not g.valid:  # a valid `dep`, `dep(xs ;)` among them, never fails
-                        entries, prune.slots = self._dep_entries(g, space, prune.slots)
-                        deps.append(entries)
-                        bounds.append(entries)
-                        useful = True
-                elif cls in _LITERALS:
-                    for i in self._failing(g, space):
-                        barred[i] = useful = True
-                elif (cls is ExistsFrac and bounded and prune.z_bound is None
-                      and self._closed(g.body)):
+        for f, barred, deps in ((y_side, prune.y_barred, y_deps),
+                                (z_side, prune.z_barred, z_deps)):
+            if f is not None:
+                failing, conditions, _ = self._sort(f, space)
+                for i in failing:
+                    barred[i] = True
+                for g in conditions:
+                    entries, prune.slots = self._dep_entries(g, space, prune.slots)
+                    deps.append(entries)
+                useful = useful or bool(failing or conditions)
+        if exact:
+            for g in self._sort(z_side, space)[2]:
+                if g.__class__ is ExistsFrac and self._closed(g.body):
                     prune.z_bound = self._z_bound(g, space)
-                    useful = useful or prune.z_bound is not None
+                    if prune.z_bound is not None:
+                        useful = True
+                        break
         if not useful:
             return None
+        prune.bounds = y_deps
         prune.y = list(zip(*y_deps)) or [()] * n
         prune.z = list(zip(*z_deps)) or [()] * n
         prune.yz = list(zip(*y_deps, *z_deps)) or [()] * n
@@ -924,31 +932,20 @@ class _Eval:
         """The g3 marks of the closed `<p>` body h over space, kept on h's
         node: the entries of h's first `dep` condition, or one slot for
         every row when h has none, the rows a literal condition of h bars
-        given the entry (n, n) (see `_walk` and `_g3`).  Returned with
-        that `dep` (or None), whether h bars a row, and whether g3 decides
-        h: every conjunct of h is a literal or a `dep`, and one `dep` at
-        most is not valid (a valid one, `dep(xs ;)` among them, gives no
-        condition)."""
+        given the entry (n, n) (see `_walk` and `_g3`).  Returned with that
+        `dep` (or None), whether h bars a row, and whether g3 decides h:
+        every conjunct of h is a condition, one `dep` at most."""
         node = self.node(h, space)
         if node.g3 is None:
             n = len(space.keys)
-            barred: set[int] = set()
-            deps = []
-            decided = True
-            for g in self._conjuncts(h):
-                cls = g.__class__
-                if cls is Dep:
-                    if not g.valid:
-                        deps.append(g)
-                elif cls in _LITERALS:
-                    barred.update(self._failing(g, space))
-                else:
-                    decided = False
+            barred, deps, rest = self._sort(h, space)
             dep = deps[0] if deps else None
             marks = self._dep_entries(dep, space, 0)[0] if dep else [(0, 0)] * n
             if barred:
-                marks = [(n, n) if i in barred else e for i, e in enumerate(marks)]
-            node.g3 = marks, dep, bool(barred), decided and len(deps) < 2
+                marks = list(marks)
+                for i in barred:
+                    marks[i] = (n, n)
+            node.g3 = marks, dep, bool(barred), not rest and len(deps) < 2
         return node.g3
 
     def _z_bound(self, f: ExistsFrac, space: _Space):
@@ -977,8 +974,7 @@ class _Eval:
         node."""
         if self.explain or not checked:
             return [self.node(f, space)]
-        return [self.node(g, space) for g in self._conjuncts(f)
-                if g.__class__ not in _CONDITIONS]
+        return [self.node(g, space) for g in self._sort(f, space)[2]]
 
     def _all(self, nodes: list[_Node], counts: Counts):
         """Run nodes on counts while they hold: the last answer, True if none."""
@@ -999,6 +995,8 @@ class _Eval:
         if atom is not None:
             if f.valid:  # true on every vector: nothing to project
                 return _valid
+            if isinstance(f, Dep):  # the numbering its walks and g3 read
+                return partial(atom, self._dep_entries(f, space, 0)[0])
             rows = atoms.project(space.keys, [[space.index[x] for x in g] for g in f.groups])
             if isinstance(f, PCI):
                 return partial(atom, rows, shared=atoms.shared_pairs(f.ys, f.zs))

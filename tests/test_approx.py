@@ -157,7 +157,7 @@ def test_functional_entry_points():
 
 def test_absolute_bounds_count_rows():
     t = Multiteam(("x", "y"), [("0", "0"), ("1", "1"), ("0", "1")])
-    empty = Multiteam.empty(("x", "y"))
+    empty = Multiteam(("x", "y"))
     for cfg in ALL_CFGS:
         assert evaluate(STRUCT01, t, parse("<#2> x=y"), cfg)
         assert not evaluate(STRUCT01, t, parse("<#3> x=y"), cfg)

@@ -4,8 +4,8 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from multiteam.atoms import (dep_entries, eval_ci, eval_dep, eval_excl, eval_inc,
-                             eval_pci, eval_pinc)
+from multiteam.atoms import (dep_entries, dep_holds, eval_ci, eval_dep, eval_excl, eval_inc,
+                             eval_pci, eval_pinc, project)
 from multiteam.model import Multiteam
 
 VALUES = ("0", "1", "2")
@@ -153,7 +153,7 @@ def test_count_inclusion_reflexive_and_sensitive_to_zero_rows():
 
 
 def test_empty_team_satisfies_every_atom():
-    empty = Multiteam.empty(("x", "y"))
+    empty = Multiteam(("x", "y"))
     assert eval_dep(empty, ("x",), ("y",))
     assert eval_inc(empty, ("x",), ("y",))
     assert eval_excl(empty, ("x",), ("x",))
@@ -295,3 +295,19 @@ def test_dep_numbering_matches_a_numbering_from_scratch(data):
     group = st.lists(st.integers(min_value=0, max_value=width - 1), max_size=3)
     check_numbering(keys, data.draw(group), data.draw(group),
                     data.draw(st.integers(min_value=0, max_value=5)))
+
+
+@given(st.data())
+def test_dep_over_its_numbering_is_dep_over_its_projection(data):
+    # the evaluator tests a dep over the slots and values of dep_entries;
+    # dep(;), dep(x ;) and dep(; y) are checked on every draw
+    width = data.draw(st.integers(min_value=1, max_value=4))
+    keys = data.draw(st.lists(st.tuples(*[st.sampled_from(VALUES)] * width), max_size=9))
+    counts = data.draw(st.lists(st.integers(min_value=0, max_value=2),
+                                min_size=len(keys), max_size=len(keys)))
+    group = st.lists(st.integers(min_value=0, max_value=width - 1), max_size=3)
+    drawn = data.draw(group), data.draw(group)
+    for xs_pos, ys_pos in ([], []), ([0], []), ([], [width - 1]), drawn:
+        entries = dep_entries(keys, xs_pos, ys_pos)[0]
+        assert (dep_holds(entries, counts)
+                == dep_holds(project(keys, [xs_pos, ys_pos]), counts)), (xs_pos, ys_pos)

@@ -15,8 +15,8 @@ from multiteam.formula import (ATOMS, CI, TRUE, And, Dep, Eq, Excl, Exists,
 from multiteam.generate import FRAGMENTS, random_formula
 from multiteam.model import Assignment, Multiteam, Multistructure
 from multiteam.parser import MAX_DEPTH, parse
-from multiteam.semantics import (_CONDITIONS, SemanticsConfig, _Eval, _validate, evaluate,
-                                 evaluate_classical, witness)
+from multiteam.semantics import (_CONDITIONS, SemanticsConfig, _Eval, _reach, _validate,
+                                 evaluate, evaluate_classical, witness)
 
 import reference_eval
 
@@ -566,8 +566,8 @@ def test_closure_and_conditions_are_read_as_before():
     run = _Eval(Multistructure({"0": 1}), SemanticsConfig(), False)
     closed = run._closed
 
-    def conditions(g):  # the run's conjunct list, filtered to conditions
-        return [c for c in run._conjuncts(g) if c.__class__ in _CONDITIONS]
+    def conditions(g):  # the conjuncts the search sorts, filtered to conditions
+        return [c for c in _reach(g, (And,)) if c.__class__ in _CONDITIONS]
 
     rng = random.Random("closure")
     cases = [(random_formula(rng, ("x", "y"), fragment=fragment, max_depth=depth), True)

@@ -31,7 +31,7 @@ def test_structures_stay_within_their_bounds(seed):
     s = random_structure(rng, max_dom=3)
     assert 1 <= s.domain.size <= 3
     assert s.arity("R") == 1
-    assert all(v in s.domain.support for (v,) in s.tuples("R"))
+    assert all(v in s.domain.support for (v,) in s.relations["R"][1])
 
 
 @given(seeds)

@@ -33,7 +33,7 @@ def test_count_column_defaults_to_one():
 
 def test_header_only_file_is_the_empty_multiteam():
     t = load_multiteam("x,y\n")
-    assert t == Multiteam.empty(("x", "y"))
+    assert t == Multiteam(("x", "y"))
     assert t.variables == ("x", "y")
 
 
@@ -95,7 +95,7 @@ def test_structure_text():
     c = load_structure("domain: 0 1\nrel C/1: (0)\nrel E/2: (0,1) (1,0)\n")
     assert c.has("C", ("0",))
     assert not c.has("C", ("1",))
-    assert c.tuples("E") == {("0", "1"), ("1", "0")}
+    assert c.relations["E"][1] == {("0", "1"), ("1", "0")}
     assert dump_structure(c) == "domain: 0 1\nrel C/1: (0)\nrel E/2: (0,1) (1,0)\n"
 
 

@@ -121,7 +121,7 @@ class TestMultiteam:
 
     def test_prob_empty_team(self):
         with pytest.raises(InputError):
-            Multiteam.empty(("x",)).prob(("x",), ("0",))
+            Multiteam(("x",)).prob(("x",), ("0",))
 
     def test_prob_sums_to_one(self):
         t = fig_ym()

@@ -28,7 +28,7 @@ from multiteam.parser import MAX_DEPTH, parse
 from multiteam.reductions import (CnfFormula, encode_3sat, encode_maxsat,
                                   maxsat_oracle, sat_oracle)
 from multiteam.semantics import (_CONDITIONS, SemanticsConfig, _copy_choices, _Eval,
-                                 _Extension, _Space, _split_vectors, _walk,
+                                 _Extension, _reach, _Space, _split_vectors, _walk,
                                  enum_or_splits, enum_supplements, evaluate,
                                  evaluate_classical, extend_universal, part_vectors,
                                  witness)
@@ -71,7 +71,7 @@ def test_combinability_versus_count_independence_through_the_evaluator():
 
 
 def test_empty_multiteam_satisfies_everything():
-    empty = Multiteam.empty(("x", "y"))
+    empty = Multiteam(("x", "y"))
     corpus = ["x=y", "x!=y", "R(x)", "~R(x)", "dep(x ; y)", "inc(x ; y)",
               "excl(x ; y)", "ind(x ; y ; x)", "pinc(x ; y)", "pind(; x ; y)",
               "(x=y | dep(x ;))", "E u. x=u", "A u. (u=u & pinc(x ; y))",
@@ -435,10 +435,9 @@ def unpruned(monkeypatch):
 
 
 def conditions_of(f):
-    """The literal and `dep` conjuncts of f, reached through `&` alone: a
-    run's conjunct list (`_Eval._conjuncts`), filtered to conditions."""
-    return [g for g in _Eval(STRUCT01, LAX_MULTI, False)._conjuncts(f)
-            if g.__class__ in _CONDITIONS]
+    """The literal and `dep` conjuncts of f, reached through `&` alone: the
+    conjuncts the search sorts (`_reach`), filtered to conditions."""
+    return [g for g in _reach(f, (And,)) if g.__class__ in _CONDITIONS]
 
 
 def random_instances(seed, per_mode, fragments=("dep", "fo", "full")):
@@ -700,13 +699,18 @@ def test_conditions_no_supplement_changes_are_tested_on_the_team(monkeypatch):
 
 
 def test_each_atom_is_projected_once_per_run(monkeypatch):
-    # a walk or g3 numbers each dep straight from the row keys, once per
-    # (atom, space) per run, though the MAX-2SAT split's dep is a condition
-    # on both sides and the 3SAT body's first dep also gives g3's marks.  So
-    # an evaluate run of either encoding projects no rows at all, and a
-    # witness run projects only the atoms whose own nodes it tests, once each
-    looked_up, numbered, projected = [], [], []
+    # a dep's own test, its walks and its g3 read one numbering of the row
+    # keys, made once per (atom, space) per run, though the MAX-2SAT split's
+    # dep is a condition on both sides and the 3SAT body's first dep also
+    # gives g3's marks.  So no run of either encoding, for evaluate or for
+    # witness, projects a row, though a witness run tests the deps' own nodes
+    looked_up, numbered, projected, tested = [], [], [], []
     entries, dep_entries, project = _Eval._dep_entries, atoms.dep_entries, atoms.project
+    test = _Eval._test
+
+    def recording_test(self, f, space):
+        tested.append(f.__class__)
+        return test(self, f, space)
 
     def recording_entries(self, f, space, first_slot):
         looked_up.append((id(f), space))
@@ -720,6 +724,7 @@ def test_each_atom_is_projected_once_per_run(monkeypatch):
         projected.append(str(positions))
         return project(keys, positions)
 
+    monkeypatch.setattr(_Eval, "_test", recording_test)
     monkeypatch.setattr(_Eval, "_dep_entries", recording_entries)
     monkeypatch.setattr(atoms, "dep_entries", recording_dep_entries)
     monkeypatch.setattr(atoms, "project", recording_project)
@@ -729,15 +734,15 @@ def test_each_atom_is_projected_once_per_run(monkeypatch):
             looked_up.clear()
             numbered.clear()
             projected.clear()
+            tested.clear()
             run = _Eval(inst.structure, cfg, True, explain)
             got = run.search(inst.formula, inst.team,
                              None if explain else free_vars(inst.formula))[0]
             assert len(numbered) == len(set(looked_up)) < len(looked_up)
-            assert not run.nodes and not run.conjuncts  # dropped at the run's end
-            if explain:  # a tree names each side's atoms on its part
-                assert len(projected) == len(set(projected)) and (projected or not got)
-            else:
-                assert projected == []
+            assert not run.nodes  # dropped at the run's end
+            assert projected == []
+            if explain and got:  # a tree names the split's dep on its part
+                assert Dep in tested
 
 
 # --- rule 6: an exact split's walk bounded by its right side's <p> ---
@@ -936,7 +941,7 @@ def g3_instances():
     """(team, formula, cfg) for every body, threshold and wrapper on the
     empty team and on one seeded team of up to 64 subteams, whose counts
     reach 3 in the multi modes, in all four modes."""
-    empty = Multiteam.empty(("x", "y"))
+    empty = Multiteam(("x", "y"))
     for cfg in ALL_CFGS:
         rng = random.Random(f"g3-{cfg.team_kind}-{cfg.strictness}")
         mult = 3 if cfg.team_kind == "multi" else 1
