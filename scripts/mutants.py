@@ -75,10 +75,16 @@ MUTANTS = (
             REFERENCE_TREES)),
     Mutant("rule-5-g3-one-short", "rule 5: the rows from i on add at most their g3",
            "semantics.py",
-           "if g3 < room[i]:\n                    room[i] = g3\n",
-           "if g3 <= room[i]:\n                    room[i] = g3 - 1\n",
+           "if g3 < room[i]:\n                room[i] = g3\n",
+           "if g3 <= room[i]:\n                room[i] = g3 - 1\n",
            ("tests/test_semantics.py::test_the_walk_keeps_exactly_the_vectors_its_conditions_hold_on",
             "tests/test_semantics.py::test_encodings_find_the_reference_witness_trees")),
+    Mutant("closed-form-room-one-short", "closed form: `<p> h` holds iff the room reaches the bound",
+           "semantics.py",
+           "_largest(prune, counts)[0] >= f.p.min_size(sum(counts))",
+           "_largest(prune, counts)[0] - 1 >= f.p.min_size(sum(counts))",
+           ("tests/test_semantics.py::test_g3_is_the_largest_part_the_body_holds_on",
+            "tests/test_semantics.py::test_the_g3_closed_form_keeps_the_verdicts_and_witness_trees")),
     Mutant("rule-6-rz-from-high", "rule 6: Rz is the most copies the rows after the prefix give Z",
            "semantics.py",
            "rz += counts[j] - low[j]",
@@ -113,7 +119,14 @@ MUTANTS = (
            "model.py",
            "table[key] = table.get(key, 0) + m\n        return table",
            "table[key] = m\n        return table",
-           ("tests/test_semantics.py::test_the_projected_search_keeps_the_search_pool_verdicts",)),
+           ("tests/test_semantics.py::test_a_multiteam_restriction_counts_the_rows_it_merges",
+            "tests/test_semantics.py::test_the_projected_search_keeps_the_search_pool_verdicts")),
+    Mutant("split-reader-quoted-text", "the split reader leaves a text with a quote to csv",
+           "io.py",
+           "_CSV_ONLY = '\"\\0' + ",
+           "_CSV_ONLY = '\\0' + ",
+           ("tests/test_io.py::test_dumps_that_would_not_load_back_are_refused",
+            "tests/test_io.py::test_only_text_the_split_cannot_read_reaches_csv")),
 )
 
 

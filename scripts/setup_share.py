@@ -9,7 +9,7 @@ runs them once to warm up, then times `--passes` passes with four
 functions wrapped: of `multiteam.semantics`, `_validate` (the entry
 check), `_Space.rooted` (the root row space and vector) and `_Eval._test`
 (a node's test, worked out on its first use: projections, `dep` numbering,
-prunes and g3 marks), and `io.load_multiteam` (a CSV team read by the CLI,
+prunes and rule 6's bound), and `io.load_multiteam` (a CSV team read by the CLI,
 as `cli` calls it too).  Only the outermost wrapped call is timed, so the
 shares do not overlap.  It prints, for the fastest pass, each share of the
 pass and the rest.  The wrappers' own cost falls in the shares, so read

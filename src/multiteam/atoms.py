@@ -70,26 +70,26 @@ def dep_holds(rows: Rows, counts) -> bool:
     return True
 
 
-def dep_entries(keys, xs_pos: Sequence[int], ys_pos: Sequence[int], first_slot: int = 0
+def dep_entries(keys, xs_pos: Sequence[int], ys_pos: Sequence[int]
                 ) -> tuple[list[tuple[int, int]], int]:
     """`dep` as an incremental test.  It holds on a set of rows iff no two of
     them map one xs-value to different ys-values, so a walk that adds rows one
     at a time keeps one table slot per xs-value, fails at the first row whose
     slot holds another ys-value, and frees on backtrack the slots a row
     filled.  Returned: per row key its (slot, value) pair, numbered in one
-    pass over the keys' xs and ys positions, and the next free slot.  Slots
-    count from first_slot, one per xs-value in order of first appearance;
-    values count from 0, one per (xs-value, ys-value) pair, so two rows of
-    one slot share a value iff they share the ys-value, and every value is
-    below len(keys)."""
+    pass over the keys' xs and ys positions, and the number of slots.  Slots
+    count from 0, one per xs-value in order of first appearance; values
+    count from 0, one per (xs-value, ys-value) pair, so two rows of one slot
+    share a value iff they share the ys-value, and every value is below
+    len(keys)."""
     def column(pos):
         return map(itemgetter(*pos), keys) if pos else repeat((), len(keys))
 
     slot: dict = {}
     value: dict = {}
-    entries = [(slot.setdefault(a, first_slot + len(slot)), value.setdefault((a, b), len(value)))
+    entries = [(slot.setdefault(a, len(slot)), value.setdefault((a, b), len(value)))
                for a, b in zip(column(xs_pos), column(ys_pos))]
-    return entries, first_slot + len(slot)
+    return entries, len(slot)
 
 
 def _included(rows: Rows, counts, wanted: bool) -> bool:

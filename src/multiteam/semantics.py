@@ -127,11 +127,11 @@ classical MAX-SAT branch and bound (Borchers and Furman, J. Comb. Optim.
    Y with Z = t - Y.  Take the first conjunct `<p> h` of g, reached
    through `&` alone, with h closed and with a `dep(xs ; ys)` condition
    or a literal condition that bars a row.  The walk keeps g3 of Z's
-   fixed prefix Zp, by h's g3 marks (see the closed form below): for
-   h's first such `dep`, the sum over xs-values of the most copies of one
-   ys-value, the rows a literal condition of h bars left out (with no such
-   `dep`, the copies of the rows not barred), updated per row and undone
-   on backtrack like the `dep` table; and |Zp|.  Let Rz be the most copies the rows after the prefix can give Z.
+   fixed prefix Zp: for h's first such `dep`, the sum over xs-values of
+   the most copies of one ys-value, the rows a literal condition of h bars
+   left out (with no such `dep`, the copies of the rows not barred),
+   updated per row and undone on backtrack like the `dep` table; and |Zp|.
+   Let Rz be the most copies the rows after the prefix can give Z.
    With p = a/b a prefix is dropped when b*g3(Zp) - a*|Zp| + (b - a)*Rz <
    0, with `#k` when g3(Zp) + Rz < k.  One bound keeps the walk's state a
    few integers per row; a second `dep` or conjunct could drop more, at a
@@ -160,14 +160,14 @@ takes, per xs-value, the copies of its most common ys-value among the rows
 not barred (all of them, with no `dep`): g3 of rule 5, summed in one pass
 over the rows.  h is downward closed, so dropping copies one at a time
 from that part gives parts on which h holds of every size from g3 down to
-0, and none larger.  So `<p> h` holds on t iff g3 reaches the bound.  The
-node works out h's g3 marks once per row space: the `dep`'s entries, the
-rows barred given a slot of their own, which rule 6's bound shares.  It
-fails when g3 falls short.  Otherwise a run for `evaluate` holds at once
-and builds no walk, conditions or body node for h; a run for `witness`
-walks the parts as under rule 3 to name the first, so its trees are
-unchanged.  With a second `dep` (the 3SAT body `<1/3>(dep & dep)`),
-`excl`, or a conjunct built with `|`, `E` or `A`, the walk runs as before.
+0, and none larger.  So `<p> h` holds on t iff g3 reaches the bound.  That
+g3 is the room rule 5's exact-size walk leaves at row 0 under h's own
+conditions (`_largest`), so a run for `evaluate` compares the bound with
+that room and answers at once, with no walk or body node for h.  A run for
+`witness` walks the parts as under rule 3 to name the first, so its trees
+are unchanged; its walk ends at once when the room falls short.  With a
+second `dep` (the 3SAT body `<1/3>(dep & dep)`), `excl`, or a conjunct
+built with `|`, `E` or `A`, the walk runs as before.
 
 What the walk checked is not tested again.  Every part it yields meets the
 conditions of f, and with a strict split (strict mode or rule 1) Z = t - Y
@@ -481,10 +481,10 @@ class _Prune:
     `atoms.dep_entries`); per row, `y`, `z` and `yz` list the entries it adds
     when Y counts it, when Z does, and when both do, zipped from the `dep`s'
     entry lists once the prune is known to be useful.  `bounds` holds, per
-    `dep` on Y, its entries row by row, for the walk's g3 bound.
-    `z_bound` holds rule 6's bound on an exact split's Z, if any: its
-    entries row by row and the coefficients (scale, rate, need) of its
-    inequality (see `_walk`)."""
+    `dep` on Y, its entries row by row, for the room pass (`_largest`).
+    `z_bound` holds rule 6's bound on an exact split's Z, if any: its g3
+    marks row by row (see `_Eval._z_bound`) and the coefficients (scale,
+    rate, need) of its inequality (see `_walk`)."""
 
     __slots__ = ("y_barred", "z_barred", "y", "z", "yz", "slots", "bounds", "z_bound")
 
@@ -499,6 +499,29 @@ class _Prune:
         self.z_bound: Optional[tuple[list[tuple[int, int]], int, int, int]] = None
 
 
+def _largest(prune: Optional[_Prune], counts: Counts) -> list[int]:
+    """Rule 5's room: per row i, and 0 past the last, the most copies a part
+    of counts may take from the rows i on.  That is their count, less the
+    rows prune bars from Y, and at most their g3 per `dep` on Y, found for
+    every i by one backward pass.  With one `dep` at most, room[0] is the
+    largest part on which prune's conditions hold (see the closed form)."""
+    n = len(counts)
+    high = counts if prune is None else [
+        0 if barred else m for m, barred in zip(counts, prune.y_barred)]
+    room = list(itertools.accumulate(reversed(high), initial=0))[::-1]
+    for entries in prune.bounds if prune is not None else ():
+        best, weight, g3 = [0] * prune.slots, [0] * n, 0
+        for i in range(n - 1, -1, -1):
+            slot, value = entries[i]
+            w = weight[value] = weight[value] + high[i]
+            if w > best[slot]:
+                g3 += w - best[slot]
+                best[slot] = w
+            if g3 < room[i]:
+                room[i] = g3
+    return room
+
+
 def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
           ) -> Iterator[Counts]:
     """The count vectors below counts, or with size those summing to it, in
@@ -507,14 +530,13 @@ def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
     None, every such vector.  One row is fixed at a time, each value tested
     in O(1) per condition and undone on backtrack, in a loop rather than a
     call per row.  With a size, a prefix is dropped once the rows after it
-    cannot add the copies still missing, by their count or by their g3
-    under a `dep` on Y (see rule 5).  With prune.z_bound, kept for unsized
-    walks alone, a prefix is dropped when scale * g3 - rate * |Zp| + (scale
-    - rate) * Rz < need (rule 6): g3 of Z's prefix is kept in per-value
-    weights and per-slot bests, undone on backtrack like the `dep` table,
-    and Rz is the most copies the rows after it can give Z.  A row the
-    bound bars has entry (n, n), a slot whose best no weight reaches, so it
-    adds nothing to g3."""
+    cannot add the copies still missing, by their room (`_largest`).  With
+    prune.z_bound, kept for unsized walks alone, a prefix is dropped when
+    scale * g3 - rate * |Zp| + (scale - rate) * Rz < need (rule 6): g3 of
+    Z's prefix is kept in per-value weights and per-slot bests, undone on
+    backtrack like the `dep` table, and Rz is the most copies the rows after
+    it can give Z.  A row the bound bars has entry (n, n), a slot whose best
+    no weight reaches, so it adds nothing to g3."""
     n = len(counts)
     # per row, its smallest and largest value before the size bound
     if prune is None:
@@ -525,21 +547,10 @@ def _walk(counts: Counts, prune: Optional[_Prune], size: Optional[int] = None
         low = [m if barred else 0 for m, barred in zip(counts, prune.z_barred)]
         high = [0 if barred else m for m, barred in zip(counts, prune.y_barred)]
         bound = prune.z_bound
-    # room[i]: copies the rows from i on may take
-    room = list(itertools.accumulate(reversed(high), initial=0))[::-1]
-    if size is not None and prune is not None:
-        for entries in prune.bounds:  # and at most g3 of them, per dep on Y
-            best, weight, g3 = [0] * slots, [0] * n, 0
-            for i in range(n - 1, -1, -1):
-                slot, value = entries[i]
-                w = weight[value] = weight[value] + high[i]
-                if w > best[slot]:
-                    g3 += w - best[slot]
-                    best[slot] = w
-                if g3 < room[i]:
-                    room[i] = g3
-    if size is not None and size > room[0]:
-        return
+    if size is not None:
+        room = _largest(prune, counts)  # room[i]: copies the rows from i on may take
+        if size > room[0]:
+            return
     if n == 0:
         yield ()
         return
@@ -751,29 +762,15 @@ def _valid(counts: Counts) -> bool:
     return True
 
 
-def _g3(marks: list[tuple[int, int]], counts: Counts) -> int:
-    """The largest part of counts on which a `<p>` body with these g3 marks
-    holds (see `_Eval._g3_marks`): per slot, the most copies of one value,
-    summed; the barred rows' slot n is left out."""
-    n = len(marks)
-    weight, best = [0] * (n + 1), [0] * (n + 1)
-    for (slot, value), c in zip(marks, counts):
-        if c:
-            w = weight[value] = weight[value] + c
-            if w > best[slot]:
-                best[slot] = w
-    return sum(best) - best[n]
-
-
 class _Node:
     """One subformula over one row space.  `test` maps a count vector to the
     node's answer; it is worked out on the node's first use.  `entries`
     holds a `dep`'s numbering of the row keys (`atoms.dep_entries`), made
-    once for its test, its walks and its g3; `sort` the formula's conjuncts
-    through `&`, sorted once for the walks, g3 and deciders that read them
-    (`_Eval._sort`); and `g3` a closed body's g3 marks (`_Eval._g3_marks`)."""
+    once for its test, its walks and rule 6's bound; `sort` the formula's
+    conjuncts through `&`, sorted once for the walks, rule 6's bound, the
+    closed form and the deciders that read them (`_Eval._sort`)."""
 
-    __slots__ = ("f", "space", "test", "entries", "sort", "g3")
+    __slots__ = ("f", "space", "test", "entries", "sort")
 
     def __init__(self, f: Formula, space: _Space):
         self.f = f
@@ -781,7 +778,6 @@ class _Node:
         self.test = None
         self.entries: Optional[tuple[list[tuple[int, int]], int]] = None
         self.sort: Optional[tuple[list[int], list[Dep], list[Formula]]] = None
-        self.g3 = None
 
 
 class _Eval:
@@ -880,7 +876,8 @@ class _Eval:
     def _dep_entries(self, f: Dep, space: _Space, first_slot: int):
         """`atoms.dep_entries` of the `dep` f over space, slots counted from
         first_slot; worked out once per run and kept on f's node, as its
-        test, g3 and the walks of both sides of a split share them."""
+        test, rule 6's bound and the walks of both sides of a split share
+        them."""
         node = self.node(f, space)
         if node.entries is None:
             at = space.index
@@ -928,43 +925,30 @@ class _Eval:
         prune.yz = list(zip(*y_deps, *z_deps)) or [()] * n
         return prune
 
-    def _g3_marks(self, h: Formula, space: _Space):
-        """The g3 marks of the closed `<p>` body h over space, kept on h's
-        node: the entries of h's first `dep` condition, or one slot for
-        every row when h has none, the rows a literal condition of h bars
-        given the entry (n, n) (see `_walk` and `_g3`).  Returned with that
-        `dep` (or None), whether h bars a row, and whether g3 decides h:
-        every conjunct of h is a condition, one `dep` at most."""
-        node = self.node(h, space)
-        if node.g3 is None:
-            n = len(space.keys)
-            barred, deps, rest = self._sort(h, space)
-            dep = deps[0] if deps else None
-            marks = self._dep_entries(dep, space, 0)[0] if dep else [(0, 0)] * n
-            if barred:
-                marks = list(marks)
-                for i in barred:
-                    marks[i] = (n, n)
-            node.g3 = marks, dep, bool(barred), not rest and len(deps) < 2
-        return node.g3
-
     def _z_bound(self, f: ExistsFrac, space: _Space):
         """Rule 6's bound for the conjunct f = `<p> h` of a split's Z, h
-        closed: h's g3 marks and the coefficients (scale, rate, need).
-        None when the bound can drop nothing: h has no `dep` condition with
-        ys and bars no row, or h bars no row and p <= 1/d for the d
-        ys-values the rows take, so that g3(Zp) >= |Zp|/d >= p*|Zp|."""
-        marks, dep, barred, _ = self._g3_marks(f.body, space)
+        closed: h's g3 marks and the coefficients (scale, rate, need).  The
+        marks are the entries of h's first `dep` condition, or one slot for
+        every row when h has none, with the entry (n, n) for each row a
+        literal condition of h bars (see `_walk`).  None when the bound can
+        drop nothing: h has no `dep` condition and bars no row, or h bars no
+        row and p <= 1/d for the d ys-values the rows take, so that g3(Zp)
+        >= |Zp|/d >= p*|Zp|."""
+        barred, deps, _ = self._sort(f.body, space)
         if f.p.absolute:
             scale, rate, need = 1, 0, f.p.value
         else:
             scale, rate, need = f.p.value.denominator, f.p.value.numerator, 0
         if not barred:
-            if dep is None:
+            if not deps:
                 return None
-            ys = map(itemgetter(*[space.index[y] for y in dep.ys]), space.keys)
+            ys = map(itemgetter(*[space.index[y] for y in deps[0].ys]), space.keys)
             if not need and scale >= rate * len(set(ys)):
                 return None
+        n = len(space.keys)
+        marks = list(self._dep_entries(deps[0], space, 0)[0]) if deps else [(0, 0)] * n
+        for i in barred:
+            marks[i] = (n, n)
         return marks, scale, rate, need
 
     def _deciders(self, f: Formula, space: _Space, checked: bool) -> list[_Node]:
@@ -995,7 +979,7 @@ class _Eval:
         if atom is not None:
             if f.valid:  # true on every vector: nothing to project
                 return _valid
-            if isinstance(f, Dep):  # the numbering its walks and g3 read
+            if isinstance(f, Dep):  # the numbering its walks read
                 return partial(atom, self._dep_entries(f, space, 0)[0])
             rows = atoms.project(space.keys, [[space.index[x] for x in g] for g in f.groups])
             if isinstance(f, PCI):
@@ -1021,16 +1005,13 @@ class _Eval:
                            [self.node(g, space) for g in _lifted(f)])
         if isinstance(f, ExistsFrac):
             closed = self._closed(f.body)
-            marks = None
-            if closed:
-                marks, _, _, decided = self._g3_marks(f.body, space)
-                if not decided:
-                    marks = None
-                elif not self.explain:  # g3 decides f: nothing to walk
-                    return partial(self._exists_part, f, space, [], closed, None, marks)
             prune = self._prune(space, f.body) if closed else None
+            if closed and not self.explain:
+                _, deps, rest = self._sort(f.body, space)
+                if not rest and len(deps) < 2:  # the closed form: no part to walk
+                    return lambda counts: _largest(prune, counts)[0] >= f.p.min_size(sum(counts))
             return partial(self._exists_part, f, space,
-                           self._deciders(f.body, space, prune is not None), closed, prune, marks)
+                           self._deciders(f.body, space, prune is not None), closed, prune)
         if isinstance(f, ForallFrac):
             return partial(self._forall_part, f, space, self.node(f.body, space),
                            self._closed(f.body))
@@ -1068,14 +1049,9 @@ class _Eval:
         body = self.run(body_node, ext.universal(counts, self.cfg.team_kind == "set"))
         return body and self._holds(f, space, counts, f"universal extension of {f.var}", body)
 
-    def _exists_part(self, f, space, body_nodes, closed, prune, marks, counts):
+    def _exists_part(self, f, space, body_nodes, closed, prune, counts):
         size = sum(counts)
         needed = f.p.min_size(size)
-        if marks is not None:  # the closed form: h holds on parts of every size up to g3
-            if _g3(marks, counts) < needed:
-                return False
-            if not self.explain:
-                return True
         parts = _walk(counts, prune, needed) if closed else part_vectors(counts, needed)
         for y in parts:
             body = self._all(body_nodes, y)

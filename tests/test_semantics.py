@@ -357,6 +357,15 @@ def test_a_set_team_that_counts_rows_keeps_its_own_rows():
     assert not evaluate(structure, t.restrict(["x"]).support(), f, LAX_SET)
 
 
+def test_a_multiteam_restriction_counts_the_rows_it_merges():
+    # the same team in the multi modes: its restriction to x counts x=0
+    # twice, from (a,0) and (b,0), so the part {0, 0} meets the bound
+    structure = Multistructure(["a", "b", "c", "0", "1"], {"R": (1, [("0",)])})
+    t = Multiteam(("u", "x"), [("a", "0"), ("b", "0"), ("c", "1")])
+    for cfg, c in itertools.product((LAX_MULTI, STRICT_MULTI), (True, False)):
+        assert evaluate(structure, t, parse("<2/3> R(x)"), cfg, use_cache=c), (cfg, c)
+
+
 def test_evaluate_searches_the_projection_and_witness_the_team(monkeypatch):
     # A u. dep(a,u ; b) reads a and b, 8 rows of the 1,024: the universal
     # extension has 64 rows, not 8,192; set strict mode, a set-lax formula
@@ -699,11 +708,11 @@ def test_conditions_no_supplement_changes_are_tested_on_the_team(monkeypatch):
 
 
 def test_each_atom_is_projected_once_per_run(monkeypatch):
-    # a dep's own test, its walks and its g3 read one numbering of the row
-    # keys, made once per (atom, space) per run, though the MAX-2SAT split's
-    # dep is a condition on both sides and the 3SAT body's first dep also
-    # gives g3's marks.  So no run of either encoding, for evaluate or for
-    # witness, projects a row, though a witness run tests the deps' own nodes
+    # a dep's own test and its walks read one numbering of the row keys,
+    # made once per (atom, space) per run, though the MAX-2SAT split's dep is
+    # a condition on both sides.  So no run of either encoding, for evaluate
+    # or for witness, projects a row, though a witness run tests the deps'
+    # own nodes
     looked_up, numbered, projected, tested = [], [], [], []
     entries, dep_entries, project = _Eval._dep_entries, atoms.dep_entries, atoms.project
     test = _Eval._test
@@ -716,9 +725,9 @@ def test_each_atom_is_projected_once_per_run(monkeypatch):
         looked_up.append((id(f), space))
         return entries(self, f, space, first_slot)
 
-    def recording_dep_entries(keys, xs_pos, ys_pos, first_slot=0):
+    def recording_dep_entries(keys, xs_pos, ys_pos):
         numbered.append((xs_pos, ys_pos))
-        return dep_entries(keys, xs_pos, ys_pos, first_slot)
+        return dep_entries(keys, xs_pos, ys_pos)
 
     def recording_project(keys, positions):
         projected.append(str(positions))
@@ -738,7 +747,9 @@ def test_each_atom_is_projected_once_per_run(monkeypatch):
             run = _Eval(inst.structure, cfg, True, explain)
             got = run.search(inst.formula, inst.team,
                              None if explain else free_vars(inst.formula))[0]
-            assert len(numbered) == len(set(looked_up)) < len(looked_up)
+            assert len(numbered) == len(set(looked_up)) <= len(looked_up)
+            if isinstance(inst.formula, Or):  # the MAX-2SAT split
+                assert len(set(looked_up)) < len(looked_up)
             assert not run.nodes  # dropped at the run's end
             assert projected == []
             if explain and got:  # a tree names the split's dep on its part
@@ -973,17 +984,35 @@ def test_the_g3_closed_form_keeps_the_verdicts_and_witness_trees(monkeypatch):
     assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
 
-def test_g3_decides_the_bodies_of_its_fragment_alone():
+def recorded_sized_walks(monkeypatch) -> list[int]:
+    """The sizes of the sized walks run from now on, in order."""
+    sized, walk = [], semantics._walk
+
+    def recording_walk(counts, prune, size=None):
+        if size is not None:
+            sized.append(size)
+        return walk(counts, prune, size)
+
+    monkeypatch.setattr(semantics, "_walk", recording_walk)
+    return sized
+
+
+def test_g3_decides_the_bodies_of_its_fragment_alone(monkeypatch):
+    # evaluate decides <p> h by its room alone for h in g3's fragment, and
+    # walks the parts of the bound size for every other closed h
     t = Multiteam(("x", "y"), {("0", "0"): 2, ("0", "1"): 1, ("2", "1"): 3})
-    space, _ = _Space.rooted(t)
-    run = _Eval(RULE_6_STRUCTURE, LAX_MULTI, False)
+    sized = recorded_sized_walks(monkeypatch)
     for text in G3_BODIES + G3_OUTSIDE:
-        assert run._g3_marks(parse(text), space)[3] == (text in G3_BODIES), text
+        sized.clear()
+        evaluate(RULE_6_STRUCTURE, t, parse(f"<1/2> {text}"), LAX_MULTI)
+        assert bool(sized) is (text not in G3_BODIES), text
 
 
 def test_g3_is_the_largest_part_the_body_holds_on(monkeypatch):
-    # h is downward closed, so <p> h holds iff g3 reaches the bound: g3 must
-    # be the size of the largest part h holds on, found here by brute force
+    # h is downward closed, so <p> h holds iff g3 reaches the bound: g3, the
+    # room at row 0 under h's conditions, must be the size of the largest
+    # part h holds on, found here by brute force, and evaluate's closed form
+    # must hold at that size and fail one above it
     checked = 0
     for cfg in ALL_CFGS:
         rng = random.Random(f"g3 size-{cfg.team_kind}")
@@ -993,11 +1022,14 @@ def test_g3_is_the_largest_part_the_body_holds_on(monkeypatch):
             space, counts = _Space.rooted(t)
             for text in G3_BODIES:
                 h = parse(text)
-                marks = _Eval(RULE_6_STRUCTURE, cfg, False)._g3_marks(h, space)[0]
+                prune = _Eval(RULE_6_STRUCTURE, cfg, False)._prune(space, h)
                 with unpruned(monkeypatch):
                     largest = max(sum(y) for y in _walk(counts, None)
                                   if evaluate(RULE_6_STRUCTURE, space.team(y), h, cfg))
-                assert semantics._g3(marks, counts) == largest, (text, t, cfg)
+                assert semantics._largest(prune, counts)[0] == largest, (text, t, cfg)
+                for k in (largest, largest + 1):
+                    f = parse(f"<#{k}> {text}")
+                    assert evaluate(RULE_6_STRUCTURE, t, f, cfg) is (k == largest), (f, t, cfg)
                 checked += largest < sum(counts)
     assert checked > 200
 
@@ -1005,20 +1037,14 @@ def test_g3_is_the_largest_part_the_body_holds_on(monkeypatch):
 def test_evaluate_walks_no_part_for_the_maxsat_bound(monkeypatch):
     # evaluate answers the nested <k/m> dep(variable ; parity) by g3 alone,
     # with no sized walk; witness still walks to name the first part
-    sized, decided = [], []
-    walk, g3 = semantics._walk, semantics._g3
+    decided, largest = [], semantics._largest
 
-    def recording_walk(counts, prune, size=None):
-        if size is not None:
-            sized.append(size)
-        return walk(counts, prune, size)
-
-    def recording_g3(marks, counts):
+    def recording_largest(prune, counts):
         decided.append(counts)
-        return g3(marks, counts)
+        return largest(prune, counts)
 
-    monkeypatch.setattr(semantics, "_walk", recording_walk)
-    monkeypatch.setattr(semantics, "_g3", recording_g3)
+    sized = recorded_sized_walks(monkeypatch)
+    monkeypatch.setattr(semantics, "_largest", recording_largest)
     true_checks = 0
     for m, ladder in maxsat_ladders():
         for k, inst in enumerate(ladder):
@@ -1310,10 +1336,10 @@ def test_a_valid_dep_gives_no_walk_condition():
         prune = run._prune(space, parse("dep(x,y ; x) & dep(x ; y)"),
                            parse("dep(y ; y) & dep(y ; x)"), True)
         assert (len(prune.bounds), len(prune.y[0]), len(prune.z[0])) == (1, 1, 1)
-        _, dep, barred, decided = run._g3_marks(parse("dep(x,y ; y) & dep(x ; y)"), space)
-        assert (str(dep), barred, decided) == ("dep(x ; y)", False, True)
-        _, dep, _, decided = run._g3_marks(parse("dep(x ; x) & dep(x,y ; x,y)"), space)
-        assert (dep, decided) == (None, True)
+        barred, deps, rest = run._sort(parse("dep(x,y ; y) & dep(x ; y)"), space)
+        assert (barred, [str(g) for g in deps], rest) == ([], ["dep(x ; y)"], [])
+        assert run._sort(parse("dep(x ; x) & dep(x,y ; x,y)"), space) == ([], [], [])
+        assert run._z_bound(parse("<1> (dep(x ; x) & dep(x,y ; x,y))"), space) is None
 
 
 def test_a_valid_atom_is_never_projected(monkeypatch):
